@@ -19,8 +19,9 @@ from .lognormal import (DB_TO_NAT, CompositeLink, Cumulants, LogNormal,
                         ratio, scale_db, sum_lognormals)
 from .metrics import (MetricResult, avg_secrecy_rate, avg_secrecy_rate_reference,
                       min_snr_cdf, secrecy_outage, secrecy_outage_reference)
-from .montecarlo import (McEstimate, mc_avg_secrecy_rate, mc_secrecy_outage,
-                         mc_secrecy_outage_multi, sample_composite_snr)
+from .montecarlo import (McEstimate, mc_avg_secrecy_rate, mc_secrecy_metrics,
+                         mc_secrecy_outage, mc_secrecy_outage_multi,
+                         sample_composite_snr)
 from .numerics import (IntegralEstimate, QuadratureRule, adaptive_integrate,
                        digamma, erfc, gauss_hermite_rule, gauss_laguerre_rule,
                        trigamma)
@@ -39,9 +40,9 @@ __all__ = [
     "cumulants", "digamma", "endpoint_distributions", "endpoints_for", "erfc",
     "from_composite", "from_cumulants", "gauss_hermite_rule",
     "gauss_laguerre_rule", "iid_sum", "link_budget", "load_config",
-    "mc_avg_secrecy_rate", "mc_secrecy_outage", "mc_secrecy_outage_multi",
-    "min_snr_cdf", "parse_config_text", "preset_run_config", "ratio",
-    "run_sweep", "run_validation", "sample_composite_snr", "sanity_preset",
-    "scale_db", "secrecy_outage", "secrecy_outage_reference",
-    "sum_lognormals", "trigamma", "__version__",
+    "mc_avg_secrecy_rate", "mc_secrecy_metrics", "mc_secrecy_outage",
+    "mc_secrecy_outage_multi", "min_snr_cdf", "parse_config_text",
+    "preset_run_config", "ratio", "run_sweep", "run_validation",
+    "sample_composite_snr", "sanity_preset", "scale_db", "secrecy_outage",
+    "secrecy_outage_reference", "sum_lognormals", "trigamma", "__version__",
 ]

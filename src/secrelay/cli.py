@@ -11,7 +11,7 @@ import sys
 from .config import RunConfig, load_config
 from .errors import ConfigurationError
 from .numerics import gauss_hermite_rule, gauss_laguerre_rule
-from .sweep import PRESET_NAMES, SweepSpec, preset_run_config, run_sweep
+from .sweep import METHODS, PRESET_NAMES, SweepSpec, preset_run_config, run_sweep
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="built-in experiment preset")
         p.add_argument("--output", required=True, help="CSV output path")
         p.add_argument("--method", "--mode", action="append", dest="method",
-                       choices=("analytic", "mc-ln", "mc-composite"),
+                       choices=METHODS,
                        help="evaluation method (repeatable; default analytic)")
         p.add_argument("--samples", type=int, help="Monte-Carlo sample count")
         p.add_argument("--seed", type=int, help="Monte-Carlo base seed")

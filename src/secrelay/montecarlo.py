@@ -14,7 +14,8 @@ Two modes:
 Streams use the counter-based Philox generator keyed directly by the caller's
 seed, and samples are reduced sequentially in fixed-size blocks, so results
 are bit-identical for a given (config, mode, n, seed) regardless of how many
-sweep workers run concurrently.
+sweep workers run concurrently.  ``mc_secrecy_metrics`` reduces one sample set
+into the rate and every outage target; the other estimators are views of it.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ __all__ = [
     "mc_avg_secrecy_rate",
     "mc_secrecy_outage",
     "mc_secrecy_outage_multi",
+    "mc_secrecy_metrics",
 ]
 
 _BLOCK = 1 << 17  # fixed reduction block keeps accumulation order canonical
@@ -116,43 +118,47 @@ def _iter_rate_blocks(cfg: SystemConfig, mode: str, n: int, seed: int):
         raise ValueError(f"unknown Monte-Carlo mode {mode!r}")
 
 
-def mc_avg_secrecy_rate(cfg: SystemConfig, mode: str, n: int, seed: int) -> McEstimate:
-    """Empirical average secrecy rate over n network realisations."""
-    _check_samples(n)
-    total = 0.0
-    total_sq = 0.0
-    for rates in _iter_rate_blocks(cfg, mode, n, seed):
-        total += float(rates.sum())
-        total_sq += float((rates * rates).sum())
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n),
-                      n_samples=n, seed=seed, mode=mode)
+def mc_secrecy_metrics(cfg: SystemConfig, rs_targets: Sequence[float],
+                       mode: str, n: int, seed: int
+                       ) -> tuple[McEstimate, list[McEstimate]]:
+    """Empirical average secrecy rate and outage per target, one sample set.
 
-
-def mc_secrecy_outage_multi(cfg: SystemConfig, rs_targets: Sequence[float],
-                            mode: str, n: int, seed: int) -> list[McEstimate]:
-    """Empirical outage for several target rates on one shared sample set.
-
-    Sharing the realisations across targets (common random numbers) makes the
-    estimates exactly nested: a higher target can never report lower outage.
+    The n realisations are drawn once and reduced block by block into the
+    rate's sum and sum of squares and each target's ``rates < r`` count.
+    Sharing them across targets (common random numbers) makes the outage
+    estimates exactly nested: a higher target never reports lower outage.
     """
     _check_samples(n)
     targets = [float(r) for r in rs_targets]
     for r in targets:
         if not (r > 0.0 and math.isfinite(r)):
             raise ValueError(f"rs_target must be positive, got {r!r}")
+    total = 0.0
+    total_sq = 0.0
     counts = np.zeros(len(targets), dtype=np.int64)
     for rates in _iter_rate_blocks(cfg, mode, n, seed):
+        total += float(rates.sum())
+        total_sq += float((rates * rates).sum())
         for i, r in enumerate(targets):
             counts[i] += int(np.count_nonzero(rates < r))
-    out = []
-    for i, r in enumerate(targets):
-        p = counts[i] / n
-        out.append(McEstimate(mean=float(p),
-                              std_error=math.sqrt(p * (1.0 - p) / n),
-                              n_samples=n, seed=seed, mode=mode))
-    return out
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
+    rate = McEstimate(mean=mean, std_error=math.sqrt(var / n),
+                      n_samples=n, seed=seed, mode=mode)
+    return rate, [McEstimate(mean=float(p), std_error=math.sqrt(p * (1.0 - p) / n),
+                             n_samples=n, seed=seed, mode=mode)
+                  for p in counts / n]
+
+
+def mc_avg_secrecy_rate(cfg: SystemConfig, mode: str, n: int, seed: int) -> McEstimate:
+    """Empirical average secrecy rate over n network realisations."""
+    return mc_secrecy_metrics(cfg, (), mode, n, seed)[0]
+
+
+def mc_secrecy_outage_multi(cfg: SystemConfig, rs_targets: Sequence[float],
+                            mode: str, n: int, seed: int) -> list[McEstimate]:
+    """Empirical outage for several target rates on one shared sample set."""
+    return mc_secrecy_metrics(cfg, rs_targets, mode, n, seed)[1]
 
 
 def mc_secrecy_outage(cfg: SystemConfig, rs_target: float, mode: str,
@@ -162,4 +168,4 @@ def mc_secrecy_outage(cfg: SystemConfig, rs_target: float, mode: str,
     The stream is keyed by the seed alone (not the target), so estimates at
     different targets with the same seed share their random numbers.
     """
-    return mc_secrecy_outage_multi(cfg, [rs_target], mode, n, seed)[0]
+    return mc_secrecy_metrics(cfg, [rs_target], mode, n, seed)[1][0]

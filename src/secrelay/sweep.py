@@ -3,7 +3,8 @@
 Grid points may be evaluated by any number of worker threads; every
 Monte-Carlo point owns a counter-based stream derived from the base seed and
 the point's position in the sorted grid, and rows are emitted in sorted key
-order, so the output file is byte-identical regardless of parallelism.
+order, so the output file is byte-identical regardless of parallelism.  A
+point's rows share one sample set (Monte-Carlo) or one endpoint fit (analytic).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .config import RunConfig
 from .errors import AccuracyError, ConfigurationError
 from .channel import endpoints_for
 from .metrics import avg_secrecy_rate, secrecy_outage
-from .montecarlo import mc_avg_secrecy_rate, mc_secrecy_outage_multi
+from .montecarlo import mc_secrecy_metrics
 
 __all__ = ["SweepSpec", "SweepRow", "run_sweep", "preset_run_config",
            "CSV_HEADER", "PRESET_NAMES"]
@@ -29,6 +30,7 @@ METHODS = ("analytic", "mc-ln", "mc-composite")
 _MODE_OF = {"mc-ln": "ln_fit", "mc-composite": "composite"}
 _MAX_POINTS = 100_000
 _SEED_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio step decorrelates point streams
+_ANALYTIC_ERRORS = (ValueError, ConfigurationError, OverflowError, AccuracyError)
 
 
 @dataclass(frozen=True)
@@ -116,48 +118,42 @@ def _point_rows(spec: SweepSpec, power: float, delta: float, n_eve: int,
                 method: str, point_seed: int) -> list[SweepRow]:
     base = spec.base
     cfg = base.system(power, delta, n_eve)
+    keys = [("rate", None)] if "rate" in spec.metrics else []
+    if "outage" in spec.metrics:
+        keys += [("outage", rs) for rs in base.rs_grid]
 
-    def row(metric, rs, value, std_error=None, n_samples=None, seed=None,
+    def row(metric, rs, value=None, std_error=None, n_samples=None, seed=None,
             status="ok"):
         return SweepRow(power, delta, n_eve, rs, metric, method,
                         value, std_error, n_samples, seed, status)
 
-    rows: list[SweepRow] = []
+    def flag_all(exc):
+        return [row(*key, status=_err(exc)) for key in keys]
+
     if method == "analytic":
-        if "rate" in spec.metrics:
+        try:
+            ep = endpoints_for(cfg)
+        except _ANALYTIC_ERRORS as exc:
+            return flag_all(exc)
+        rows = []
+        for metric, rs in keys:
             try:
-                res = avg_secrecy_rate(endpoints_for(cfg), base.quadrature_order)
-                rows.append(row("rate", None, res.value))
-            except (ValueError, ConfigurationError, OverflowError, AccuracyError) as exc:
-                rows.append(row("rate", None, None, status=_err(exc)))
-        if "outage" in spec.metrics:
-            for rs in base.rs_grid:
-                try:
-                    res = secrecy_outage(endpoints_for(cfg), rs, base.quadrature_order)
-                    rows.append(row("outage", rs, res.value))
-                except (ValueError, ConfigurationError, OverflowError, AccuracyError) as exc:
-                    rows.append(row("outage", rs, None, status=_err(exc)))
+                res = (avg_secrecy_rate(ep, base.quadrature_order) if rs is None
+                       else secrecy_outage(ep, rs, base.quadrature_order))
+                rows.append(row(metric, rs, res.value))
+            except _ANALYTIC_ERRORS as exc:
+                rows.append(row(metric, rs, status=_err(exc)))
         return rows
 
-    mode = _MODE_OF[method]
-    if "rate" in spec.metrics:
-        try:
-            est = mc_avg_secrecy_rate(cfg, mode, base.samples, point_seed)
-            rows.append(row("rate", None, est.mean, est.std_error,
-                            est.n_samples, est.seed))
-        except (ValueError, ConfigurationError, OverflowError) as exc:
-            rows.append(row("rate", None, None, status=_err(exc)))
-    if "outage" in spec.metrics:
-        try:
-            ests = mc_secrecy_outage_multi(cfg, base.rs_grid, mode,
+    targets = base.rs_grid if "outage" in spec.metrics else ()
+    try:
+        rate, outages = mc_secrecy_metrics(cfg, targets, _MODE_OF[method],
                                            base.samples, point_seed)
-            for rs, est in zip(base.rs_grid, ests):
-                rows.append(row("outage", rs, est.mean, est.std_error,
-                                est.n_samples, est.seed))
-        except (ValueError, ConfigurationError, OverflowError) as exc:
-            for rs in base.rs_grid:
-                rows.append(row("outage", rs, None, status=_err(exc)))
-    return rows
+    except (ValueError, ConfigurationError, OverflowError) as exc:
+        return flag_all(exc)
+    ests = ([rate] if "rate" in spec.metrics else []) + outages
+    return [row(*key, est.mean, est.std_error, est.n_samples, est.seed)
+            for key, est in zip(keys, ests)]
 
 
 def _err(exc: Exception) -> str:
@@ -210,25 +206,15 @@ PRESET_NAMES = ("paper-fig2", "paper-fig3", "sanity")
 def preset_run_config(name: str) -> RunConfig:
     """Built-in experiment presets.
 
-    The figure presets sweep transmit power against self-interference
-    attenuation and eavesdropper antenna count over the reference geometry
-    (30 m line, relay centred, exponent 4, m = 2, 10 dB shadowing, order 24).
-    Their eavesdropper is placed 10 m from both sources (-40 dB path gain,
+    The two figure presets are one sweep of transmit power against
+    self-interference attenuation and eavesdropper antenna count over the
+    reference geometry (30 m line, relay centred, exponent 4, m = 2, 10 dB
+    shadowing, order 24).  Their eavesdropper is placed 10 m from both sources (-40 dB path gain,
     5 dB shadowing) so her links scale with transmit power like every other
     link.  The sanity preset is the fixed single point used for
     cross-validation, with the eavesdropper given directly in nats.
     """
-    if name == "paper-fig2":
-        return RunConfig(
-            power_grid_dbm=tuple(10.0 + 5.0 * i for i in range(14)),
-            delta_grid_db=(-90.0, -80.0, -70.0),
-            n_eve_grid=(2, 4, 8),
-            rs_grid=(2.0, 4.0),
-            eve_mode="composite",
-            eve_mean_snr_db=-40.0,
-            eve_shadow_sd_db=5.0,
-        )
-    if name == "paper-fig3":
+    if name in ("paper-fig2", "paper-fig3"):
         return RunConfig(
             power_grid_dbm=tuple(10.0 + 5.0 * i for i in range(14)),
             delta_grid_db=(-90.0, -80.0, -70.0),

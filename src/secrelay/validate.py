@@ -13,7 +13,7 @@ from .config import RunConfig
 from .lognormal import LogNormal, cumulants, from_cumulants
 from .metrics import (avg_secrecy_rate, avg_secrecy_rate_reference,
                       min_snr_cdf, secrecy_outage, secrecy_outage_reference)
-from .montecarlo import mc_avg_secrecy_rate, mc_secrecy_outage
+from .montecarlo import mc_secrecy_metrics
 from .numerics import SQRT_PI, gauss_hermite_rule, gauss_laguerre_rule
 
 __all__ = ["CheckResult", "run_validation"]
@@ -142,13 +142,12 @@ def _check_mc_agreement(cfg: RunConfig) -> list[CheckResult]:
     system = cfg.base_system()
     ep = endpoints_for(system)
     n = max(cfg.samples, 10_000)
+    rs = cfg.rs_grid[0]
+    est, (oest,) = mc_secrecy_metrics(system, [rs], "ln_fit", n, cfg.seed)
     rate_ref = avg_secrecy_rate_reference(ep, 1e-9).value
-    est = mc_avg_secrecy_rate(system, "ln_fit", n, cfg.seed)
     rate_dev = abs(est.mean - rate_ref) / est.std_error if est.std_error > 0 else 0.0
 
-    rs = cfg.rs_grid[0]
     out_ref = secrecy_outage_reference(ep, rs, 1e-10).value
-    oest = mc_secrecy_outage(system, rs, "ln_fit", n, cfg.seed)
     out_dev = (abs(oest.mean - out_ref) / oest.std_error
                if oest.std_error > 0 else 0.0)
     return [

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from secrelay import (CompositeLink, ConfigurationError, EveComposite,
-                      avg_secrecy_rate_reference, endpoints_for,
-                      mc_avg_secrecy_rate, mc_secrecy_outage,
-                      mc_secrecy_outage_multi, sample_composite_snr,
-                      sanity_preset, secrecy_outage_reference)
+                      McEstimate, avg_secrecy_rate_reference, endpoints_for,
+                      mc_avg_secrecy_rate, mc_secrecy_metrics,
+                      mc_secrecy_outage, mc_secrecy_outage_multi,
+                      sample_composite_snr, sanity_preset,
+                      secrecy_outage_reference)
+from secrelay import montecarlo
 from secrelay.lognormal import DB_TO_NAT
 
 XI = DB_TO_NAT
@@ -145,3 +147,44 @@ class TestValidation:
         cfg = replace(sanity_preset(), eve_spec=EveComposite(-40.0, 5.0))
         est = mc_avg_secrecy_rate(cfg, "composite", 10_000, 1)
         assert est.mean >= 0.0
+
+
+def two_pass_reference(cfg, targets, mode, n, seed):
+    """Rate and outages reduced in two separate passes over the blocks."""
+    total = total_sq = 0.0
+    for rates in montecarlo._iter_rate_blocks(cfg, mode, n, seed):
+        total += float(rates.sum())
+        total_sq += float((rates * rates).sum())
+    counts = [0] * len(targets)
+    for rates in montecarlo._iter_rate_blocks(cfg, mode, n, seed):
+        for i, r in enumerate(targets):
+            counts[i] += int(np.count_nonzero(rates < r))
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
+    rate = McEstimate(mean, math.sqrt(var / n), n, seed, mode)
+    outages = [McEstimate(float(c / n), math.sqrt(c / n * (1.0 - c / n) / n),
+                          n, seed, mode) for c in counts]
+    return rate, outages
+
+
+class TestSinglePassReducer:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # several blocks per run, so the accumulation order is exercised
+        monkeypatch.setattr(montecarlo, "_BLOCK", 1024)
+
+    @pytest.mark.parametrize("mode", ["ln_fit", "composite"])
+    @pytest.mark.parametrize("eve", ["direct", "composite"])
+    @pytest.mark.parametrize("targets", [(), (2.0,), (0.5, 2.0, 4.0)])
+    def test_bit_identical_to_public_functions(self, mode, eve, targets):
+        cfg = sanity_preset()
+        if eve == "composite":
+            cfg = replace(cfg, eve_spec=EveComposite(-40.0, 5.0))
+        n, seed = 4500, 17
+        rate, outages = mc_secrecy_metrics(cfg, targets, mode, n, seed)
+        assert len(outages) == len(targets)
+        assert (rate, outages) == two_pass_reference(cfg, targets, mode, n, seed)
+        assert rate == mc_avg_secrecy_rate(cfg, mode, n, seed)
+        assert outages == mc_secrecy_outage_multi(cfg, targets, mode, n, seed)
+        assert outages == [mc_secrecy_outage(cfg, r, mode, n, seed)
+                           for r in targets]

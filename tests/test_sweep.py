@@ -1,7 +1,10 @@
 """Sweep runner: CSV schema, ordering, determinism across worker counts."""
+import hashlib
+
 import pytest
 
-from secrelay import ConfigurationError, RunConfig, SweepSpec, run_sweep
+from secrelay import (ConfigurationError, RunConfig, SweepSpec, montecarlo,
+                      run_sweep, sweep)
 from secrelay.sweep import CSV_HEADER, preset_run_config, sweep_rows
 
 
@@ -135,3 +138,77 @@ def test_preset_fig2_shape():
     assert set(cfg.delta_grid_db) == {-70.0, -80.0, -90.0}
     assert set(cfg.n_eve_grid) == {2, 4, 8}
     assert cfg.quadrature_order == 24
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a pass-through that records each call."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_mc_point_draws_its_samples_once(monkeypatch):
+    calls = counting(monkeypatch, montecarlo, "_iter_rate_blocks")
+    spec = SweepSpec(base=small_run_config(rs_grid=(1.0, 2.0)),
+                     metrics=("rate", "outage"),
+                     methods=("mc-ln", "mc-composite"))
+    rows = sweep_rows(spec)
+    assert len(rows) == 6 * 2 * 3
+    assert len(calls) == 6 * 2  # one sample set per (grid point, method)
+
+
+def test_analytic_point_fits_endpoints_once(monkeypatch):
+    calls = counting(monkeypatch, sweep, "endpoints_for")
+    spec = SweepSpec(base=small_run_config(rs_grid=(1.0, 2.0)),
+                     metrics=("rate", "outage"), methods=("analytic",))
+    rows = sweep_rows(spec)
+    assert len(rows) == 6 * 3
+    assert all(r.status == "ok" for r in rows)
+    assert len(calls) == 6
+
+
+def test_endpoint_failure_flags_every_row(monkeypatch):
+    def broken(cfg):
+        raise ValueError("no fit, for\nthis point")
+
+    monkeypatch.setattr(sweep, "endpoints_for", broken)
+    spec = SweepSpec(base=small_run_config(rs_grid=(1.0, 2.0)),
+                     metrics=("rate", "outage"), methods=("analytic",))
+    rows = sweep_rows(spec)
+    assert len(rows) == 6 * 3
+    assert {r.status for r in rows} == {"error: no fit; for this point"}
+    assert all(r.value is None for r in rows)
+
+
+def test_too_few_samples_flags_rate_and_outage_rows():
+    spec = SweepSpec(base=small_run_config(rs_grid=(2.0, 4.0), samples=500),
+                     metrics=("rate", "outage"),
+                     methods=("analytic", "mc-ln", "mc-composite"))
+    rows = sweep_rows(spec)
+    mc = [r for r in rows if r.method != "analytic"]
+    assert len(mc) == 6 * 2 * 3
+    assert {(r.metric, r.rs_target) for r in mc} == {
+        ("rate", None), ("outage", 2.0), ("outage", 4.0)}
+    assert {r.status for r in mc} == {
+        "error: Monte-Carlo runs need at least 1000 samples; got 500"}
+    assert all(r.value is None and r.seed is None for r in mc)
+    assert all(r.status == "ok" for r in rows if r.method == "analytic")
+
+
+def test_mc_sweep_csv_digest(tmp_path):
+    # Written by the estimators that sampled rate and outage in separate
+    # passes; the digest depends on numpy's Philox Generator streams and
+    # was recorded with numpy 2.4.6.
+    spec = SweepSpec(base=small_run_config(rs_grid=(1.0, 2.0)),
+                     metrics=("rate", "outage"),
+                     methods=("mc-ln", "mc-composite"))
+    path = tmp_path / "mc.csv"
+    run_sweep(spec, str(path), workers=2)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "d3fe16b00139f7c2d6916076ca3afed2665dd2f81236f36940331ffe92534151")
