@@ -15,16 +15,13 @@ from .channel import (Endpoints, EveComposite, EveDirect, LinkBudget, LinkSet,
 from .config import RunConfig, load_config, parse_config_text
 from .errors import AccuracyError, ConfigParseError, ConfigurationError
 from .lognormal import (DB_TO_NAT, CompositeLink, Cumulants, LogNormal,
-                        cumulants, from_composite, from_cumulants, iid_sum,
-                        ratio, scale_db, sum_lognormals)
+                        cumulants, from_composite, from_cumulants, ratio,
+                        sum_lognormals)
 from .metrics import (MetricResult, avg_secrecy_rate, avg_secrecy_rate_reference,
                       min_snr_cdf, secrecy_outage, secrecy_outage_reference)
-from .montecarlo import (McEstimate, mc_avg_secrecy_rate, mc_secrecy_metrics,
-                         mc_secrecy_outage, mc_secrecy_outage_multi,
-                         sample_composite_snr)
+from .montecarlo import McEstimate, mc_secrecy_metrics, sample_composite_snr
 from .numerics import (IntegralEstimate, QuadratureRule, adaptive_integrate,
-                       digamma, erfc, gauss_hermite_rule, gauss_laguerre_rule,
-                       trigamma)
+                       gauss_hermite_rule, gauss_laguerre_rule)
 from .sweep import SweepRow, SweepSpec, preset_run_config, run_sweep
 from .validate import CheckResult, run_validation
 
@@ -37,12 +34,11 @@ __all__ = [
     "LogNormal", "McEstimate", "MetricResult", "QuadratureRule", "RunConfig",
     "SweepRow", "SweepSpec", "SystemConfig", "adaptive_integrate",
     "avg_secrecy_rate", "avg_secrecy_rate_reference", "build_links",
-    "cumulants", "digamma", "endpoint_distributions", "endpoints_for", "erfc",
-    "from_composite", "from_cumulants", "gauss_hermite_rule",
-    "gauss_laguerre_rule", "iid_sum", "link_budget", "load_config",
-    "mc_avg_secrecy_rate", "mc_secrecy_metrics", "mc_secrecy_outage",
-    "mc_secrecy_outage_multi", "min_snr_cdf", "parse_config_text",
-    "preset_run_config", "ratio", "run_sweep", "run_validation",
-    "sample_composite_snr", "sanity_preset", "scale_db", "secrecy_outage",
-    "secrecy_outage_reference", "sum_lognormals", "trigamma", "__version__",
+    "cumulants", "endpoint_distributions", "endpoints_for", "from_composite",
+    "from_cumulants", "gauss_hermite_rule", "gauss_laguerre_rule",
+    "link_budget", "load_config", "mc_secrecy_metrics", "min_snr_cdf",
+    "parse_config_text", "preset_run_config", "ratio", "run_sweep",
+    "run_validation", "sample_composite_snr", "sanity_preset",
+    "secrecy_outage", "secrecy_outage_reference", "sum_lognormals",
+    "__version__",
 ]

@@ -9,8 +9,8 @@ relative to a 0 dB noise floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Union
+from dataclasses import dataclass
+from typing import Union
 
 from . import lognormal as ln
 from .errors import ConfigurationError
@@ -68,9 +68,6 @@ class SystemConfig:
     delta_db: float = -80.0
     n_eve: int = 2
     eve_spec: EveSpec = EveDirect(0.21, 0.76)
-    quadrature_order: int = 24
-    # optional per-link (m, shadow_sd_db) overrides keyed by "ar"/"rr"/"ab"/"rb"
-    link_overrides: Mapping[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (self.d_ab_m > 0.0):
@@ -92,12 +89,6 @@ class SystemConfig:
                 f"delta_db must be <= 0 dB, got {self.delta_db!r}")
         if not (isinstance(self.n_eve, int) and self.n_eve >= 1):
             raise ConfigurationError(f"n_eve must be a positive integer, got {self.n_eve!r}")
-        if not (isinstance(self.quadrature_order, int) and self.quadrature_order >= 1):
-            raise ConfigurationError(
-                f"quadrature_order must be a positive integer, got {self.quadrature_order!r}")
-        for key in self.link_overrides:
-            if key not in ("ar", "rr", "ab", "rb"):
-                raise ConfigurationError(f"unknown link override {key!r}")
 
 
 @dataclass(frozen=True)
@@ -146,16 +137,15 @@ def link_budget(cfg: SystemConfig) -> LinkBudget:
     d_rb = (1.0 - cfg.relay_fraction) * cfg.d_ab_m
     nu = cfg.path_loss_exponent
 
-    def legit(name: str, power_dbm: float, gain_db: float) -> CompositeLink:
-        m, sd = cfg.link_overrides.get(name, (cfg.nakagami_m, cfg.shadow_sd_db))
-        return CompositeLink(m, power_dbm + gain_db, sd)
+    def legit(power_dbm: float, gain_db: float) -> CompositeLink:
+        return CompositeLink(cfg.nakagami_m, power_dbm + gain_db, cfg.shadow_sd_db)
 
-    ar = legit("ar", cfg.power_a_dbm, path_gain_db(d_ar, nu))
-    rb = legit("rb", cfg.power_r_dbm, path_gain_db(d_rb, nu))
-    ab = legit("ab", cfg.power_a_dbm, path_gain_db(cfg.d_ab_m, nu))
+    ar = legit(cfg.power_a_dbm, path_gain_db(d_ar, nu))
+    rb = legit(cfg.power_r_dbm, path_gain_db(d_rb, nu))
+    ab = legit(cfg.power_a_dbm, path_gain_db(cfg.d_ab_m, nu))
     # self-interference sees the relay's own power through the attenuation
     # factor only, no distance term
-    rr = legit("rr", cfg.power_r_dbm, cfg.delta_db)
+    rr = legit(cfg.power_r_dbm, cfg.delta_db)
 
     if isinstance(cfg.eve_spec, EveComposite):
         eve_a = CompositeLink(cfg.nakagami_m, cfg.power_a_dbm + cfg.eve_spec.gain_db,
@@ -220,5 +210,4 @@ def sanity_preset() -> SystemConfig:
         delta_db=-80.0,
         n_eve=2,
         eve_spec=EveDirect(0.21, 0.76),
-        quadrature_order=24,
     )

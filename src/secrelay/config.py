@@ -10,15 +10,9 @@ import math
 from dataclasses import dataclass, replace
 from .channel import EveComposite, EveDirect, SystemConfig
 from .errors import ConfigParseError, ConfigurationError
+from .numerics import _check_order
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "DEFAULT_CONFIG_TEXT"]
-
-_KNOWN_KEYS = {
-    "d_ab_m", "relay_fraction", "path_loss_exponent", "nakagami_m",
-    "shadow_sd_db", "power_dbm", "power_split", "delta_db", "n_eve",
-    "eve_mode", "eve_mu", "eve_sigma", "eve_mean_snr_db", "eve_shadow_sd_db",
-    "rs_target", "quadrature_order", "samples", "seed",
-}
 
 DEFAULT_CONFIG_TEXT = """\
 # secrelay experiment configuration (defaults shown)
@@ -43,7 +37,11 @@ seed = 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed experiment settings: a base system plus sweep grids."""
+    """Experiment settings: a base system plus sweep grids.
+
+    Construction validates every field, so a RunConfig built in code is held
+    to the same ranges as one parsed from a file.
+    """
 
     power_grid_dbm: tuple[float, ...] = (40.0,)
     delta_grid_db: tuple[float, ...] = (-80.0,)
@@ -63,6 +61,31 @@ class RunConfig:
     samples: int = 100_000
     seed: int = 1
 
+    def __post_init__(self):
+        for grid, name in ((self.power_grid_dbm, "power_dbm"),
+                           (self.delta_grid_db, "delta_db"),
+                           (self.n_eve_grid, "n_eve"),
+                           (self.rs_grid, "rs_target")):
+            if not grid:
+                raise ConfigurationError(f"grid {name} is empty")
+        self.base_system()  # range checks on the assembled system
+        for p in self.power_grid_dbm:
+            if not math.isfinite(p):
+                raise ConfigurationError(f"power grid entry {p!r} is not finite")
+        for d in self.delta_grid_db:
+            if not (math.isfinite(d) and d <= 0.0):
+                raise ConfigurationError(
+                    f"delta_db grid entry {d!r} must be finite and <= 0")
+        for n in self.n_eve_grid:
+            if not (isinstance(n, int) and n >= 1):
+                raise ConfigurationError(
+                    f"n_eve grid entry {n!r} must be a positive integer")
+        for rs in self.rs_grid:
+            if not (math.isfinite(rs) and rs > 0.0):
+                raise ConfigurationError(
+                    f"rs_target grid entry {rs!r} must be positive")
+        _check_order(self.quadrature_order)
+
     def eve_spec(self):
         if self.eve_mode == "direct":
             return EveDirect(self.eve_mu, self.eve_sigma)
@@ -81,30 +104,11 @@ class RunConfig:
             delta_db=delta_db,
             n_eve=n_eve,
             eve_spec=self.eve_spec(),
-            quadrature_order=self.quadrature_order,
         )
 
     def base_system(self) -> SystemConfig:
         return self.system(self.power_grid_dbm[0], self.delta_grid_db[0],
                            self.n_eve_grid[0])
-
-    def validate_grids(self) -> None:
-        """Range-check every grid entry, not just the base point."""
-        for p in self.power_grid_dbm:
-            if not math.isfinite(p):
-                raise ConfigurationError(f"power grid entry {p!r} is not finite")
-        for d in self.delta_grid_db:
-            if not (math.isfinite(d) and d <= 0.0):
-                raise ConfigurationError(
-                    f"delta_db grid entry {d!r} must be finite and <= 0")
-        for n in self.n_eve_grid:
-            if not (isinstance(n, int) and n >= 1):
-                raise ConfigurationError(
-                    f"n_eve grid entry {n!r} must be a positive integer")
-        for rs in self.rs_grid:
-            if not (math.isfinite(rs) and rs > 0.0):
-                raise ConfigurationError(
-                    f"rs_target grid entry {rs!r} must be positive")
 
     def with_overrides(self, samples: int | None = None,
                        seed: int | None = None) -> "RunConfig":
@@ -172,7 +176,8 @@ def _parse_power(raw: str, path, line) -> tuple[float, ...]:
 
 def parse_config_text(text: str, path: str | None = None) -> RunConfig:
     """Parse config file content; malformed lines report their line number."""
-    seen: dict[str, str] = {}
+    seen: set[str] = set()
+    updates: dict = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -183,33 +188,24 @@ def parse_config_text(text: str, path: str | None = None) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _VALIDATORS:
             raise ConfigParseError(f"unknown key {key!r}", path, lineno)
         if key in seen:
             raise ConfigParseError(f"duplicate key {key!r}", path, lineno)
         if not value:
             raise ConfigParseError(f"key {key!r}: missing value", path, lineno)
-        seen[key] = value
-        # validate eagerly so errors carry the offending line
-        _VALIDATORS[key](value, path, lineno)
-
-    cfg = RunConfig()
-    updates: dict = {}
-    for key, value in seen.items():
-        field_name, parsed = _VALIDATORS[key](value, path, None)
+        seen.add(key)
+        field_name, parsed = _VALIDATORS[key](value, path, lineno)
         if field_name is not None:
             updates[field_name] = parsed
-    cfg = replace(cfg, **updates)
 
-    if cfg.eve_mode == "composite" and "eve_mean_snr_db" not in seen:
+    if updates.get("eve_mode") == "composite" and "eve_mean_snr_db" not in seen:
         raise ConfigParseError(
             "eve_mode = composite requires eve_mean_snr_db", path, None)
     try:
-        cfg.base_system()  # range checks on the assembled system
-        cfg.validate_grids()
+        return RunConfig(**updates)
     except ConfigurationError as exc:
         raise ConfigParseError(str(exc), path, None) from exc
-    return cfg
 
 
 def _scalar(field_name: str, parser):

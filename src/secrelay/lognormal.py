@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .numerics import digamma, erfc, trigamma
+from scipy import special
 
 __all__ = [
     "DB_TO_NAT",
@@ -23,10 +23,8 @@ __all__ = [
     "from_composite",
     "cumulants",
     "from_cumulants",
-    "scale_db",
     "ratio",
     "sum_lognormals",
-    "iid_sum",
 ]
 
 # xi = ln(10)/10 converts decibels to natural log units
@@ -52,11 +50,13 @@ class LogNormal:
 
     def cdf(self, z: float) -> float:
         """P[X <= z]; a right-continuous step at e^mu when sigma == 0."""
+        if math.isnan(z):
+            raise ValueError("cdf requires a number, got nan")
         if z <= 0.0:
             return 0.0
         if self.sigma == 0.0:
             return 1.0 if math.log(z) >= self.mu else 0.0
-        return 0.5 * erfc((self.mu - math.log(z)) / (_SQRT2 * self.sigma))
+        return 0.5 * math.erfc((self.mu - math.log(z)) / (_SQRT2 * self.sigma))
 
     def pdf(self, z: float) -> float:
         """Density at z; undefined for a point mass (sigma == 0)."""
@@ -113,8 +113,9 @@ def from_composite(link: CompositeLink) -> LogNormal:
     mean contributes psi(m) - ln(m) to the mean of ln(SNR) and zeta(2, m) to
     its variance; shadowing contributes its dB moments converted to nats.
     """
-    mu = digamma(link.m) - math.log(link.m) + DB_TO_NAT * link.mean_snr_db
-    var = trigamma(link.m) + (DB_TO_NAT * link.shadow_sd_db) ** 2
+    mu = (float(special.digamma(link.m)) - math.log(link.m)
+          + DB_TO_NAT * link.mean_snr_db)
+    var = float(special.zeta(2.0, link.m)) + (DB_TO_NAT * link.shadow_sd_db) ** 2
     return LogNormal(mu, math.sqrt(var))
 
 
@@ -134,13 +135,6 @@ def from_cumulants(c: Cumulants) -> LogNormal:
     # k2/k1^2 evaluated as (k2/k1)/k1 so k1^2 never overflows
     s2 = math.log1p((c.k2 / c.k1) / c.k1)
     return LogNormal(math.log(c.k1) - 0.5 * s2, math.sqrt(s2))
-
-
-def scale_db(rv: LogNormal, gain_db: float) -> LogNormal:
-    """Apply a deterministic gain in dB (shifts mu, leaves sigma alone)."""
-    if not math.isfinite(gain_db):
-        raise ValueError(f"gain must be finite, got {gain_db!r}")
-    return LogNormal(rv.mu + DB_TO_NAT * gain_db, rv.sigma)
 
 
 def ratio(num: LogNormal, den: LogNormal) -> LogNormal:
@@ -165,11 +159,3 @@ def sum_lognormals(terms: Iterable[LogNormal]) -> LogNormal:
         total = total + cumulants(rv)
     return from_cumulants(total)
 
-
-def iid_sum(rv: LogNormal, n: int) -> LogNormal:
-    """Log-normal fitted to the sum of n i.i.d. copies (cumulants scaled by n)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n == 1:
-        return rv
-    return from_cumulants(cumulants(rv).scaled(n))

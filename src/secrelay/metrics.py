@@ -221,8 +221,8 @@ def _avg_secrecy_rate_paper(ep: Endpoints, order: int) -> MetricResult:
     factor on each weight.
     """
     rule = gauss_laguerre_rule(order)  # validates the order range
-    x = rule.node_array()
-    logw = np.log(rule.weight_array())
+    x = np.asarray(rule.nodes)
+    logw = np.log(rule.weights)
     z = np.expm1(x)
     lz = np.log(z)
     prod = (special.erfc((ep.eve.mu - lz) / (_SQRT2 * ep.eve.sigma))
@@ -378,8 +378,8 @@ def _secrecy_outage_paper(ep: Endpoints, rs_target: float, order: int) -> Metric
     2^rs (1 + z) - 1.
     """
     rule = gauss_hermite_rule(order)
-    u = rule.node_array()
-    w = rule.weight_array()
+    u = np.asarray(rule.nodes)
+    w = np.asarray(rule.weights)
     threshold = 2.0 ** rs_target * (np.exp(ep.eve.mu + _SQRT2 * ep.eve.sigma * u) + 1.0) - 1.0
     lt = np.log(threshold)
     survival = (special.erfc((-ep.bob.mu + lt) / (_SQRT2 * ep.bob.sigma))

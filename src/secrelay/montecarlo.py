@@ -14,8 +14,8 @@ Two modes:
 Streams use the counter-based Philox generator keyed directly by the caller's
 seed, and samples are reduced sequentially in fixed-size blocks, so results
 are bit-identical for a given (config, mode, n, seed) regardless of how many
-sweep workers run concurrently.  ``mc_secrecy_metrics`` reduces one sample set
-into the rate and every outage target; the other estimators are views of it.
+sweep workers run concurrently.  ``mc_secrecy_metrics`` is the one estimator:
+it reduces one sample set into the rate and every outage target.
 """
 from __future__ import annotations
 
@@ -32,9 +32,6 @@ from .lognormal import DB_TO_NAT, CompositeLink
 __all__ = [
     "McEstimate",
     "sample_composite_snr",
-    "mc_avg_secrecy_rate",
-    "mc_secrecy_outage",
-    "mc_secrecy_outage_multi",
     "mc_secrecy_metrics",
 ]
 
@@ -149,23 +146,3 @@ def mc_secrecy_metrics(cfg: SystemConfig, rs_targets: Sequence[float],
                              n_samples=n, seed=seed, mode=mode)
                   for p in counts / n]
 
-
-def mc_avg_secrecy_rate(cfg: SystemConfig, mode: str, n: int, seed: int) -> McEstimate:
-    """Empirical average secrecy rate over n network realisations."""
-    return mc_secrecy_metrics(cfg, (), mode, n, seed)[0]
-
-
-def mc_secrecy_outage_multi(cfg: SystemConfig, rs_targets: Sequence[float],
-                            mode: str, n: int, seed: int) -> list[McEstimate]:
-    """Empirical outage for several target rates on one shared sample set."""
-    return mc_secrecy_metrics(cfg, rs_targets, mode, n, seed)[1]
-
-
-def mc_secrecy_outage(cfg: SystemConfig, rs_target: float, mode: str,
-                      n: int, seed: int) -> McEstimate:
-    """Empirical secrecy outage probability for one target rate.
-
-    The stream is keyed by the seed alone (not the target), so estimates at
-    different targets with the same seed share their random numbers.
-    """
-    return mc_secrecy_metrics(cfg, [rs_target], mode, n, seed)[1][0]

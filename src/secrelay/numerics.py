@@ -1,7 +1,9 @@
-"""Special functions, Gaussian quadrature rules, and a reference integrator.
+"""Gaussian quadrature rules and a reference integrator.
 
-Everything here is a pure function of its inputs; rules are immutable and
-cached, so concurrent use is safe.
+The Gauss-Laguerre and Gauss-Hermite tables behind the paper's closed forms
+(``rule="paper"``) come from numpy's ``laggauss``/``hermgauss``.  Everything
+here is a pure function of its inputs; rules are immutable and cached, so
+concurrent use is safe.
 """
 from __future__ import annotations
 
@@ -11,17 +13,13 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate, special
-from scipy.linalg import eigh_tridiagonal
+from scipy import integrate
 
 from .errors import AccuracyError, ConfigurationError
 
 __all__ = [
     "QuadratureRule",
     "IntegralEstimate",
-    "erfc",
-    "digamma",
-    "trigamma",
     "gauss_laguerre_rule",
     "gauss_hermite_rule",
     "adaptive_integrate",
@@ -30,30 +28,6 @@ __all__ = [
 MAX_QUADRATURE_ORDER = 128
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, accurate to double precision.
-
-    Underflows smoothly to 0.0 for large arguments (around x > 27).
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"erfc requires a finite argument, got {x!r}")
-    return math.erfc(x)
-
-
-def digamma(m: float) -> float:
-    """Logarithmic derivative of the gamma function, psi(m), for m > 0."""
-    if not (m > 0.0):
-        raise ValueError(f"digamma requires m > 0, got {m!r}")
-    return float(special.digamma(m))
-
-
-def trigamma(m: float) -> float:
-    """Hurwitz zeta(2, m) = psi'(m), for m > 0."""
-    if not (m > 0.0):
-        raise ValueError(f"trigamma requires m > 0, got {m!r}")
-    return float(special.zeta(2.0, m))
 
 
 @dataclass(frozen=True)
@@ -70,12 +44,6 @@ class QuadratureRule:
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
 
-    def node_array(self) -> np.ndarray:
-        return np.asarray(self.nodes)
-
-    def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights)
-
 
 def _check_order(order: int) -> None:
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
@@ -85,53 +53,20 @@ def _check_order(order: int) -> None:
             f"quadrature order must be in [1, {MAX_QUADRATURE_ORDER}], got {order}")
 
 
-def _golub_welsch(diag: np.ndarray, offdiag: np.ndarray, mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights from the Jacobi matrix of a three-term recurrence.
-
-    Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix.
-    Weights come from the Christoffel function, 1 / sum_j p_j(x)^2 over the
-    orthonormal polynomials: unlike raw eigenvector components this stays
-    strictly positive in floating point up to high orders.
-    """
-    if len(diag) == 1:
-        return diag.copy(), np.array([mu0])
-    nodes = eigh_tridiagonal(diag, offdiag, eigvals_only=True)
-    # orthonormal recurrence: sqrt(b_{j+1}) p_{j+1} = (x - a_j) p_j - sqrt(b_j) p_{j-1}
-    n = len(diag)
-    p_prev = np.zeros_like(nodes)
-    p = np.full_like(nodes, 1.0 / math.sqrt(mu0))
-    total = p * p
-    for j in range(n - 1):
-        p_next = ((nodes - diag[j]) * p - (offdiag[j - 1] * p_prev if j > 0 else 0.0)) / offdiag[j]
-        p_prev, p = p, p_next
-        total += p * p
-    return nodes, 1.0 / total
-
-
 @functools.lru_cache(maxsize=None)
 def gauss_laguerre_rule(order: int) -> QuadratureRule:
     """Gauss-Laguerre rule: integrates f against e^-x on [0, inf)."""
     _check_order(order)
-    k = int(order)
-    diag = 2.0 * np.arange(k) + 1.0
-    offdiag = np.arange(1, k, dtype=float)
-    nodes, weights = _golub_welsch(diag, offdiag, 1.0)
-    return QuadratureRule("laguerre", k, tuple(nodes), tuple(weights))
+    nodes, weights = np.polynomial.laguerre.laggauss(int(order))
+    return QuadratureRule("laguerre", int(order), tuple(nodes), tuple(weights))
 
 
 @functools.lru_cache(maxsize=None)
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Gauss-Hermite rule: integrates f against e^-x^2 on (-inf, inf)."""
     _check_order(order)
-    k = int(order)
-    diag = np.zeros(k)
-    offdiag = np.sqrt(np.arange(1, k, dtype=float) / 2.0)
-    nodes, weights = _golub_welsch(diag, offdiag, SQRT_PI)
-    # the rule is symmetric about 0; enforce it exactly so odd moments
-    # cancel pairwise instead of to eigenvalue noise
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    return QuadratureRule("hermite", k, tuple(nodes), tuple(weights))
+    nodes, weights = np.polynomial.hermite.hermgauss(int(order))
+    return QuadratureRule("hermite", int(order), tuple(nodes), tuple(weights))
 
 
 class IntegralEstimate(NamedTuple):

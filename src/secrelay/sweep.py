@@ -50,13 +50,6 @@ class SweepSpec:
                 raise ConfigurationError(f"unknown method {m!r}")
         if not self.metrics or not self.methods:
             raise ConfigurationError("metrics and methods must be non-empty")
-        for grid, name in ((self.base.power_grid_dbm, "power_dbm"),
-                           (self.base.delta_grid_db, "delta_db"),
-                           (self.base.n_eve_grid, "n_eve"),
-                           (self.base.rs_grid, "rs_target")):
-            if not grid:
-                raise ConfigurationError(f"grid {name} is empty")
-        self.base.validate_grids()
         if self.point_count() > _MAX_POINTS:
             raise ConfigurationError(
                 f"sweep would produce {self.point_count()} rows "

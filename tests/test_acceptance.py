@@ -17,9 +17,9 @@ import pytest
 from secrelay import (Endpoints, LogNormal, RunConfig, SweepSpec,
                       avg_secrecy_rate, avg_secrecy_rate_reference,
                       cumulants, endpoints_for, from_cumulants,
-                      mc_avg_secrecy_rate, mc_secrecy_outage_multi,
-                      min_snr_cdf, run_sweep, sample_composite_snr,
-                      sanity_preset, secrecy_outage, secrecy_outage_reference)
+                      mc_secrecy_metrics, min_snr_cdf, run_sweep,
+                      sample_composite_snr, sanity_preset, secrecy_outage,
+                      secrecy_outage_reference)
 from secrelay.lognormal import CompositeLink
 from secrelay.numerics import SQRT_PI, gauss_hermite_rule, gauss_laguerre_rule
 from secrelay.sweep import preset_run_config, sweep_rows
@@ -143,10 +143,9 @@ def test_c04_mc_analytic_agreement():
     outage_hits = 0
     seeds = range(30)
     for seed in seeds:
-        est = mc_avg_secrecy_rate(cfg, "ln_fit", n, seed)
+        est, (oest,) = mc_secrecy_metrics(cfg, (2.0,), "ln_fit", n, seed)
         if abs(est.mean - rate_ref) <= 3.0 * est.std_error:
             rate_hits += 1
-        oest = mc_secrecy_outage_multi(cfg, (2.0,), "ln_fit", n, seed)[0]
         if abs(oest.mean - outage_ref) <= 3.0 * oest.std_error:
             outage_hits += 1
     elapsed = time.time() - t0
@@ -165,11 +164,10 @@ def test_c05_lognormal_approximation_quality():
     seed = 20250809
     n = 2 * 10 ** 6
     rate_ref = avg_secrecy_rate_reference(ep, 1e-9).value
-    est = mc_avg_secrecy_rate(cfg, "composite", n, seed)
+    rs_scan = (0.02, 0.05, 0.1, 0.25, 0.5, 2.0, 4.0)
+    est, ests = mc_secrecy_metrics(cfg, rs_scan, "composite", n, seed)
     rate_gap = abs(est.mean - rate_ref) / rate_ref
 
-    rs_scan = (0.02, 0.05, 0.1, 0.25, 0.5, 2.0, 4.0)
-    ests = mc_secrecy_outage_multi(cfg, rs_scan, "composite", n, seed)
     in_range = 0
     worst_gap = 0.0
     for rs, oest in zip(rs_scan, ests):

@@ -110,12 +110,16 @@ def test_composite_eve_links_follow_each_source_power():
     assert budget.eve_r.mean_snr_db == pytest.approx(-20.0)
 
 
-def test_per_link_overrides():
-    cfg = replace(sanity_preset(), link_overrides={"rr": (1.0, 3.0)})
+def test_legit_links_share_the_config_shape_and_shadowing():
+    cfg = replace(sanity_preset(), nakagami_m=1.0, shadow_sd_db=3.0,
+                  eve_spec=EveComposite(-40.0, 5.0))
     budget = link_budget(cfg)
-    assert budget.rr.m == 1.0
-    assert budget.rr.shadow_sd_db == 3.0
-    assert budget.ar.m == 2.0
+    for link in (budget.ar, budget.rr, budget.ab, budget.rb):
+        assert link.m == 1.0
+        assert link.shadow_sd_db == 3.0
+    for link in (budget.eve_a, budget.eve_r):
+        assert link.m == 1.0
+        assert link.shadow_sd_db == 5.0
 
 
 def test_config_validation():
@@ -129,8 +133,6 @@ def test_config_validation():
         SystemConfig(n_eve=0)
     with pytest.raises(ConfigurationError):
         SystemConfig(nakagami_m=0.3)
-    with pytest.raises(ConfigurationError):
-        SystemConfig(link_overrides={"xy": (2.0, 10.0)})
 
 
 def test_eve_direct_requires_no_budget():

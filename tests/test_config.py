@@ -84,6 +84,10 @@ def test_semantic_range_checks_surface_as_parse_errors():
         parse_config_text("relay_fraction = 1.5\n")
     with pytest.raises(ConfigParseError):
         parse_config_text("delta_db = 10\n")
+    for order in (0, 129):
+        with pytest.raises(ConfigParseError) as err:
+            parse_config_text(f"quadrature_order = {order}\n")
+        assert "quadrature order" in str(err.value)
 
 
 def test_bad_power_sweep():

@@ -1,4 +1,4 @@
-"""Log-normal algebra: composite fits, cumulant matching, sums, folding."""
+"""Log-normal algebra: composite fits, cumulant matching, sums, ratios."""
 import math
 
 import numpy as np
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secrelay import (CompositeLink, Cumulants, LogNormal, cumulants,
-                      from_composite, from_cumulants, iid_sum, ratio,
-                      scale_db, sum_lognormals)
+                      from_composite, from_cumulants, ratio, sum_lognormals)
 from secrelay.lognormal import DB_TO_NAT
 
 XI = DB_TO_NAT
@@ -117,17 +116,6 @@ class TestFromCumulants:
 
 
 class TestScaleRatio:
-    def test_scale_examples(self):
-        assert scale_db(LogNormal(0.0, 1.0), 10.0) == LogNormal(math.log(10.0), 1.0)
-        assert scale_db(LogNormal(0.0, 1.0), 0.0) == LogNormal(0.0, 1.0)
-        shifted = scale_db(LogNormal(-2.5729, 1.4037), -47.04)
-        assert shifted.mu == pytest.approx(-2.5729 + XI * -47.04, abs=1e-12)
-        assert shifted.sigma == 1.4037
-
-    def test_scale_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            scale_db(LogNormal(0.0, 1.0), math.inf)
-
     def test_ratio(self):
         r = ratio(LogNormal(1.0, 1.0), LogNormal(-2.0, 0.5))
         assert r.mu == 3.0
@@ -207,33 +195,6 @@ class TestSum:
             assert np.max(np.abs(empirical - fitted)) < bound, f"sigma={sigma}"
 
 
-class TestIidSum:
-    def test_identity(self):
-        rv = LogNormal(0.0, 1.0)
-        assert iid_sum(rv, 1) is rv
-
-    def test_four_fold(self):
-        s = iid_sum(LogNormal(0.0, 1.0), 4)
-        assert s.mu == pytest.approx(1.7076073513654964, abs=1e-12)
-        assert s.sigma == pytest.approx(0.5978076776930759, abs=1e-12)
-
-    def test_point_mass_fold(self):
-        s = iid_sum(LogNormal(-1.0, 0.0), 7)
-        assert s.mu == pytest.approx(-1.0 + math.log(7.0), rel=1e-14)
-        assert s.sigma == 0.0
-
-    def test_fold_composition(self):
-        rv = LogNormal(0.2, 0.8)
-        once = iid_sum(rv, 12)
-        direct = from_cumulants(cumulants(rv).scaled(12))
-        assert once == direct
-
-    @pytest.mark.parametrize("bad", [0, -3, 1.5])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            iid_sum(LogNormal(0.0, 1.0), bad)
-
-
 class TestCdfPdf:
     def test_cdf_examples(self):
         rv = LogNormal(0.0, 1.0)
@@ -241,6 +202,10 @@ class TestCdfPdf:
         assert rv.cdf(0.0) == 0.0
         assert rv.cdf(-3.0) == 0.0
         assert rv.cdf(math.e) == pytest.approx(0.8413447460685429, abs=1e-12)
+        assert rv.cdf(math.inf) == 1.0
+        assert LogNormal(0.0, 0.0).cdf(math.inf) == 1.0
+        with pytest.raises(ValueError):
+            rv.cdf(math.nan)
 
     def test_cdf_monotone(self):
         rv = LogNormal(0.3, 0.7)
@@ -270,3 +235,109 @@ class TestCdfPdf:
     def test_pdf_degenerate_rejected(self):
         with pytest.raises(ValueError):
             LogNormal(0.0, 0.0).pdf(1.0)
+
+
+def erfc_series_oracle(x):
+    """erfc via the Taylor series of erf; independent of the library path."""
+    s = 0.0
+    term = x
+    n = 0
+    while abs(term) > 1e-20:
+        s += term / (2 * n + 1)
+        n += 1
+        term *= -x * x / n
+    return 1.0 - 2.0 / math.sqrt(math.pi) * s
+
+
+class TestCdfErfcForm:
+    """cdf(z) = erfc((mu - ln z) / (sqrt(2) sigma)) / 2 at its edges."""
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 4.0])
+    def test_median_is_one_half(self, sigma):
+        assert LogNormal(0.0, sigma).cdf(1.0) == 0.5
+
+    def test_far_tails_saturate_cleanly(self):
+        rv = LogNormal(0.0, 1.0)
+        lo = rv.cdf(math.exp(-38.0 * math.sqrt(2.0)))
+        assert 0.0 <= lo < 1e-300
+        assert rv.cdf(math.exp(38.0 * math.sqrt(2.0))) == 1.0
+
+    def test_one_unit_below_median_vs_series_oracle(self):
+        # ln z = mu - sqrt(2) sigma puts erfc's argument at exactly 1
+        rv = LogNormal(0.3, 0.7)
+        z = math.exp(rv.mu - math.sqrt(2.0) * rv.sigma)
+        assert rv.cdf(z) == pytest.approx(0.5 * erfc_series_oracle(1.0), abs=1e-12)
+        assert rv.cdf(z) == pytest.approx(0.5 * 0.15729920705028513, abs=1e-12)
+
+    @pytest.mark.parametrize("z, expected", [(-math.inf, 0.0), (math.inf, 1.0)])
+    def test_infinite_arguments(self, z, expected):
+        assert LogNormal(0.3, 0.7).cdf(z) == expected
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            LogNormal(0.3, 0.7).cdf(math.nan)
+
+    @given(st.floats(-30, 30))
+    def test_reflection_identity(self, t):
+        rv = LogNormal(0.0, 1.0)
+        assert rv.cdf(math.exp(t)) + rv.cdf(math.exp(-t)) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCompositeLogMoments:
+    """from_composite's Gamma part: mean psi(m) - ln m, variance zeta(2, m)."""
+
+    def test_known_constants(self):
+        for m, mean, var in ((1.0, -EULER, math.pi ** 2 / 6),
+                             (2.0, 1.0 - EULER - math.log(2.0), math.pi ** 2 / 6 - 1),
+                             (0.5, -EULER - math.log(2.0), math.pi ** 2 / 2)):
+            rv = from_composite(CompositeLink(m, 0.0, 0.0))
+            assert rv.mu == pytest.approx(mean, abs=1e-12), m
+            assert rv.sigma ** 2 == pytest.approx(var, abs=1e-12), m
+
+    @given(st.floats(0.5, 50.0))
+    def test_recurrences(self, m):
+        a = from_composite(CompositeLink(m, 0.0, 0.0))
+        b = from_composite(CompositeLink(m + 1.0, 0.0, 0.0))
+        # psi(m + 1) = psi(m) + 1/m and zeta(2, m) = zeta(2, m + 1) + 1/m^2
+        assert b.mu - a.mu == pytest.approx(1.0 / m - math.log1p(1.0 / m), abs=1e-11)
+        assert a.sigma ** 2 - b.sigma ** 2 == pytest.approx(1.0 / m ** 2, abs=1e-11)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_domain(self, bad):
+        with pytest.raises(ValueError):
+            CompositeLink(bad, 0.0, 0.0)
+
+
+class TestMeanSnrShift:
+    def test_shift_examples(self):
+        base = from_composite(CompositeLink(2.0, 0.0, 5.0))
+        for db in (10.0, 0.0, -47.04):
+            shifted = from_composite(CompositeLink(2.0, db, 5.0))
+            assert shifted.mu == pytest.approx(base.mu + XI * db, abs=1e-12)
+            assert shifted.sigma == base.sigma
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(ValueError):
+            CompositeLink(2.0, bad, 5.0)
+
+
+class TestEqualTermSum:
+    def test_four_fold(self):
+        s = sum_lognormals([LogNormal(0.0, 1.0)] * 4)
+        assert s.mu == pytest.approx(1.7076073513654964, abs=1e-12)
+        assert s.sigma == pytest.approx(0.5978076776930759, abs=1e-12)
+
+    def test_point_mass_fold(self):
+        s = sum_lognormals([LogNormal(-1.0, 0.0)] * 7)
+        assert s.mu == pytest.approx(-1.0 + math.log(7.0), rel=1e-14)
+        assert s.sigma == 0.0
+
+    def test_matches_scaled_cumulants(self):
+        # term-by-term addition agrees with one n-fold scaling, the form
+        # the eavesdropper's antenna fold uses
+        rv = LogNormal(0.2, 0.8)
+        summed = sum_lognormals([rv] * 12)
+        scaled = from_cumulants(cumulants(rv).scaled(12))
+        assert summed.mu == pytest.approx(scaled.mu, rel=1e-14)
+        assert summed.sigma == pytest.approx(scaled.sigma, rel=1e-14)

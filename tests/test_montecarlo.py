@@ -7,9 +7,7 @@ import pytest
 
 from secrelay import (CompositeLink, ConfigurationError, EveComposite,
                       McEstimate, avg_secrecy_rate_reference, endpoints_for,
-                      mc_avg_secrecy_rate, mc_secrecy_metrics,
-                      mc_secrecy_outage, mc_secrecy_outage_multi,
-                      sample_composite_snr, sanity_preset,
+                      mc_secrecy_metrics, sample_composite_snr, sanity_preset,
                       secrecy_outage_reference)
 from secrelay import montecarlo
 from secrelay.lognormal import DB_TO_NAT
@@ -55,24 +53,24 @@ class TestCompositeSampler:
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         cfg = sanity_preset()
-        a = mc_avg_secrecy_rate(cfg, "ln_fit", 20_000, 42)
-        b = mc_avg_secrecy_rate(cfg, "ln_fit", 20_000, 42)
+        a = mc_secrecy_metrics(cfg, (), "ln_fit", 20_000, 42)[0]
+        b = mc_secrecy_metrics(cfg, (), "ln_fit", 20_000, 42)[0]
         assert a == b
 
     def test_different_seed_differs(self):
         cfg = sanity_preset()
-        a = mc_avg_secrecy_rate(cfg, "ln_fit", 20_000, 42)
-        b = mc_avg_secrecy_rate(cfg, "ln_fit", 20_000, 43)
+        a = mc_secrecy_metrics(cfg, (), "ln_fit", 20_000, 42)[0]
+        b = mc_secrecy_metrics(cfg, (), "ln_fit", 20_000, 43)[0]
         assert a.mean != b.mean
 
     def test_composite_mode_deterministic(self):
         cfg = sanity_preset()
-        a = mc_avg_secrecy_rate(cfg, "composite", 20_000, 7)
-        b = mc_avg_secrecy_rate(cfg, "composite", 20_000, 7)
+        a = mc_secrecy_metrics(cfg, (), "composite", 20_000, 7)[0]
+        b = mc_secrecy_metrics(cfg, (), "composite", 20_000, 7)[0]
         assert a == b
 
     def test_estimate_carries_metadata(self):
-        est = mc_avg_secrecy_rate(sanity_preset(), "ln_fit", 10_000, 5)
+        est = mc_secrecy_metrics(sanity_preset(), (), "ln_fit", 10_000, 5)[0]
         assert est.n_samples == 10_000 and est.seed == 5 and est.mode == "ln_fit"
 
 
@@ -80,13 +78,13 @@ class TestAgreementWithAnalytics:
     def test_ln_fit_rate_within_three_standard_errors(self):
         cfg = sanity_preset()
         ref = avg_secrecy_rate_reference(endpoints_for(cfg), 1e-9).value
-        est = mc_avg_secrecy_rate(cfg, "ln_fit", 10 ** 6, 2024)
+        est = mc_secrecy_metrics(cfg, (), "ln_fit", 10 ** 6, 2024)[0]
         assert abs(est.mean - ref) <= 3 * est.std_error
 
     def test_ln_fit_outage_within_three_standard_errors(self):
         cfg = sanity_preset()
         ref = secrecy_outage_reference(endpoints_for(cfg), 2.0, 1e-10).value
-        est = mc_secrecy_outage(cfg, 2.0, "ln_fit", 10 ** 6, 2024)
+        est = mc_secrecy_metrics(cfg, (2.0,), "ln_fit", 10 ** 6, 2024)[1][0]
         assert abs(est.mean - ref) <= 3 * est.std_error
 
     def test_composite_mode_tracks_analytic_loosely(self):
@@ -94,58 +92,60 @@ class TestAgreementWithAnalytics:
         # sanity preset
         cfg = sanity_preset()
         ref = avg_secrecy_rate_reference(endpoints_for(cfg), 1e-9).value
-        est = mc_avg_secrecy_rate(cfg, "composite", 5 * 10 ** 5, 11)
+        est = mc_secrecy_metrics(cfg, (), "composite", 5 * 10 ** 5, 11)[0]
         assert abs(est.mean - ref) / ref < 0.08
 
 
 class TestOutageEstimates:
     def test_unreachable_rate(self):
         cfg = replace(sanity_preset(), power_a_dbm=0.0, power_r_dbm=0.0)
-        est = mc_secrecy_outage(cfg, 60.0, "ln_fit", 10_000, 1)
+        est = mc_secrecy_metrics(cfg, (60.0,), "ln_fit", 10_000, 1)[1][0]
         assert est.mean == 1.0
         assert est.std_error == 0.0
 
     def test_common_randomness_makes_targets_nested(self):
         cfg = sanity_preset()
-        lo = mc_secrecy_outage(cfg, 2.0, "ln_fit", 50_000, 99)
-        hi = mc_secrecy_outage(cfg, 4.0, "ln_fit", 50_000, 99)
+        lo = mc_secrecy_metrics(cfg, (2.0,), "ln_fit", 50_000, 99)[1][0]
+        hi = mc_secrecy_metrics(cfg, (4.0,), "ln_fit", 50_000, 99)[1][0]
         assert hi.mean >= lo.mean
 
     def test_multi_matches_single(self):
         cfg = sanity_preset()
-        multi = mc_secrecy_outage_multi(cfg, (2.0, 4.0), "ln_fit", 50_000, 99)
-        assert multi[0] == mc_secrecy_outage(cfg, 2.0, "ln_fit", 50_000, 99)
-        assert multi[1] == mc_secrecy_outage(cfg, 4.0, "ln_fit", 50_000, 99)
+        _, multi = mc_secrecy_metrics(cfg, (2.0, 4.0), "ln_fit", 50_000, 99)
+        _, single_lo = mc_secrecy_metrics(cfg, (2.0,), "ln_fit", 50_000, 99)
+        _, single_hi = mc_secrecy_metrics(cfg, (4.0,), "ln_fit", 50_000, 99)
+        assert multi == single_lo + single_hi
 
     def test_bounds(self):
-        est = mc_secrecy_outage(sanity_preset(), 2.0, "composite", 10_000, 3)
+        _, (est,) = mc_secrecy_metrics(sanity_preset(), (2.0,), "composite",
+                                       10_000, 3)
         assert 0.0 <= est.mean <= 1.0
 
 
 class TestStandardErrorScaling:
     def test_error_shrinks_like_root_n(self):
         cfg = sanity_preset()
-        small = mc_avg_secrecy_rate(cfg, "ln_fit", 10 ** 5, 1)
-        large = mc_avg_secrecy_rate(cfg, "ln_fit", 4 * 10 ** 5, 1)
+        small = mc_secrecy_metrics(cfg, (), "ln_fit", 10 ** 5, 1)[0]
+        large = mc_secrecy_metrics(cfg, (), "ln_fit", 4 * 10 ** 5, 1)[0]
         assert large.std_error == pytest.approx(small.std_error / 2.0, rel=0.2)
 
 
 class TestValidation:
     def test_sample_floor(self):
         with pytest.raises(ConfigurationError):
-            mc_avg_secrecy_rate(sanity_preset(), "ln_fit", 999, 1)
+            mc_secrecy_metrics(sanity_preset(), (), "ln_fit", 999, 1)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            mc_avg_secrecy_rate(sanity_preset(), "magic", 10_000, 1)
+            mc_secrecy_metrics(sanity_preset(), (), "magic", 10_000, 1)
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
-            mc_secrecy_outage(sanity_preset(), 0.0, "ln_fit", 10_000, 1)
+            mc_secrecy_metrics(sanity_preset(), (0.0,), "ln_fit", 10_000, 1)
 
     def test_composite_eve_mode_samples(self):
         cfg = replace(sanity_preset(), eve_spec=EveComposite(-40.0, 5.0))
-        est = mc_avg_secrecy_rate(cfg, "composite", 10_000, 1)
+        est = mc_secrecy_metrics(cfg, (), "composite", 10_000, 1)[0]
         assert est.mean >= 0.0
 
 
@@ -184,7 +184,7 @@ class TestSinglePassReducer:
         rate, outages = mc_secrecy_metrics(cfg, targets, mode, n, seed)
         assert len(outages) == len(targets)
         assert (rate, outages) == two_pass_reference(cfg, targets, mode, n, seed)
-        assert rate == mc_avg_secrecy_rate(cfg, mode, n, seed)
-        assert outages == mc_secrecy_outage_multi(cfg, targets, mode, n, seed)
-        assert outages == [mc_secrecy_outage(cfg, r, mode, n, seed)
+        # the rate does not depend on the targets, nor one target on another
+        assert rate == mc_secrecy_metrics(cfg, (), mode, n, seed)[0]
+        assert outages == [mc_secrecy_metrics(cfg, (r,), mode, n, seed)[1][0]
                            for r in targets]

@@ -1,79 +1,15 @@
-"""Special functions, quadrature rule construction, adaptive integration."""
+"""Quadrature rule construction, adaptive integration."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from secrelay import (AccuracyError, ConfigurationError, adaptive_integrate,
-                      digamma, erfc, gauss_hermite_rule, gauss_laguerre_rule,
-                      trigamma)
+from secrelay import (AccuracyError, ConfigurationError, RunConfig,
+                      adaptive_integrate, gauss_hermite_rule,
+                      gauss_laguerre_rule)
+from secrelay.validate import _check_rules
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-def erfc_series_oracle(x):
-    """erfc via the Taylor series of erf; independent of the library path."""
-    s = 0.0
-    term = x
-    n = 0
-    while abs(term) > 1e-20:
-        s += term / (2 * n + 1)
-        n += 1
-        term *= -x * x / n
-    return 1.0 - 2.0 / SQRT_PI * s
-
-
-class TestErfc:
-    def test_zero(self):
-        assert erfc(0.0) == 1.0
-
-    def test_large_argument_underflows_cleanly(self):
-        v = erfc(38.0)
-        assert 0.0 <= v < 1e-300
-        assert not math.isnan(v)
-
-    def test_value_at_one_vs_series_oracle(self):
-        assert erfc(1.0) == pytest.approx(erfc_series_oracle(1.0), abs=1e-12)
-        assert erfc(1.0) == pytest.approx(0.15729920705028513, abs=1e-12)
-
-    def test_monotone_decreasing(self):
-        xs = np.linspace(-6, 6, 200)
-        vals = [erfc(x) for x in xs]
-        assert all(b <= a for a, b in zip(vals, vals[1:]))
-        assert all(0.0 <= v <= 2.0 for v in vals)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            erfc(bad)
-
-    @given(st.floats(-30, 30))
-    def test_reflection_identity(self, x):
-        assert erfc(x) + erfc(-x) == pytest.approx(2.0, abs=1e-12)
-
-
-class TestDigammaTrigamma:
-    def test_known_constants(self):
-        euler = 0.5772156649015329
-        assert digamma(1.0) == pytest.approx(-euler, abs=1e-12)
-        assert digamma(2.0) == pytest.approx(1.0 - euler, abs=1e-12)
-        assert digamma(0.5) == pytest.approx(-euler - 2 * math.log(2), abs=1e-12)
-        assert trigamma(1.0) == pytest.approx(math.pi ** 2 / 6, abs=1e-12)
-        assert trigamma(2.0) == pytest.approx(math.pi ** 2 / 6 - 1, abs=1e-12)
-        assert trigamma(0.5) == pytest.approx(math.pi ** 2 / 2, abs=1e-12)
-
-    @given(st.floats(0.1, 50.0))
-    def test_recurrences(self, m):
-        assert digamma(m + 1) - digamma(m) == pytest.approx(1.0 / m, abs=1e-11)
-        assert trigamma(m) - trigamma(m + 1) == pytest.approx(1.0 / m ** 2, abs=1e-11)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            digamma(bad)
-        with pytest.raises(ValueError):
-            trigamma(bad)
 
 
 def laguerre_eval(k, x):
@@ -219,6 +155,12 @@ class TestHermiteRule:
             gauss_hermite_rule(0)
         with pytest.raises(ConfigurationError):
             gauss_hermite_rule(129)
+
+
+def test_every_order_passes_validate_rule_checks():
+    for order in range(1, 129):
+        checks = _check_rules(RunConfig(quadrature_order=order))
+        assert [c.name for c in checks if not c.passed] == [], order
 
 
 class TestAdaptiveIntegrate:

@@ -117,6 +117,14 @@ def test_grid_size_cap():
                   metrics=("rate",), methods=("analytic",))
 
 
+@pytest.mark.parametrize("bad", [dict(d_ab_m=-1.0), dict(quadrature_order=0),
+                                 dict(n_eve_grid=())],
+                         ids=["negative-distance", "order-0", "empty-grid"])
+def test_bad_run_config_raises_at_construction(bad):
+    with pytest.raises(ConfigurationError):
+        small_run_config(**bad)
+
+
 def test_unknown_metric_and_method():
     with pytest.raises(ConfigurationError):
         SweepSpec(base=small_run_config(), metrics=("capacity",))
