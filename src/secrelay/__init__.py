@@ -9,9 +9,8 @@ trapezoid rule; the paper's Gauss-Laguerre/Gauss-Hermite forms with
 rule="paper"), adaptive numerical integration (reference), and seeded
 Monte-Carlo simulation (oracle).
 """
-from .channel import (Endpoints, EveComposite, EveDirect, LinkBudget, LinkSet,
-                      SystemConfig, build_links, endpoint_distributions,
-                      endpoints_for, link_budget, sanity_preset)
+from .channel import (Endpoints, EveComposite, EveDirect, LinkBudget,
+                      SystemConfig, endpoints_for, link_budget)
 from .config import RunConfig, load_config, parse_config_text
 from .errors import AccuracyError, ConfigParseError, ConfigurationError
 from .lognormal import (DB_TO_NAT, CompositeLink, Cumulants, LogNormal,
@@ -30,15 +29,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError", "CheckResult", "CompositeLink", "ConfigParseError",
     "ConfigurationError", "Cumulants", "DB_TO_NAT", "Endpoints",
-    "EveComposite", "EveDirect", "IntegralEstimate", "LinkBudget", "LinkSet",
+    "EveComposite", "EveDirect", "IntegralEstimate", "LinkBudget",
     "LogNormal", "McEstimate", "MetricResult", "QuadratureRule", "RunConfig",
     "SweepRow", "SweepSpec", "SystemConfig", "adaptive_integrate",
-    "avg_secrecy_rate", "avg_secrecy_rate_reference", "build_links",
-    "cumulants", "endpoint_distributions", "endpoints_for", "from_composite",
-    "from_cumulants", "gauss_hermite_rule", "gauss_laguerre_rule",
-    "link_budget", "load_config", "mc_secrecy_metrics", "min_snr_cdf",
-    "parse_config_text", "preset_run_config", "ratio", "run_sweep",
-    "run_validation", "sample_composite_snr", "sanity_preset",
-    "secrecy_outage", "secrecy_outage_reference", "sum_lognormals",
-    "__version__",
+    "avg_secrecy_rate", "avg_secrecy_rate_reference", "cumulants",
+    "endpoints_for", "from_composite", "from_cumulants", "gauss_hermite_rule",
+    "gauss_laguerre_rule", "link_budget", "load_config", "mc_secrecy_metrics",
+    "min_snr_cdf", "parse_config_text", "preset_run_config", "ratio",
+    "run_sweep", "run_validation", "sample_composite_snr", "secrecy_outage",
+    "secrecy_outage_reference", "sum_lognormals", "__version__",
 ]

@@ -21,13 +21,9 @@ __all__ = [
     "EveComposite",
     "SystemConfig",
     "LinkBudget",
-    "LinkSet",
     "Endpoints",
     "link_budget",
-    "build_links",
-    "endpoint_distributions",
     "endpoints_for",
-    "sanity_preset",
 ]
 
 
@@ -35,8 +31,8 @@ __all__ = [
 class EveDirect:
     """Eavesdropper per-antenna, per-source SNR given directly in nats."""
 
-    mu: float
-    sigma: float
+    mu: float = 0.21
+    sigma: float = 0.76
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,7 @@ class EveComposite:
     """
 
     gain_db: float
-    shadow_sd_db: float
+    shadow_sd_db: float = 5.0
 
 
 EveSpec = Union[EveDirect, EveComposite]
@@ -67,7 +63,7 @@ class SystemConfig:
     power_r_dbm: float = 40.0
     delta_db: float = -80.0
     n_eve: int = 2
-    eve_spec: EveSpec = EveDirect(0.21, 0.76)
+    eve_spec: EveSpec = EveDirect()
 
     def __post_init__(self):
         if not (self.d_ab_m > 0.0):
@@ -89,6 +85,9 @@ class SystemConfig:
                 f"delta_db must be <= 0 dB, got {self.delta_db!r}")
         if not (isinstance(self.n_eve, int) and self.n_eve >= 1):
             raise ConfigurationError(f"n_eve must be a positive integer, got {self.n_eve!r}")
+        if not isinstance(self.eve_spec, (EveDirect, EveComposite)):
+            raise ConfigurationError(
+                f"eve_spec must be an EveDirect or an EveComposite, got {self.eve_spec!r}")
 
 
 @dataclass(frozen=True)
@@ -101,18 +100,6 @@ class LinkBudget:
     rb: CompositeLink
     eve_a: EveSpec  # Alice -> Eve, per antenna
     eve_r: EveSpec  # relay -> Eve, per antenna
-
-
-@dataclass(frozen=True)
-class LinkSet:
-    """Fitted log-normal SNR of every individual link (Eve links per antenna)."""
-
-    gamma_ar: LogNormal
-    gamma_rr: LogNormal
-    gamma_ab: LogNormal
-    gamma_rb: LogNormal
-    gamma_ae: LogNormal
-    gamma_re: LogNormal
 
 
 @dataclass(frozen=True)
@@ -162,52 +149,19 @@ def _fit_eve(spec: EveSpec) -> LogNormal:
     return ln.from_composite(spec)
 
 
-def build_links(cfg: SystemConfig) -> LinkSet:
-    """Fitted log-normal SNR for every link of the network."""
-    budget = link_budget(cfg)
-    return LinkSet(
-        gamma_ar=ln.from_composite(budget.ar),
-        gamma_rr=ln.from_composite(budget.rr),
-        gamma_ab=ln.from_composite(budget.ab),
-        gamma_rb=ln.from_composite(budget.rb),
-        gamma_ae=_fit_eve(budget.eve_a),
-        gamma_re=_fit_eve(budget.eve_r),
-    )
-
-
-def endpoint_distributions(links: LinkSet, n_eve: int) -> Endpoints:
-    """Fold the link set into the three decision distributions.
+def endpoints_for(cfg: SystemConfig) -> Endpoints:
+    """Fit every link of the budget and fold the fits into the endpoints.
 
     Relay: exact ratio of the desired link over the self-interference link.
     Bob: fitted sum of the direct and relayed links.
     Eve: cumulants of both per-antenna source links, scaled by the antenna
     count, refitted to a single log-normal.
     """
-    if not (isinstance(n_eve, int) and n_eve >= 1):
-        raise ValueError(f"n_eve must be a positive integer, got {n_eve!r}")
-    relay = ln.ratio(links.gamma_ar, links.gamma_rr)
-    bob = ln.sum_lognormals([links.gamma_ab, links.gamma_rb])
-    per_antenna = ln.cumulants(links.gamma_ae) + ln.cumulants(links.gamma_re)
-    eve = ln.from_cumulants(per_antenna.scaled(n_eve))
+    budget = link_budget(cfg)
+    relay = ln.ratio(ln.from_composite(budget.ar), ln.from_composite(budget.rr))
+    bob = ln.sum_lognormals([ln.from_composite(budget.ab),
+                             ln.from_composite(budget.rb)])
+    per_antenna = (ln.cumulants(_fit_eve(budget.eve_a))
+                   + ln.cumulants(_fit_eve(budget.eve_r)))
+    eve = ln.from_cumulants(per_antenna.scaled(cfg.n_eve))
     return Endpoints(relay=relay, bob=bob, eve=eve)
-
-
-def endpoints_for(cfg: SystemConfig) -> Endpoints:
-    """Shortcut: link budget -> fitted links -> endpoint distributions."""
-    return endpoint_distributions(build_links(cfg), cfg.n_eve)
-
-
-def sanity_preset() -> SystemConfig:
-    """The fixed cross-validation operating point used throughout the tests."""
-    return SystemConfig(
-        d_ab_m=30.0,
-        relay_fraction=0.5,
-        path_loss_exponent=4.0,
-        nakagami_m=2.0,
-        shadow_sd_db=10.0,
-        power_a_dbm=40.0,
-        power_r_dbm=40.0,
-        delta_db=-80.0,
-        n_eve=2,
-        eve_spec=EveDirect(0.21, 0.76),
-    )

@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 I/O error.
+3 I/O error.  A reader that closes the pipe early (``| head``) is not an
+I/O error: the command ends quietly with the status it reached.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import RunConfig, load_config
@@ -55,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_rules(args) -> int:
+def _cmd_rules(args) -> tuple[int, str]:
     builder = gauss_laguerre_rule if args.kind == "laguerre" else gauss_hermite_rule
     rule = builder(args.order)
     lines = ["index,node,weight"]
@@ -63,11 +65,10 @@ def _cmd_rules(args) -> int:
               for i, (x, w) in enumerate(zip(rule.nodes, rule.weights))]
     text = "\n".join(lines) + "\n"
     if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return EXIT_OK
+        return EXIT_OK, text
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return EXIT_OK, ""
 
 
 def _load_run_config(args) -> RunConfig:
@@ -78,48 +79,55 @@ def _load_run_config(args) -> RunConfig:
     return cfg.with_overrides(samples=args.samples, seed=args.seed)
 
 
-def _cmd_sweep(args, metric: str) -> int:
+def _cmd_sweep(args, metric: str) -> tuple[int, str]:
     cfg = _load_run_config(args)
     methods = tuple(dict.fromkeys(args.method)) if args.method else ("analytic",)
     spec = SweepSpec(base=cfg, metrics=(metric,), methods=methods)
     rows = run_sweep(spec, args.output, workers=args.workers)
     bad = sum(1 for r in rows if r.status != "ok")
-    print(f"wrote {len(rows)} rows to {args.output}"
-          + (f" ({bad} flagged)" if bad else ""))
-    return EXIT_OK
+    return EXIT_OK, (f"wrote {len(rows)} rows to {args.output}"
+                     + (f" ({bad} flagged)" if bad else "") + "\n")
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[int, str]:
     cfg = load_config(args.config).with_overrides(samples=args.samples,
                                                   seed=args.seed)
     checks = run_validation(cfg)
-    for check in checks:
-        print(check.line())
     failed = [c for c in checks if not c.passed]
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-    return EXIT_VALIDATION if failed else EXIT_OK
+    lines = [check.line() for check in checks]
+    lines.append(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
+    return (EXIT_VALIDATION if failed else EXIT_OK), "\n".join(lines) + "\n"
+
+
+_COMMANDS = {
+    "rules": _cmd_rules,
+    "rate-sweep": lambda args: _cmd_sweep(args, "rate"),
+    "outage-sweep": lambda args: _cmd_sweep(args, "outage"),
+    "validate": _cmd_validate,
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    status = EXIT_OK
     try:
-        if args.command == "rules":
-            return _cmd_rules(args)
-        if args.command == "rate-sweep":
-            return _cmd_sweep(args, "rate")
-        if args.command == "outage-sweep":
-            return _cmd_sweep(args, "outage")
-        if args.command == "validate":
-            return _cmd_validate(args)
-        parser.error(f"unknown command {args.command!r}")
+        status, text = _COMMANDS[args.command](args)
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early, as `| head` does; output is the
+        # last thing a command does, so report the status it reached, and
+        # point stdout at /dev/null so the interpreter's last flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
+    return status
 
 
 def entry() -> None:

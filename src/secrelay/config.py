@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from .channel import EveComposite, EveDirect, SystemConfig
+from .channel import EveComposite, EveDirect, EveSpec, SystemConfig
 from .errors import ConfigParseError, ConfigurationError
 from .numerics import _check_order
 
@@ -52,11 +52,7 @@ class RunConfig:
     path_loss_exponent: float = 4.0
     nakagami_m: float = 2.0
     shadow_sd_db: float = 10.0
-    eve_mode: str = "direct"
-    eve_mu: float = 0.21
-    eve_sigma: float = 0.76
-    eve_mean_snr_db: float = -40.0
-    eve_shadow_sd_db: float = 5.0
+    eve_spec: EveSpec = EveDirect()
     quadrature_order: int = 24
     samples: int = 100_000
     seed: int = 1
@@ -86,11 +82,6 @@ class RunConfig:
                     f"rs_target grid entry {rs!r} must be positive")
         _check_order(self.quadrature_order)
 
-    def eve_spec(self):
-        if self.eve_mode == "direct":
-            return EveDirect(self.eve_mu, self.eve_sigma)
-        return EveComposite(self.eve_mean_snr_db, self.eve_shadow_sd_db)
-
     def system(self, power_dbm: float, delta_db: float, n_eve: int) -> SystemConfig:
         """Materialise the system description at one grid point."""
         return SystemConfig(
@@ -103,7 +94,7 @@ class RunConfig:
             power_r_dbm=power_dbm,
             delta_db=delta_db,
             n_eve=n_eve,
-            eve_spec=self.eve_spec(),
+            eve_spec=self.eve_spec,
         )
 
     def base_system(self) -> SystemConfig:
@@ -199,9 +190,15 @@ def parse_config_text(text: str, path: str | None = None) -> RunConfig:
         if field_name is not None:
             updates[field_name] = parsed
 
-    if updates.get("eve_mode") == "composite" and "eve_mean_snr_db" not in seen:
+    given = {key: updates.pop(key) for key in _EVE_FIELDS if key in updates}
+    eve_type = EveComposite if updates.pop("eve_mode", None) == "composite" else EveDirect
+    if eve_type is EveComposite and "eve_mean_snr_db" not in given:
         raise ConfigParseError(
             "eve_mode = composite requires eve_mean_snr_db", path, None)
+    # keys of the other mode are accepted and ignored
+    fields = {name: given[key] for key, (owner, name) in _EVE_FIELDS.items()
+              if owner is eve_type and key in given}
+    updates["eve_spec"] = eve_type(**fields)
     try:
         return RunConfig(**updates)
     except ConfigurationError as exc:
@@ -233,6 +230,14 @@ def _eve_mode_key(value, path, line):
             path, line)
     return "eve_mode", value
 
+
+# eavesdropper keys of a config file: the spec type each belongs to, and its field
+_EVE_FIELDS = {
+    "eve_mu": (EveDirect, "mu"),
+    "eve_sigma": (EveDirect, "sigma"),
+    "eve_mean_snr_db": (EveComposite, "gain_db"),
+    "eve_shadow_sd_db": (EveComposite, "shadow_sd_db"),
+}
 
 _VALIDATORS = {
     "d_ab_m": _scalar("d_ab_m", _parse_float),

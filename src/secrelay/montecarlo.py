@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -53,18 +53,15 @@ def _rng_for(seed: int) -> np.random.Generator:
 
 
 def sample_composite_snr(link: CompositeLink, rng: np.random.Generator,
-                         size: int | None = None) -> Union[float, np.ndarray]:
-    """Draw SNR samples G * S from a composite link.
+                         size: int) -> np.ndarray:
+    """Draw ``size`` SNR samples G * S from a composite link.
 
     G is Gamma(shape m, scale 1/m), i.e. mean-normalised Nakagami-m squared
     envelope; S is the log-normal shadowing with the link's dB mean and sd.
-    Returns a scalar when size is None, else an ndarray.
     """
-    n = 1 if size is None else int(size)
-    g = rng.gamma(link.m, 1.0 / link.m, n)
-    db = link.mean_snr_db + link.shadow_sd_db * rng.standard_normal(n)
-    out = g * np.exp(DB_TO_NAT * db)
-    return float(out[0]) if size is None else out
+    g = rng.gamma(link.m, 1.0 / link.m, size)
+    db = link.mean_snr_db + link.shadow_sd_db * rng.standard_normal(size)
+    return g * np.exp(DB_TO_NAT * db)
 
 
 def _sample_eve_per_antenna(spec, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .config import RunConfig
 from .errors import AccuracyError, ConfigurationError
-from .channel import endpoints_for
+from .channel import EveComposite, endpoints_for
 from .metrics import avg_secrecy_rate, secrecy_outage
 from .montecarlo import mc_secrecy_metrics
 
@@ -213,9 +213,7 @@ def preset_run_config(name: str) -> RunConfig:
             delta_grid_db=(-90.0, -80.0, -70.0),
             n_eve_grid=(2, 4, 8),
             rs_grid=(2.0, 4.0),
-            eve_mode="composite",
-            eve_mean_snr_db=-40.0,
-            eve_shadow_sd_db=5.0,
+            eve_spec=EveComposite(-40.0, 5.0),
         )
     if name == "sanity":
         return RunConfig()

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from secrelay import (Endpoints, LogNormal, RunConfig, SweepSpec,
-                      avg_secrecy_rate, avg_secrecy_rate_reference,
-                      cumulants, endpoints_for, from_cumulants,
-                      mc_secrecy_metrics, min_snr_cdf, run_sweep,
-                      sample_composite_snr, sanity_preset, secrecy_outage,
+                      SystemConfig, avg_secrecy_rate,
+                      avg_secrecy_rate_reference, cumulants, endpoints_for,
+                      from_cumulants, mc_secrecy_metrics, min_snr_cdf,
+                      run_sweep, sample_composite_snr, secrecy_outage,
                       secrecy_outage_reference)
 from secrelay.lognormal import CompositeLink
 from secrelay.numerics import SQRT_PI, gauss_hermite_rule, gauss_laguerre_rule
@@ -134,7 +134,7 @@ def test_c03_integrand_equivalence():
 
 def test_c04_mc_analytic_agreement():
     t0 = time.time()
-    cfg = sanity_preset()
+    cfg = SystemConfig()
     ep = endpoints_for(cfg)
     rate_ref = avg_secrecy_rate_reference(ep, 1e-9).value
     outage_ref = secrecy_outage_reference(ep, 2.0, 1e-10).value
@@ -159,7 +159,7 @@ def test_c04_mc_analytic_agreement():
 
 
 def test_c05_lognormal_approximation_quality():
-    cfg = sanity_preset()
+    cfg = SystemConfig()
     ep = endpoints_for(cfg)
     seed = 20250809
     n = 2 * 10 ** 6

@@ -4,62 +4,75 @@ from dataclasses import replace
 
 import pytest
 
-from secrelay import (ConfigurationError, EveComposite, LogNormal,
-                      SystemConfig, build_links, cumulants,
-                      endpoint_distributions, endpoints_for, link_budget,
-                      sanity_preset)
-from secrelay.channel import LinkSet
+from secrelay import (ConfigurationError, EveComposite, EveDirect, LogNormal,
+                      SystemConfig, cumulants, endpoints_for, from_composite,
+                      from_cumulants, link_budget, ratio, sum_lognormals)
 from secrelay.lognormal import DB_TO_NAT
 
 XI = DB_TO_NAT
 
 
 def test_geometry_path_gains():
-    budget = link_budget(sanity_preset())
+    budget = link_budget(SystemConfig())
     assert budget.ar.mean_snr_db == pytest.approx(40.0 - 40.0 * math.log10(15.0))
     assert budget.rb.mean_snr_db == pytest.approx(40.0 - 40.0 * math.log10(15.0))
     assert budget.ab.mean_snr_db == pytest.approx(40.0 - 40.0 * math.log10(30.0))
 
 
 def test_self_interference_budget_has_no_path_loss():
-    cfg = replace(sanity_preset(), power_r_dbm=20.0, power_a_dbm=20.0)
+    cfg = SystemConfig(power_r_dbm=20.0, power_a_dbm=20.0)
     budget = link_budget(cfg)
     assert budget.rr.mean_snr_db == pytest.approx(20.0 - 80.0)
 
 
 def test_sanity_preset_fitted_relay_input_link():
-    links = build_links(sanity_preset())
+    budget = link_budget(SystemConfig())
+    gamma_ar = from_composite(budget.ar)
     # psi(2) - ln 2 + xi (40 dBm - path loss at 15 m)
-    assert links.gamma_ar.mu == pytest.approx(-1.8922232778941368, abs=1e-12)
+    assert gamma_ar.mu == pytest.approx(-1.8922232778941368, abs=1e-12)
     sigma = math.sqrt(0.6449340668482266 + (XI * 10.0) ** 2)
-    assert links.gamma_ar.sigma == pytest.approx(sigma, abs=1e-12)
-    assert links.gamma_ae == LogNormal(0.21, 0.76)
-    assert links.gamma_re == LogNormal(0.21, 0.76)
+    assert gamma_ar.sigma == pytest.approx(sigma, abs=1e-12)
+    assert budget.eve_a == EveDirect(0.21, 0.76)
+    assert budget.eve_r == EveDirect(0.21, 0.76)
 
 
 def test_endpoint_ratio_rule():
-    links = LinkSet(gamma_ar=LogNormal(1.0, 1.0), gamma_rr=LogNormal(-2.0, 0.5),
-                    gamma_ab=LogNormal(0.0, 1.0), gamma_rb=LogNormal(0.0, 1.0),
-                    gamma_ae=LogNormal(0.0, 1.0), gamma_re=LogNormal(0.0, 1.0))
-    ep = endpoint_distributions(links, 1)
-    assert ep.relay.mu == 3.0
-    assert ep.relay.sigma == pytest.approx(math.sqrt(1.25), rel=1e-15)
+    cfg = SystemConfig()
+    budget = link_budget(cfg)
+    gamma_ar, gamma_rr = from_composite(budget.ar), from_composite(budget.rr)
+    ep = endpoints_for(cfg)
+    assert ep.relay == ratio(gamma_ar, gamma_rr)
+    assert ep.relay.mu == gamma_ar.mu - gamma_rr.mu
+    assert ep.relay.sigma == pytest.approx(math.hypot(gamma_ar.sigma, gamma_rr.sigma),
+                                           rel=1e-15)
+
+
+@pytest.mark.parametrize("eve_spec", [EveDirect(), EveComposite(-40.0)],
+                         ids=["direct", "composite"])
+def test_endpoints_fold_the_fitted_budget_links(eve_spec):
+    cfg = SystemConfig(n_eve=4, eve_spec=eve_spec)
+    budget = link_budget(cfg)
+
+    def fit(link):
+        if isinstance(link, EveDirect):
+            return LogNormal(link.mu, link.sigma)
+        return from_composite(link)
+
+    ep = endpoints_for(cfg)
+    assert ep.bob == sum_lognormals([from_composite(budget.ab),
+                                     from_composite(budget.rb)])
+    per_antenna = cumulants(fit(budget.eve_a)) + cumulants(fit(budget.eve_r))
+    assert ep.eve == from_cumulants(per_antenna.scaled(4))
 
 
 def test_endpoint_eve_point_masses():
-    links = LinkSet(gamma_ar=LogNormal(1.0, 1.0), gamma_rr=LogNormal(-2.0, 0.5),
-                    gamma_ab=LogNormal(0.0, 1.0), gamma_rb=LogNormal(0.0, 1.0),
-                    gamma_ae=LogNormal(0.0, 0.0), gamma_re=LogNormal(0.0, 0.0))
-    ep = endpoint_distributions(links, 1)
+    ep = endpoints_for(SystemConfig(n_eve=1, eve_spec=EveDirect(0.0, 0.0)))
     assert ep.eve.mu == pytest.approx(math.log(2.0), rel=1e-14)
     assert ep.eve.sigma == 0.0
 
 
 def test_endpoint_eve_mrc_fold():
-    links = LinkSet(gamma_ar=LogNormal(1.0, 1.0), gamma_rr=LogNormal(-2.0, 0.5),
-                    gamma_ab=LogNormal(0.0, 1.0), gamma_rb=LogNormal(0.0, 1.0),
-                    gamma_ae=LogNormal(0.0, 1.0), gamma_re=LogNormal(0.0, 1.0))
-    ep = endpoint_distributions(links, 4)
+    ep = endpoints_for(SystemConfig(n_eve=4, eve_spec=EveDirect(0.0, 1.0)))
     # cumulants (8 k1, 8 k2) of a unit log-normal, refitted; cross-checked
     # against a direct simulation of the eight-term sum
     assert ep.eve.mu == pytest.approx(2.48215789440583, abs=1e-12)
@@ -67,7 +80,7 @@ def test_endpoint_eve_mrc_fold():
 
 
 def test_worse_cancellation_only_hits_the_relay():
-    base = sanity_preset()
+    base = SystemConfig()
     ep = endpoints_for(base)
     worse = endpoints_for(replace(base, delta_db=-70.0))
     assert worse.relay.mu < ep.relay.mu
@@ -77,42 +90,43 @@ def test_worse_cancellation_only_hits_the_relay():
 
 
 def test_more_antennas_scale_eve_mean_linearly():
-    base = sanity_preset()
+    base = SystemConfig()
     k1_2 = cumulants(endpoints_for(base).eve).k1
     k1_8 = cumulants(endpoints_for(replace(base, n_eve=8)).eve).k1
     assert k1_8 / k1_2 == pytest.approx(4.0, rel=1e-12)
 
 
 def test_symmetric_placement_matches_links():
-    links = build_links(sanity_preset())
-    assert links.gamma_ar == links.gamma_rb
+    budget = link_budget(SystemConfig())
+    assert from_composite(budget.ar) == from_composite(budget.rb)
 
 
 def test_budget_additivity():
-    base = sanity_preset()
+    base = SystemConfig()
     shift = 7.0
     shifted_cfg = replace(
         base, power_a_dbm=base.power_a_dbm + shift,
         power_r_dbm=base.power_r_dbm + shift,
         eve_spec=EveComposite(-40.0, 5.0))
     unshifted_cfg = replace(base, eve_spec=EveComposite(-40.0, 5.0))
-    for a, b in zip(build_links(shifted_cfg).__dict__.values(),
-                    build_links(unshifted_cfg).__dict__.values()):
+    for a, b in zip(link_budget(shifted_cfg).__dict__.values(),
+                    link_budget(unshifted_cfg).__dict__.values()):
+        a, b = from_composite(a), from_composite(b)
         assert a.mu == pytest.approx(b.mu + XI * shift, rel=1e-12)
         assert a.sigma == b.sigma
 
 
 def test_composite_eve_links_follow_each_source_power():
-    cfg = replace(sanity_preset(), power_a_dbm=30.0, power_r_dbm=20.0,
-                  eve_spec=EveComposite(-40.0, 5.0))
+    cfg = SystemConfig(power_a_dbm=30.0, power_r_dbm=20.0,
+                       eve_spec=EveComposite(-40.0, 5.0))
     budget = link_budget(cfg)
     assert budget.eve_a.mean_snr_db == pytest.approx(-10.0)
     assert budget.eve_r.mean_snr_db == pytest.approx(-20.0)
 
 
 def test_legit_links_share_the_config_shape_and_shadowing():
-    cfg = replace(sanity_preset(), nakagami_m=1.0, shadow_sd_db=3.0,
-                  eve_spec=EveComposite(-40.0, 5.0))
+    cfg = SystemConfig(nakagami_m=1.0, shadow_sd_db=3.0,
+                       eve_spec=EveComposite(-40.0, 5.0))
     budget = link_budget(cfg)
     for link in (budget.ar, budget.rr, budget.ab, budget.rb):
         assert link.m == 1.0
@@ -133,11 +147,12 @@ def test_config_validation():
         SystemConfig(n_eve=0)
     with pytest.raises(ConfigurationError):
         SystemConfig(nakagami_m=0.3)
+    with pytest.raises(ConfigurationError):
+        SystemConfig(eve_spec="composite")
 
 
 def test_eve_direct_requires_no_budget():
-    ep1 = endpoints_for(sanity_preset())
-    ep2 = endpoints_for(replace(sanity_preset(), power_a_dbm=50.0,
-                                power_r_dbm=50.0))
+    ep1 = endpoints_for(SystemConfig())
+    ep2 = endpoints_for(SystemConfig(power_a_dbm=50.0, power_r_dbm=50.0))
     assert ep1.eve == ep2.eve  # direct spec is power-independent
     assert ep2.bob.mu > ep1.bob.mu

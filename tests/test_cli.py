@@ -1,8 +1,13 @@
 """CLI end-to-end: subcommands, exit codes, output formats."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import secrelay
 from secrelay.cli import main
 from secrelay.config import DEFAULT_CONFIG_TEXT
 
@@ -123,3 +128,38 @@ def test_validate_low_order_fails(tmp_path, capsys):
 
 def test_validate_missing_config_is_io_error(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 3
+
+
+def _spawn(args):
+    """The CLI in a child process whose stdout and stderr are pipes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(secrelay.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as in a shell pipe
+    return subprocess.Popen([sys.executable, "-m", "secrelay.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+
+
+def test_reader_closing_after_one_line_ends_the_sweep_quietly(tmp_path):
+    # about 330 kB of rows, more than a pipe holds (64 KiB on Linux), so the
+    # sweep is still writing when the reader goes away after the header
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("power_dbm = 0:300:0.1\nn_eve = 1, 2\n")
+    with _spawn(["rate-sweep", "--config", str(cfg),
+                 "--output", "/dev/stdout"]) as proc:
+        assert proc.stdout.readline().startswith(b"power_dbm,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("order, status", [(24, 0), (2, 1)])
+def test_validate_into_a_closed_pipe_keeps_its_status(tmp_path, order, status):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_VALIDATE_CONFIG.replace("quadrature_order = 24",
+                                                f"quadrature_order = {order}"))
+    with _spawn(["validate", "--config", str(cfg)]) as proc:
+        proc.stdout.close()  # gone before the checks finish and print
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == status
+    assert err == b""

@@ -1,7 +1,8 @@
 """Config file parsing."""
 import pytest
 
-from secrelay import ConfigParseError, parse_config_text
+from secrelay import (ConfigParseError, RunConfig, SystemConfig,
+                      parse_config_text, preset_run_config)
 from secrelay.channel import EveComposite, EveDirect
 from secrelay.config import DEFAULT_CONFIG_TEXT, load_config
 
@@ -13,7 +14,10 @@ def test_defaults_parse():
     assert cfg.n_eve_grid == (2,)
     assert cfg.rs_grid == (2.0,)
     assert cfg.quadrature_order == 24
-    assert cfg.eve_spec() == EveDirect(0.21, 0.76)
+    assert cfg.eve_spec == EveDirect(0.21, 0.76)
+    assert cfg == RunConfig()
+    assert RunConfig().base_system() == SystemConfig()
+    assert preset_run_config("sanity") == RunConfig()
 
 
 def test_comments_and_blank_lines():
@@ -41,7 +45,13 @@ def test_grid_lists():
 def test_composite_eve():
     cfg = parse_config_text(
         "eve_mode = composite\neve_mean_snr_db = -40\neve_shadow_sd_db = 5\n")
-    assert cfg.eve_spec() == EveComposite(-40.0, 5.0)
+    assert cfg.eve_spec == EveComposite(-40.0, 5.0)
+    # keys of the other mode are ignored; unset ones take the spec's defaults
+    cfg = parse_config_text("eve_mode = composite\neve_mean_snr_db = -30\n"
+                            "eve_mu = 9\n")
+    assert cfg.eve_spec == EveComposite(-30.0, 5.0)
+    cfg = parse_config_text("eve_mean_snr_db = -30\neve_sigma = 0.5\n")
+    assert cfg.eve_spec == EveDirect(0.21, 0.5)
 
 
 def test_malformed_value_reports_key_and_line():
@@ -77,6 +87,14 @@ def test_power_split_only_equal():
 def test_composite_eve_requires_gain():
     with pytest.raises(ConfigParseError):
         parse_config_text("eve_mode = composite\n")
+
+
+def test_eve_mode_typo_is_rejected():
+    # the eavesdropper is one typed field in code and a checked key in files
+    with pytest.raises(TypeError):
+        RunConfig(eve_mode="compsite")
+    with pytest.raises(ConfigParseError):
+        parse_config_text("eve_mode = compsite\n")
 
 
 def test_semantic_range_checks_surface_as_parse_errors():

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secrelay import (ConfigurationError, Endpoints, LogNormal, avg_secrecy_rate,
-                      avg_secrecy_rate_reference, endpoints_for, min_snr_cdf,
-                      sanity_preset, secrecy_outage, secrecy_outage_reference)
+from secrelay import (ConfigurationError, Endpoints, LogNormal, SystemConfig,
+                      avg_secrecy_rate, avg_secrecy_rate_reference,
+                      endpoints_for, min_snr_cdf, secrecy_outage,
+                      secrecy_outage_reference)
 
-SANITY_EP = endpoints_for(sanity_preset())
+SANITY_EP = endpoints_for(SystemConfig())
 # adaptive reference at 1e-10, cross-checked against a 1e8-sample MC run
 SANITY_RATE_REF = 0.0953595148240607
 SANITY_OUTAGE_RS2_REF = 0.9831468752899254

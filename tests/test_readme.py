@@ -1,0 +1,11 @@
+"""The README's library example runs against the package as it is."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs():
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})

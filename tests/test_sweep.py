@@ -3,8 +3,8 @@ import hashlib
 
 import pytest
 
-from secrelay import (ConfigurationError, RunConfig, SweepSpec, montecarlo,
-                      run_sweep, sweep)
+from secrelay import (ConfigurationError, EveDirect, RunConfig, SweepSpec,
+                      montecarlo, run_sweep, sweep)
 from secrelay.sweep import CSV_HEADER, preset_run_config, sweep_rows
 
 
@@ -101,8 +101,7 @@ def test_outage_rows_monotone_in_target():
 def test_metric_errors_flagged_not_fatal():
     # a degenerate eavesdropper breaks the analytic rate; the row is flagged
     bad = RunConfig(power_grid_dbm=(40.0,), delta_grid_db=(-80.0,),
-                    n_eve_grid=(1,), eve_mode="direct", eve_mu=0.2,
-                    eve_sigma=0.0)
+                    n_eve_grid=(1,), eve_spec=EveDirect(0.2, 0.0))
     rows = sweep_rows(SweepSpec(base=bad, metrics=("rate",),
                                 methods=("analytic",)))
     assert len(rows) == 1
