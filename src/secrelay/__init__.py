@@ -4,10 +4,9 @@ The package turns a physical network description (geometry, powers,
 self-interference attenuation, eavesdropper antennas) into log-normal SNR
 distributions under composite Nakagami-m/log-normal fading, and evaluates
 the average secrecy rate and secrecy outage probability three ways:
-fixed-order quadrature of the closed forms (by default a log-domain
-trapezoid rule; the paper's Gauss-Laguerre/Gauss-Hermite forms with
-rule="paper"), adaptive numerical integration (reference), and seeded
-Monte-Carlo simulation (oracle).
+fixed-order quadrature of the closed forms (a log-domain trapezoid rule),
+adaptive numerical integration (reference), and seeded Monte-Carlo
+simulation (oracle).
 """
 from .channel import (Endpoints, EveComposite, EveDirect, LinkBudget,
                       SystemConfig, endpoints_for, link_budget)
@@ -19,8 +18,7 @@ from .lognormal import (DB_TO_NAT, CompositeLink, Cumulants, LogNormal,
 from .metrics import (MetricResult, avg_secrecy_rate, avg_secrecy_rate_reference,
                       min_snr_cdf, secrecy_outage, secrecy_outage_reference)
 from .montecarlo import McEstimate, mc_secrecy_metrics, sample_composite_snr
-from .numerics import (IntegralEstimate, QuadratureRule, adaptive_integrate,
-                       gauss_hermite_rule, gauss_laguerre_rule)
+from .numerics import IntegralEstimate, adaptive_integrate
 from .sweep import SweepRow, SweepSpec, preset_run_config, run_sweep
 from .validate import CheckResult, run_validation
 
@@ -30,12 +28,12 @@ __all__ = [
     "AccuracyError", "CheckResult", "CompositeLink", "ConfigParseError",
     "ConfigurationError", "Cumulants", "DB_TO_NAT", "Endpoints",
     "EveComposite", "EveDirect", "IntegralEstimate", "LinkBudget",
-    "LogNormal", "McEstimate", "MetricResult", "QuadratureRule", "RunConfig",
-    "SweepRow", "SweepSpec", "SystemConfig", "adaptive_integrate",
-    "avg_secrecy_rate", "avg_secrecy_rate_reference", "cumulants",
-    "endpoints_for", "from_composite", "from_cumulants", "gauss_hermite_rule",
-    "gauss_laguerre_rule", "link_budget", "load_config", "mc_secrecy_metrics",
-    "min_snr_cdf", "parse_config_text", "preset_run_config", "ratio",
+    "LogNormal", "McEstimate", "MetricResult", "RunConfig", "SweepRow",
+    "SweepSpec", "SystemConfig", "adaptive_integrate", "avg_secrecy_rate",
+    "avg_secrecy_rate_reference", "cumulants", "endpoints_for",
+    "from_composite", "from_cumulants", "link_budget", "load_config",
+    "mc_secrecy_metrics", "min_snr_cdf", "parse_config_text",
+    "preset_run_config", "ratio",
     "run_sweep", "run_validation", "sample_composite_snr", "secrecy_outage",
     "secrecy_outage_reference", "sum_lognormals", "__version__",
 ]

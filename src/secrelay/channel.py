@@ -88,6 +88,16 @@ class SystemConfig:
         if not isinstance(self.eve_spec, (EveDirect, EveComposite)):
             raise ConfigurationError(
                 f"eve_spec must be an EveDirect or an EveComposite, got {self.eve_spec!r}")
+        # a zero spread is legal: a point-mass eavesdropper link
+        spec = self.eve_spec
+        where, spread = (("mu", "sigma") if isinstance(spec, EveDirect)
+                         else ("gain_db", "shadow_sd_db"))
+        if not (math.isfinite(getattr(spec, where))
+                and math.isfinite(getattr(spec, spread))
+                and getattr(spec, spread) >= 0.0):
+            raise ConfigurationError(
+                f"{type(spec).__name__} needs a finite {where} and a finite "
+                f"{spread} >= 0, got {spec!r}")
 
 
 @dataclass(frozen=True)

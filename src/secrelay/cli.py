@@ -12,7 +12,6 @@ import sys
 
 from .config import RunConfig, load_config
 from .errors import ConfigurationError
-from .numerics import gauss_hermite_rule, gauss_laguerre_rule
 from .sweep import METHODS, PRESET_NAMES, SweepSpec, preset_run_config, run_sweep
 from .validate import run_validation
 
@@ -28,11 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Secrecy metrics of a full-duplex decode-and-forward "
                     "relay network under composite fading.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    rules = sub.add_parser("rules", help="dump quadrature nodes and weights as CSV")
-    rules.add_argument("--kind", required=True, choices=("laguerre", "hermite"))
-    rules.add_argument("--order", required=True, type=int)
-    rules.add_argument("--output", default="-", help="output path, '-' for stdout")
 
     for name, help_text in (("rate-sweep", "average secrecy rate sweep"),
                             ("outage-sweep", "secrecy outage probability sweep")):
@@ -55,20 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     val.add_argument("--samples", type=int, help="override configured sample count")
     val.add_argument("--seed", type=int, help="override configured seed")
     return parser
-
-
-def _cmd_rules(args) -> tuple[int, str]:
-    builder = gauss_laguerre_rule if args.kind == "laguerre" else gauss_hermite_rule
-    rule = builder(args.order)
-    lines = ["index,node,weight"]
-    lines += [f"{i},{x:.17g},{w:.17g}"
-              for i, (x, w) in enumerate(zip(rule.nodes, rule.weights))]
-    text = "\n".join(lines) + "\n"
-    if args.output == "-":
-        return EXIT_OK, text
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return EXIT_OK, ""
 
 
 def _load_run_config(args) -> RunConfig:
@@ -100,7 +80,6 @@ def _cmd_validate(args) -> tuple[int, str]:
 
 
 _COMMANDS = {
-    "rules": _cmd_rules,
     "rate-sweep": lambda args: _cmd_sweep(args, "rate"),
     "outage-sweep": lambda args: _cmd_sweep(args, "outage"),
     "validate": _cmd_validate,

@@ -1,18 +1,19 @@
 """Secrecy metrics of the full-duplex relay link.
 
-Each metric comes in two flavours: a fixed-order estimator of the closed
+Each metric comes in two flavours: one fixed-order estimator of the closed
 form and an adaptive-integration reference used as ground truth.  The
 end-to-end SNR is min(relay SINR, Bob SNR); its CDF has a closed
 erfc-product form because both inputs are log-normal.
 
-The default estimator (rule="trapezoid") places K = order equally spaced
+The estimator is a trapezoid rule: it places K = order equally spaced
 nodes in the log domain -- y = ln z for the rate, the standard-normal
 eavesdropper variable for the outage -- over a window where the
 log-integrand lies within a fixed number of nats of its peak.  There the
 integrands are analytic and decay like Gaussians (or faster) at both ends,
-so the trapezoid rule converges exponentially in K.  rule="paper" keeps the
-paper's K-point Gauss-Laguerre (rate) and Gauss-Hermite (outage) forms,
-which converge slowly where the integrand's mass sits below their nodes.
+so the trapezoid rule converges exponentially in K.  The paper's K-point
+Gauss-Laguerre (rate) and Gauss-Hermite (outage) forms converge slowly where
+the integrand's mass sits below their nodes and miss the acceptance gates at
+K = 24; tests/paper_forms.py keeps them to pin that envelope.
 """
 from __future__ import annotations
 
@@ -27,8 +28,7 @@ from scipy import special
 
 from .channel import Endpoints
 from .errors import AccuracyError
-from .numerics import (IntegralEstimate, _check_order, adaptive_integrate,
-                       gauss_hermite_rule, gauss_laguerre_rule)
+from .numerics import IntegralEstimate, _check_order, adaptive_integrate
 
 __all__ = [
     "MetricResult",
@@ -42,13 +42,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
 
-_RULES = ("trapezoid", "paper")
-
-# Window depth of the default rule at K = 24 nodes, in nats below the
+# Window depth of the trapezoid rule at K = 24 nodes, in nats below the
 # modelled peak of the log-integrand.  The rate is judged relatively, so its
 # depth balances truncation (about e^-depth) against the node spacing.  The
 # outage enters as 1 - integral and is judged absolutely; with its peak near
@@ -122,11 +119,6 @@ def _trapezoid_cells(order: int) -> tuple[np.ndarray, float]:
     return cells, (k / 24.0) ** (2.0 / 3.0)
 
 
-def _check_rule(rule: str) -> None:
-    if rule not in _RULES:
-        raise ValueError(f"unknown rule {rule!r}; expected one of {_RULES}")
-
-
 def _hinge_root(tau: float, p1: float, s1: float, p2: float, s2: float) -> float:
     """The x where ((x - p1)_+ / s1)^2 / 2 + ((x - p2)_+ / s2)^2 / 2 = tau > 0."""
     r = math.sqrt(2.0 * tau)
@@ -182,23 +174,16 @@ def _rate_window(ep: Endpoints, depth: float) -> tuple[float, float]:
     return lo, _hinge_root(tau, pb, b.sigma, pr, r.sigma)
 
 
-def avg_secrecy_rate(ep: Endpoints, order: int = 24,
-                     rule: str = "trapezoid") -> MetricResult:
+def avg_secrecy_rate(ep: Endpoints, order: int = 24) -> MetricResult:
     """Average secrecy rate in bits/s/Hz from `order` quadrature nodes.
 
-    rule="trapezoid" (default): substituting y = ln z turns the rate into
-    the integral of erfc_eve * erfc_bob * erfc_relay / 8 * e^y / (1 + e^y)
-    over the real line, an analytic integrand with Gaussian tails.  The
-    trapezoid rule takes `order` equally spaced nodes at the cell midpoints
-    of the window from _rate_window.
-
-    rule="paper": the paper's Gauss-Laguerre form (see
-    _avg_secrecy_rate_paper).
+    Substituting y = ln z turns the rate into the integral of
+    erfc_eve * erfc_bob * erfc_relay / 8 * e^y / (1 + e^y) over the real
+    line, an analytic integrand with Gaussian tails.  The trapezoid rule
+    takes `order` equally spaced nodes at the cell midpoints of the window
+    from _rate_window.
     """
     _require_random(ep, "avg_secrecy_rate")
-    _check_rule(rule)
-    if rule == "paper":
-        return _avg_secrecy_rate_paper(ep, order)
     cells, depth_scale = _trapezoid_cells(order)  # validates the order range
     lo, hi = _rate_window(ep, _RATE_WINDOW_NATS * depth_scale)
     y = lo + (hi - lo) * cells
@@ -209,28 +194,6 @@ def avg_secrecy_rate(ep: Endpoints, order: int = 24,
                       [1.0 / (_SQRT2 * ep.relay.sigma)]])
     prod = special.erfc((y - mu) * scale).prod(axis=0)
     value = (hi - lo) / order * float(prod @ special.expit(y)) / (8.0 * _LN2)
-    return MetricResult(value=value, method="quadrature", quadrature_order=order)
-
-
-def _avg_secrecy_rate_paper(ep: Endpoints, order: int) -> MetricResult:
-    """Average secrecy rate in bits/s/Hz by Gauss-Laguerre quadrature.
-
-    The rate integrand over z is mapped through z = e^t - 1, cancelling the
-    1/(1+z) factor against the Jacobian, and the remaining integral against
-    e^-t is evaluated with a K-point Laguerre rule; hence the e^(node)
-    factor on each weight.
-    """
-    rule = gauss_laguerre_rule(order)  # validates the order range
-    x = np.asarray(rule.nodes)
-    logw = np.log(rule.weights)
-    z = np.expm1(x)
-    lz = np.log(z)
-    prod = (special.erfc((ep.eve.mu - lz) / (_SQRT2 * ep.eve.sigma))
-            * special.erfc((-ep.bob.mu + lz) / (_SQRT2 * ep.bob.sigma))
-            * special.erfc((-ep.relay.mu + lz) / (_SQRT2 * ep.relay.sigma)))
-    # weights times e^node evaluated in log space: the factors vary over
-    # hundreds of orders of magnitude at high order
-    value = float(np.sum(np.exp(logw + x) * prod)) / (8.0 * _LN2)
     return MetricResult(value=value, method="quadrature", quadrature_order=order)
 
 
@@ -332,26 +295,18 @@ def _outage_window(ep: Endpoints, floor: float, offset: float,
     return lo, hi
 
 
-def secrecy_outage(ep: Endpoints, rs_target: float, order: int = 24,
-                   rule: str = "trapezoid") -> MetricResult:
+def secrecy_outage(ep: Endpoints, rs_target: float, order: int = 24) -> MetricResult:
     """Secrecy outage probability for a target rate from `order` nodes.
 
     The outage is 1 - E[survival of the end-to-end SNR at the rate
     threshold 2^rs (1 + z) - 1], the expectation taken over the
-    eavesdropper SNR z = exp(mu_e + sigma_e v) with v standard normal.
-
-    rule="trapezoid" (default): the trapezoid rule in v with `order`
-    equally spaced nodes at the cell midpoints of the window from
-    _outage_window.
-
-    rule="paper": the paper's Gauss-Hermite form (see _secrecy_outage_paper).
+    eavesdropper SNR z = exp(mu_e + sigma_e v) with v standard normal.  The
+    trapezoid rule in v takes `order` equally spaced nodes at the cell
+    midpoints of the window from _outage_window.
     """
     _require_random(ep, "secrecy_outage")
     if not (rs_target > 0.0 and math.isfinite(rs_target)):
         raise ValueError(f"rs_target must be positive, got {rs_target!r}")
-    _check_rule(rule)
-    if rule == "paper":
-        return _secrecy_outage_paper(ep, rs_target, order)
     cells, depth_scale = _trapezoid_cells(order)  # validates the order range
     # log threshold ln((2^rs - 1) + 2^rs e^(mu_e + sigma_e v)), without
     # forming 2^rs, which overflows for rs above 1024
@@ -365,26 +320,6 @@ def secrecy_outage(ep: Endpoints, rs_target: float, order: int = 24,
                 * special.erfc((lt - ep.relay.mu) / (_SQRT2 * ep.relay.sigma)))
     integral = (hi - lo) / order * float(survival @ np.exp(-0.5 * v * v))
     value = 1.0 - integral / (4.0 * _SQRT_2PI)
-    return MetricResult(value=_clamp_unit(value, "secrecy_outage"),
-                        method="quadrature", quadrature_order=order)
-
-
-def _secrecy_outage_paper(ep: Endpoints, rs_target: float, order: int) -> MetricResult:
-    """Secrecy outage probability for a target rate by Gauss-Hermite quadrature.
-
-    The expectation over the eavesdropper SNR is taken along z =
-    exp(mu_e + sqrt(2) sigma_e u), turning its density into the e^-u^2
-    Hermite weight; the end-to-end CDF is evaluated at the rate threshold
-    2^rs (1 + z) - 1.
-    """
-    rule = gauss_hermite_rule(order)
-    u = np.asarray(rule.nodes)
-    w = np.asarray(rule.weights)
-    threshold = 2.0 ** rs_target * (np.exp(ep.eve.mu + _SQRT2 * ep.eve.sigma * u) + 1.0) - 1.0
-    lt = np.log(threshold)
-    survival = (special.erfc((-ep.bob.mu + lt) / (_SQRT2 * ep.bob.sigma))
-                * special.erfc((-ep.relay.mu + lt) / (_SQRT2 * ep.relay.sigma)))
-    value = 1.0 - float(np.sum(w * survival)) / (4.0 * _SQRT_PI)
     return MetricResult(value=_clamp_unit(value, "secrecy_outage"),
                         method="quadrature", quadrature_order=order)
 

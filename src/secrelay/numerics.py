@@ -1,15 +1,10 @@
-"""Gaussian quadrature rules and a reference integrator.
+"""The quadrature order range and the adaptive reference integrator.
 
-The Gauss-Laguerre and Gauss-Hermite tables behind the paper's closed forms
-(``rule="paper"``) come from numpy's ``laggauss``/``hermgauss``.  Everything
-here is a pure function of its inputs; rules are immutable and cached, so
-concurrent use is safe.
+Everything here is a pure function of its inputs, so concurrent use is safe.
 """
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -17,32 +12,9 @@ from scipy import integrate
 
 from .errors import AccuracyError, ConfigurationError
 
-__all__ = [
-    "QuadratureRule",
-    "IntegralEstimate",
-    "gauss_laguerre_rule",
-    "gauss_hermite_rule",
-    "adaptive_integrate",
-]
+__all__ = ["IntegralEstimate", "adaptive_integrate"]
 
 MAX_QUADRATURE_ORDER = 128
-
-SQRT_PI = math.sqrt(math.pi)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights of a Gauss-Laguerre or Gauss-Hermite rule.
-
-    A rule of order K integrates polynomials of degree <= 2K-1 exactly
-    against its weight function (e^-x on [0, inf) for Laguerre, e^-x^2 on
-    the real line for Hermite).
-    """
-
-    kind: str
-    order: int
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
 
 
 def _check_order(order: int) -> None:
@@ -51,22 +23,6 @@ def _check_order(order: int) -> None:
     if not 1 <= order <= MAX_QUADRATURE_ORDER:
         raise ConfigurationError(
             f"quadrature order must be in [1, {MAX_QUADRATURE_ORDER}], got {order}")
-
-
-@functools.lru_cache(maxsize=None)
-def gauss_laguerre_rule(order: int) -> QuadratureRule:
-    """Gauss-Laguerre rule: integrates f against e^-x on [0, inf)."""
-    _check_order(order)
-    nodes, weights = np.polynomial.laguerre.laggauss(int(order))
-    return QuadratureRule("laguerre", int(order), tuple(nodes), tuple(weights))
-
-
-@functools.lru_cache(maxsize=None)
-def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule: integrates f against e^-x^2 on (-inf, inf)."""
-    _check_order(order)
-    nodes, weights = np.polynomial.hermite.hermgauss(int(order))
-    return QuadratureRule("hermite", int(order), tuple(nodes), tuple(weights))
 
 
 class IntegralEstimate(NamedTuple):

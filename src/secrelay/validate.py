@@ -14,14 +14,13 @@ from .lognormal import LogNormal, cumulants, from_cumulants
 from .metrics import (avg_secrecy_rate, avg_secrecy_rate_reference,
                       min_snr_cdf, secrecy_outage, secrecy_outage_reference)
 from .montecarlo import mc_secrecy_metrics
-from .numerics import SQRT_PI, gauss_hermite_rule, gauss_laguerre_rule
 
 __all__ = ["CheckResult", "run_validation"]
 
-# At K = 24 the default log-domain trapezoid estimators sit orders of
-# magnitude inside these gates (about 1e-7 relative for the rate, far below
-# 1e-6 absolute for the outage); the gates catch a broken or under-ordered
-# rule, and order 2 fails the rate gate.  The rate deviation is measured
+# At K = 24 the log-domain trapezoid estimators sit orders of magnitude
+# inside these gates (about 1e-7 relative for the rate, far below 1e-6
+# absolute for the outage); the gates catch a broken or under-ordered rule,
+# and order 2 fails the rate gate.  The rate deviation is measured
 # relative to max(reference, 0.01 bits/s/Hz) so that negligible tail-regime
 # rates are judged on absolute error.
 _RATE_AGREEMENT_REL = 1e-2
@@ -56,22 +55,6 @@ def _probe_endpoints(cfg: RunConfig):
         for delta in {deltas[0], deltas[-1]}:
             probes.append(endpoints_for(cfg.system(power, delta, cfg.n_eve_grid[0])))
     return probes
-
-
-def _check_rules(cfg: RunConfig) -> list[CheckResult]:
-    out = []
-    lag = gauss_laguerre_rule(cfg.quadrature_order)
-    herm = gauss_hermite_rule(cfg.quadrature_order)
-    out.append(CheckResult(
-        "laguerre-weight-sum", abs(sum(lag.weights) - 1.0) <= 1e-10,
-        abs(sum(lag.weights) - 1.0), 1e-10))
-    out.append(CheckResult(
-        "hermite-weight-sum", abs(sum(herm.weights) - SQRT_PI) <= 1e-10,
-        abs(sum(herm.weights) - SQRT_PI), 1e-10))
-    positive = min(min(lag.weights), min(herm.weights))
-    out.append(CheckResult("weights-positive", positive > 0.0, positive, 0.0,
-                           "strictly positive required"))
-    return out
 
 
 def _check_quadrature_agreement(cfg: RunConfig) -> list[CheckResult]:
@@ -175,7 +158,6 @@ def _check_endpoint_invariants(cfg: RunConfig) -> list[CheckResult]:
 def run_validation(cfg: RunConfig) -> list[CheckResult]:
     """Run every check; callers decide how to report them."""
     checks: list[CheckResult] = []
-    checks += _check_rules(cfg)
     checks += _check_quadrature_agreement(cfg)
     checks += _check_identities(cfg)
     checks += _check_monotonicity(cfg)

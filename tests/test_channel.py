@@ -149,6 +149,25 @@ def test_config_validation():
         SystemConfig(nakagami_m=0.3)
     with pytest.raises(ConfigurationError):
         SystemConfig(eve_spec="composite")
+    with pytest.raises(ConfigurationError):
+        SystemConfig(eve_spec=EveDirect(0.2, -1.0))
+
+
+@pytest.mark.parametrize("eve_spec", [
+    EveDirect(math.nan, 1.0), EveDirect(0.2, -1.0), EveDirect(0.2, math.inf),
+    EveComposite(math.inf, 5.0), EveComposite(-40.0, -5.0),
+    EveComposite(-40.0, math.nan),
+], ids=["direct-mu-nan", "direct-sigma-negative", "direct-sigma-inf",
+        "composite-gain-inf", "composite-sd-negative", "composite-sd-nan"])
+def test_eve_spec_range_checks(eve_spec):
+    with pytest.raises(ConfigurationError):
+        SystemConfig(eve_spec=eve_spec)
+
+
+def test_eve_zero_spread_stays_legal():
+    # a point-mass eavesdropper link
+    assert SystemConfig(eve_spec=EveDirect(0.2, 0.0)).eve_spec.sigma == 0.0
+    assert SystemConfig(eve_spec=EveComposite(-40.0, 0.0)).eve_spec.shadow_sd_db == 0.0
 
 
 def test_eve_direct_requires_no_budget():

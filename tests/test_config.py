@@ -102,6 +102,11 @@ def test_semantic_range_checks_surface_as_parse_errors():
         parse_config_text("relay_fraction = 1.5\n")
     with pytest.raises(ConfigParseError):
         parse_config_text("delta_db = 10\n")
+    with pytest.raises(ConfigParseError):
+        parse_config_text("eve_sigma = -1\n")
+    with pytest.raises(ConfigParseError):
+        parse_config_text("eve_mode = composite\neve_mean_snr_db = -40\n"
+                          "eve_shadow_sd_db = -5\n")
     for order in (0, 129):
         with pytest.raises(ConfigParseError) as err:
             parse_config_text(f"quadrature_order = {order}\n")

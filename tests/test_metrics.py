@@ -2,10 +2,10 @@
 
 The tolerances asserted here are measured properties of the estimators, each
 pinned against the adaptive reference, which is itself validated against
-Monte-Carlo in the acceptance suite.  The paper's Gauss-Laguerre rate form
-(rule="paper") converges slowly in the order, and its measured envelope is
-pinned as such; the default log-domain trapezoid rule converges
-exponentially.
+Monte-Carlo in the acceptance suite.  The package's log-domain trapezoid
+rule converges exponentially in the order.  The paper's Gauss-Laguerre rate
+form (paper_forms.paper_rate) converges slowly, and its measured envelope is
+pinned as such.
 """
 import math
 from dataclasses import replace
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paper_forms import paper_outage, paper_rate
 from secrelay import (ConfigurationError, Endpoints, LogNormal, SystemConfig,
                       avg_secrecy_rate, avg_secrecy_rate_reference,
                       endpoints_for, min_snr_cdf, secrecy_outage,
@@ -69,14 +70,13 @@ class TestAvgSecrecyRate:
     def test_sanity_point_vs_reference(self):
         # order-24 truncation of the paper form on the sanity endpoints,
         # measured: 4.2e-3
-        q = avg_secrecy_rate(ep=SANITY_EP, order=24, rule="paper")
-        assert q.value == pytest.approx(SANITY_RATE_REF, rel=5e-3)
+        q = paper_rate(SANITY_EP, 24)
+        assert q == pytest.approx(SANITY_RATE_REF, rel=5e-3)
         ref = avg_secrecy_rate_reference(SANITY_EP, 1e-10)
         assert ref.value == pytest.approx(SANITY_RATE_REF, rel=1e-9)
 
     def test_order_convergence_on_sanity_point(self):
-        errors = [abs(avg_secrecy_rate(SANITY_EP, k, rule="paper").value
-                      - SANITY_RATE_REF)
+        errors = [abs(paper_rate(SANITY_EP, k) - SANITY_RATE_REF)
                   / SANITY_RATE_REF for k in (16, 48, 128)]
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 2e-8
@@ -87,8 +87,8 @@ class TestAvgSecrecyRate:
         # sanity point
         ep = make_ep(1.5, 2.0, 0.5, 2.0, -0.5, 2.0)
         ref = avg_secrecy_rate_reference(ep, 1e-10).value
-        assert avg_secrecy_rate(ep, 24, rule="paper").value == pytest.approx(ref, rel=5e-4)
-        assert avg_secrecy_rate(ep, 48, rule="paper").value == pytest.approx(ref, rel=1e-4)
+        assert paper_rate(ep, 24) == pytest.approx(ref, rel=5e-4)
+        assert paper_rate(ep, 48) == pytest.approx(ref, rel=1e-4)
 
     def test_result_metadata(self):
         res = avg_secrecy_rate(SANITY_EP, 24)
@@ -188,7 +188,7 @@ class TestSecrecyOutage:
 
 
 class TestRules:
-    """The default log-domain trapezoid rule against the paper's forms."""
+    """The log-domain trapezoid rule against the paper's forms."""
 
     def test_trapezoid_converges_with_order(self):
         errors = [abs(avg_secrecy_rate(SANITY_EP, k).value - SANITY_RATE_REF)
@@ -201,7 +201,7 @@ class TestRules:
                 SANITY_RATE_REF, rel=1e-9)
 
     def test_paper_outage_on_sanity_point(self):
-        q = secrecy_outage(SANITY_EP, 2.0, 24, rule="paper").value
+        q = paper_outage(SANITY_EP, 2.0, 24)
         assert q == pytest.approx(SANITY_OUTAGE_RS2_REF, abs=1e-12)
 
     def test_outage_converges_with_order(self):
@@ -226,13 +226,14 @@ class TestRules:
             secrecy_outage(SANITY_EP, 2.0, order)
 
     def test_target_rate_beyond_float_range_of_two_to_the_rs(self):
-        # 2^2000 overflows a double; the default rule works in logs
+        # 2^2000 overflows a double; the trapezoid rule works in logs
         assert secrecy_outage(SANITY_EP, 2000.0, 24).value == 1.0
 
     def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError):
+        # one estimator per metric: there is no rule to choose
+        with pytest.raises(TypeError):
             avg_secrecy_rate(SANITY_EP, 24, rule="laguerre")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             secrecy_outage(SANITY_EP, 2.0, 24, rule="hermite")
 
 

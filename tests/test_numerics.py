@@ -1,13 +1,12 @@
-"""Quadrature rule construction, adaptive integration."""
+"""The paper's quadrature tables (tests/paper_forms.py) and the adaptive
+reference integrator."""
 import math
 
 import numpy as np
 import pytest
 
-from secrelay import (AccuracyError, ConfigurationError, RunConfig,
-                      adaptive_integrate, gauss_hermite_rule,
-                      gauss_laguerre_rule)
-from secrelay.validate import _check_rules
+from paper_forms import gauss_hermite_rule, gauss_laguerre_rule
+from secrelay import AccuracyError, ConfigurationError, adaptive_integrate
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -158,9 +157,14 @@ class TestHermiteRule:
 
 
 def test_every_order_passes_validate_rule_checks():
+    # the weight-sum and positivity checks `validate` ran on the tables
+    # while the package still evaluated the paper's forms
     for order in range(1, 129):
-        checks = _check_rules(RunConfig(quadrature_order=order))
-        assert [c.name for c in checks if not c.passed] == [], order
+        lag = gauss_laguerre_rule(order)
+        herm = gauss_hermite_rule(order)
+        assert abs(sum(lag.weights) - 1.0) <= 1e-10, order
+        assert abs(sum(herm.weights) - SQRT_PI) <= 1e-10, order
+        assert min(min(lag.weights), min(herm.weights)) > 0.0, order
 
 
 class TestAdaptiveIntegrate:

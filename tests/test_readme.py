@@ -1,6 +1,11 @@
-"""The README's library example runs against the package as it is."""
+"""The README's examples match the package as it is."""
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from secrelay.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -9,3 +14,27 @@ def test_library_example_runs():
     library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def readme_cli_commands():
+    """Every `secrelay ...` line of the README's sh blocks, as an argv list."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["secrelay"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_cli_examples_parse():
+    # parsed only, never run: a subcommand or flag the CLI no longer has fails
+    commands = readme_cli_commands()
+    assert commands
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: secrelay {shlex.join(argv)}")
