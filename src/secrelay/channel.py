@@ -52,7 +52,7 @@ EveSpec = Union[EveDirect, EveComposite]
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full network description."""
+    """Full network description; construction range-checks every field."""
 
     d_ab_m: float = 30.0
     relay_fraction: float = 0.5
@@ -66,6 +66,11 @@ class SystemConfig:
     eve_spec: EveSpec = EveDirect()
 
     def __post_init__(self):
+        for name in ("d_ab_m", "relay_fraction", "path_loss_exponent", "nakagami_m",
+                     "shadow_sd_db", "power_a_dbm", "power_r_dbm", "delta_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.d_ab_m > 0.0):
             raise ConfigurationError(f"d_ab_m must be positive, got {self.d_ab_m!r}")
         if not (0.0 < self.relay_fraction < 1.0):
@@ -83,7 +88,8 @@ class SystemConfig:
         if not (self.delta_db <= 0.0):
             raise ConfigurationError(
                 f"delta_db must be <= 0 dB, got {self.delta_db!r}")
-        if not (isinstance(self.n_eve, int) and self.n_eve >= 1):
+        if (not isinstance(self.n_eve, int) or isinstance(self.n_eve, bool)
+                or self.n_eve < 1):
             raise ConfigurationError(f"n_eve must be a positive integer, got {self.n_eve!r}")
         if not isinstance(self.eve_spec, (EveDirect, EveComposite)):
             raise ConfigurationError(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from .channel import EveComposite, EveDirect, EveSpec, SystemConfig
+from .channel import EveComposite, EveDirect, SystemConfig
 from .errors import ConfigParseError, ConfigurationError
 from .numerics import _check_order
 
@@ -35,24 +35,25 @@ seed = 1
 """
 
 
+# a sweep's row cap; a longer power sweep is rejected while it is parsed
+_MAX_ROWS = 100_000
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Experiment settings: a base system plus sweep grids.
+    """Experiment settings: one network plus the sweep grids over it.
 
-    Construction validates every field, so a RunConfig built in code is held
-    to the same ranges as one parsed from a file.
+    The grids own the operating point: construction stores ``network`` at the
+    first grid point, and builds the network at every other power, delta and
+    antenna entry, so SystemConfig range-checks each of them.  A RunConfig
+    built in code is held to the same ranges as one parsed from a file.
     """
 
     power_grid_dbm: tuple[float, ...] = (40.0,)
     delta_grid_db: tuple[float, ...] = (-80.0,)
     n_eve_grid: tuple[int, ...] = (2,)
     rs_grid: tuple[float, ...] = (2.0,)
-    d_ab_m: float = 30.0
-    relay_fraction: float = 0.5
-    path_loss_exponent: float = 4.0
-    nakagami_m: float = 2.0
-    shadow_sd_db: float = 10.0
-    eve_spec: EveSpec = EveDirect()
+    network: SystemConfig = SystemConfig()
     quadrature_order: int = 24
     samples: int = 100_000
     seed: int = 1
@@ -64,18 +65,15 @@ class RunConfig:
                            (self.rs_grid, "rs_target")):
             if not grid:
                 raise ConfigurationError(f"grid {name} is empty")
-        self.base_system()  # range checks on the assembled system
-        for p in self.power_grid_dbm:
-            if not math.isfinite(p):
-                raise ConfigurationError(f"power grid entry {p!r} is not finite")
-        for d in self.delta_grid_db:
-            if not (math.isfinite(d) and d <= 0.0):
-                raise ConfigurationError(
-                    f"delta_db grid entry {d!r} must be finite and <= 0")
-        for n in self.n_eve_grid:
-            if not (isinstance(n, int) and n >= 1):
-                raise ConfigurationError(
-                    f"n_eve grid entry {n!r} must be a positive integer")
+        point = self.system(self.power_grid_dbm[0], self.delta_grid_db[0],
+                            self.n_eve_grid[0])
+        object.__setattr__(self, "network", point)
+        for p in self.power_grid_dbm[1:]:
+            self.system(p, point.delta_db, point.n_eve)
+        for d in self.delta_grid_db[1:]:
+            self.system(point.power_a_dbm, d, point.n_eve)
+        for n in self.n_eve_grid[1:]:
+            self.system(point.power_a_dbm, point.delta_db, n)
         for rs in self.rs_grid:
             if not (math.isfinite(rs) and rs > 0.0):
                 raise ConfigurationError(
@@ -83,23 +81,9 @@ class RunConfig:
         _check_order(self.quadrature_order)
 
     def system(self, power_dbm: float, delta_db: float, n_eve: int) -> SystemConfig:
-        """Materialise the system description at one grid point."""
-        return SystemConfig(
-            d_ab_m=self.d_ab_m,
-            relay_fraction=self.relay_fraction,
-            path_loss_exponent=self.path_loss_exponent,
-            nakagami_m=self.nakagami_m,
-            shadow_sd_db=self.shadow_sd_db,
-            power_a_dbm=power_dbm,
-            power_r_dbm=power_dbm,
-            delta_db=delta_db,
-            n_eve=n_eve,
-            eve_spec=self.eve_spec,
-        )
-
-    def base_system(self) -> SystemConfig:
-        return self.system(self.power_grid_dbm[0], self.delta_grid_db[0],
-                           self.n_eve_grid[0])
+        """The network at one grid point."""
+        return replace(self.network, power_a_dbm=power_dbm, power_r_dbm=power_dbm,
+                       delta_db=delta_db, n_eve=n_eve)
 
     def with_overrides(self, samples: int | None = None,
                        seed: int | None = None) -> "RunConfig":
@@ -145,30 +129,70 @@ def _parse_int_list(key: str, raw: str, path, line) -> tuple[int, ...]:
     return tuple(_parse_int(key, s, path, line) for s in items)
 
 
-def _parse_power(raw: str, path, line) -> tuple[float, ...]:
-    if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ConfigParseError(
-                f"key 'power_dbm': sweep must be start:stop:step, got {raw!r}",
-                path, line)
-        start, stop, step = (_parse_float("power_dbm", p.strip(), path, line)
-                             for p in parts)
-        if step <= 0 or stop < start:
-            raise ConfigParseError(
-                f"key 'power_dbm': need step > 0 and stop >= start, got {raw!r}",
-                path, line)
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(count))
-    if "," in raw:
-        return _parse_float_list("power_dbm", raw, path, line)
-    return (_parse_float("power_dbm", raw, path, line),)
+def _parse_power(key: str, raw: str, path, line) -> tuple[float, ...]:
+    if ":" not in raw:
+        return _parse_float_list(key, raw, path, line)
+    parts = raw.split(":")
+    if len(parts) != 3:
+        raise ConfigParseError(
+            f"key 'power_dbm': sweep must be start:stop:step, got {raw!r}",
+            path, line)
+    start, stop, step = (_parse_float(key, p.strip(), path, line) for p in parts)
+    if step <= 0 or stop < start:
+        raise ConfigParseError(
+            f"key 'power_dbm': need step > 0 and stop >= start, got {raw!r}",
+            path, line)
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_ROWS:  # also an infinite span
+        raise ConfigParseError(
+            f"key 'power_dbm': sweep {raw!r} has more than {_MAX_ROWS} points",
+            path, line)
+    return tuple(start + i * step for i in range(int(math.floor(span)) + 1))
+
+
+def _parse_power_split(key: str, raw: str, path, line) -> str:
+    if raw != "equal":
+        raise ConfigParseError(
+            f"key 'power_split': only 'equal' is supported, got {raw!r}",
+            path, line)
+    return raw
+
+
+def _parse_eve_mode(key: str, raw: str, path, line) -> str:
+    if raw not in ("direct", "composite"):
+        raise ConfigParseError(
+            f"key 'eve_mode': expected 'direct' or 'composite', got {raw!r}",
+            path, line)
+    return raw
+
+
+# each key of a config file: the class whose field it sets (None for keys
+# that only select), that field, and its parser
+_KEYS = {
+    "d_ab_m": (SystemConfig, "d_ab_m", _parse_float),
+    "relay_fraction": (SystemConfig, "relay_fraction", _parse_float),
+    "path_loss_exponent": (SystemConfig, "path_loss_exponent", _parse_float),
+    "nakagami_m": (SystemConfig, "nakagami_m", _parse_float),
+    "shadow_sd_db": (SystemConfig, "shadow_sd_db", _parse_float),
+    "power_dbm": (RunConfig, "power_grid_dbm", _parse_power),
+    "power_split": (None, "power_split", _parse_power_split),
+    "delta_db": (RunConfig, "delta_grid_db", _parse_float_list),
+    "n_eve": (RunConfig, "n_eve_grid", _parse_int_list),
+    "eve_mode": (None, "eve_mode", _parse_eve_mode),
+    "eve_mu": (EveDirect, "mu", _parse_float),
+    "eve_sigma": (EveDirect, "sigma", _parse_float),
+    "eve_mean_snr_db": (EveComposite, "gain_db", _parse_float),
+    "eve_shadow_sd_db": (EveComposite, "shadow_sd_db", _parse_float),
+    "rs_target": (RunConfig, "rs_grid", _parse_float_list),
+    "quadrature_order": (RunConfig, "quadrature_order", _parse_int),
+    "samples": (RunConfig, "samples", _parse_int),
+    "seed": (RunConfig, "seed", _parse_int),
+}
 
 
 def parse_config_text(text: str, path: str | None = None) -> RunConfig:
     """Parse config file content; malformed lines report their line number."""
-    seen: set[str] = set()
-    updates: dict = {}
+    given: dict = {owner: {} for owner, _, _ in _KEYS.values()}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -179,86 +203,26 @@ def parse_config_text(text: str, path: str | None = None) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _VALIDATORS:
+        if key not in _KEYS:
             raise ConfigParseError(f"unknown key {key!r}", path, lineno)
-        if key in seen:
+        owner, field_name, parser = _KEYS[key]
+        if field_name in given[owner]:
             raise ConfigParseError(f"duplicate key {key!r}", path, lineno)
         if not value:
             raise ConfigParseError(f"key {key!r}: missing value", path, lineno)
-        seen.add(key)
-        field_name, parsed = _VALIDATORS[key](value, path, lineno)
-        if field_name is not None:
-            updates[field_name] = parsed
+        given[owner][field_name] = parser(key, value, path, lineno)
 
-    given = {key: updates.pop(key) for key in _EVE_FIELDS if key in updates}
-    eve_type = EveComposite if updates.pop("eve_mode", None) == "composite" else EveDirect
-    if eve_type is EveComposite and "eve_mean_snr_db" not in given:
+    eve_type = EveComposite if given[None].get("eve_mode") == "composite" else EveDirect
+    if eve_type is EveComposite and "gain_db" not in given[EveComposite]:
         raise ConfigParseError(
             "eve_mode = composite requires eve_mean_snr_db", path, None)
     # keys of the other mode are accepted and ignored
-    fields = {name: given[key] for key, (owner, name) in _EVE_FIELDS.items()
-              if owner is eve_type and key in given}
-    updates["eve_spec"] = eve_type(**fields)
     try:
-        return RunConfig(**updates)
+        network = SystemConfig(eve_spec=eve_type(**given[eve_type]),
+                               **given[SystemConfig])
+        return RunConfig(network=network, **given[RunConfig])
     except ConfigurationError as exc:
         raise ConfigParseError(str(exc), path, None) from exc
-
-
-def _scalar(field_name: str, parser):
-    def check(value, path, line):
-        return field_name, parser(field_name, value, path, line)
-    return check
-
-
-def _power_key(value, path, line):
-    return "power_grid_dbm", _parse_power(value, path, line)
-
-
-def _power_split_key(value, path, line):
-    if value != "equal":
-        raise ConfigParseError(
-            f"key 'power_split': only 'equal' is supported, got {value!r}",
-            path, line)
-    return None, None
-
-
-def _eve_mode_key(value, path, line):
-    if value not in ("direct", "composite"):
-        raise ConfigParseError(
-            f"key 'eve_mode': expected 'direct' or 'composite', got {value!r}",
-            path, line)
-    return "eve_mode", value
-
-
-# eavesdropper keys of a config file: the spec type each belongs to, and its field
-_EVE_FIELDS = {
-    "eve_mu": (EveDirect, "mu"),
-    "eve_sigma": (EveDirect, "sigma"),
-    "eve_mean_snr_db": (EveComposite, "gain_db"),
-    "eve_shadow_sd_db": (EveComposite, "shadow_sd_db"),
-}
-
-_VALIDATORS = {
-    "d_ab_m": _scalar("d_ab_m", _parse_float),
-    "relay_fraction": _scalar("relay_fraction", _parse_float),
-    "path_loss_exponent": _scalar("path_loss_exponent", _parse_float),
-    "nakagami_m": _scalar("nakagami_m", _parse_float),
-    "shadow_sd_db": _scalar("shadow_sd_db", _parse_float),
-    "power_dbm": _power_key,
-    "power_split": _power_split_key,
-    "delta_db": lambda v, p, ln: ("delta_grid_db", _parse_float_list("delta_db", v, p, ln)),
-    "n_eve": lambda v, p, ln: ("n_eve_grid", _parse_int_list("n_eve", v, p, ln)),
-    "eve_mode": _eve_mode_key,
-    "eve_mu": _scalar("eve_mu", _parse_float),
-    "eve_sigma": _scalar("eve_sigma", _parse_float),
-    "eve_mean_snr_db": _scalar("eve_mean_snr_db", _parse_float),
-    "eve_shadow_sd_db": _scalar("eve_shadow_sd_db", _parse_float),
-    "rs_target": lambda v, p, ln: ("rs_grid", _parse_float_list("rs_target", v, p, ln)),
-    "quadrature_order": _scalar("quadrature_order", _parse_int),
-    "samples": _scalar("samples", _parse_int),
-    "seed": _scalar("seed", _parse_int),
-}
 
 
 def load_config(path: str) -> RunConfig:

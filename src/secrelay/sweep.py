@@ -13,9 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .config import RunConfig
+from .config import _MAX_ROWS, RunConfig
 from .errors import AccuracyError, ConfigurationError
-from .channel import EveComposite, endpoints_for
+from .channel import EveComposite, SystemConfig, endpoints_for
 from .metrics import avg_secrecy_rate, secrecy_outage
 from .montecarlo import mc_secrecy_metrics
 
@@ -28,7 +28,6 @@ CSV_HEADER = ("power_dbm,delta_db,n_eve,rs_target,metric,method,"
 METRICS = ("rate", "outage")
 METHODS = ("analytic", "mc-ln", "mc-composite")
 _MODE_OF = {"mc-ln": "ln_fit", "mc-composite": "composite"}
-_MAX_POINTS = 100_000
 _SEED_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio step decorrelates point streams
 _ANALYTIC_ERRORS = (ValueError, ConfigurationError, OverflowError, AccuracyError)
 
@@ -50,10 +49,10 @@ class SweepSpec:
                 raise ConfigurationError(f"unknown method {m!r}")
         if not self.metrics or not self.methods:
             raise ConfigurationError("metrics and methods must be non-empty")
-        if self.point_count() > _MAX_POINTS:
+        if self.point_count() > _MAX_ROWS:
             raise ConfigurationError(
                 f"sweep would produce {self.point_count()} rows "
-                f"(limit {_MAX_POINTS})")
+                f"(limit {_MAX_ROWS})")
 
     def point_count(self) -> int:
         n = (len(self.base.power_grid_dbm) * len(self.base.delta_grid_db)
@@ -213,7 +212,7 @@ def preset_run_config(name: str) -> RunConfig:
             delta_grid_db=(-90.0, -80.0, -70.0),
             n_eve_grid=(2, 4, 8),
             rs_grid=(2.0, 4.0),
-            eve_spec=EveComposite(-40.0, 5.0),
+            network=SystemConfig(eve_spec=EveComposite(-40.0, 5.0)),
         )
     if name == "sanity":
         return RunConfig()

@@ -81,7 +81,7 @@ def _check_quadrature_agreement(cfg: RunConfig) -> list[CheckResult]:
 
 
 def _check_identities(cfg: RunConfig) -> list[CheckResult]:
-    ep = endpoints_for(cfg.base_system())
+    ep = endpoints_for(cfg.network)
     worst = 0.0
     for z in (0.05, 0.5, 1.0, 5.0, 50.0, 5e3):
         fr = ep.relay.cdf(z)
@@ -100,7 +100,7 @@ def _check_identities(cfg: RunConfig) -> list[CheckResult]:
 
 
 def _check_monotonicity(cfg: RunConfig) -> list[CheckResult]:
-    ep = endpoints_for(cfg.base_system())
+    ep = endpoints_for(cfg.network)
     order = cfg.quadrature_order
     step = 0.25
     worst = 0.0
@@ -122,11 +122,10 @@ def _check_monotonicity(cfg: RunConfig) -> list[CheckResult]:
 
 
 def _check_mc_agreement(cfg: RunConfig) -> list[CheckResult]:
-    system = cfg.base_system()
-    ep = endpoints_for(system)
+    ep = endpoints_for(cfg.network)
     n = max(cfg.samples, 10_000)
     rs = cfg.rs_grid[0]
-    est, (oest,) = mc_secrecy_metrics(system, [rs], "ln_fit", n, cfg.seed)
+    est, (oest,) = mc_secrecy_metrics(cfg.network, [rs], "ln_fit", n, cfg.seed)
     rate_ref = avg_secrecy_rate_reference(ep, 1e-9).value
     rate_dev = abs(est.mean - rate_ref) / est.std_error if est.std_error > 0 else 0.0
 
@@ -142,7 +141,7 @@ def _check_mc_agreement(cfg: RunConfig) -> list[CheckResult]:
 
 
 def _check_endpoint_invariants(cfg: RunConfig) -> list[CheckResult]:
-    base = cfg.system(cfg.power_grid_dbm[0], cfg.delta_grid_db[0], cfg.n_eve_grid[0])
+    base = cfg.network
     ep = endpoints_for(base)
     worse_si = endpoints_for(replace(base, delta_db=base.delta_db + 5.0))
     ok = (worse_si.relay.mu < ep.relay.mu

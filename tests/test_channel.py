@@ -47,6 +47,17 @@ def test_endpoint_ratio_rule():
                                            rel=1e-15)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("field", [
+    "d_ab_m", "relay_fraction", "path_loss_exponent", "nakagami_m",
+    "shadow_sd_db", "power_a_dbm", "power_r_dbm", "delta_db"])
+def test_non_finite_values_rejected(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        SystemConfig(**{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        SystemConfig(**{field: -value})
+
+
 @pytest.mark.parametrize("eve_spec", [EveDirect(), EveComposite(-40.0)],
                          ids=["direct", "composite"])
 def test_endpoints_fold_the_fitted_budget_links(eve_spec):
@@ -145,6 +156,8 @@ def test_config_validation():
         SystemConfig(delta_db=5.0)
     with pytest.raises(ConfigurationError):
         SystemConfig(n_eve=0)
+    with pytest.raises(ConfigurationError, match="n_eve"):
+        SystemConfig(n_eve=True)  # a bool is an int, but no antenna count
     with pytest.raises(ConfigurationError):
         SystemConfig(nakagami_m=0.3)
     with pytest.raises(ConfigurationError):

@@ -42,6 +42,20 @@ def test_outage_sweep_with_methods(tmp_path):
     assert len(lines) == 1 + 2 * 2
 
 
+@pytest.mark.parametrize("sweep", ["0:1e308:1e-308", "0:2000000:1"],
+                         ids=["infinite", "over-row-cap"])
+def test_oversized_power_sweep_is_a_config_error(tmp_path, capsys, sweep):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"seed = 1\npower_dbm = {sweep}\n")
+    out = tmp_path / "rate.csv"
+    code = main(["rate-sweep", "--config", str(cfg), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"configuration error: {cfg}:2: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sweep_same_bytes_for_workers(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("power_dbm = 30:40:10\ndelta_db = -80\nsamples = 2000\n")

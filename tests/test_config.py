@@ -1,8 +1,10 @@
 """Config file parsing."""
+import math
+
 import pytest
 
-from secrelay import (ConfigParseError, RunConfig, SystemConfig,
-                      parse_config_text, preset_run_config)
+from secrelay import (ConfigParseError, ConfigurationError, RunConfig,
+                      SystemConfig, parse_config_text, preset_run_config)
 from secrelay.channel import EveComposite, EveDirect
 from secrelay.config import DEFAULT_CONFIG_TEXT, load_config
 
@@ -14,9 +16,9 @@ def test_defaults_parse():
     assert cfg.n_eve_grid == (2,)
     assert cfg.rs_grid == (2.0,)
     assert cfg.quadrature_order == 24
-    assert cfg.eve_spec == EveDirect(0.21, 0.76)
+    assert cfg.network.eve_spec == EveDirect(0.21, 0.76)
     assert cfg == RunConfig()
-    assert RunConfig().base_system() == SystemConfig()
+    assert RunConfig().network == SystemConfig()
     assert preset_run_config("sanity") == RunConfig()
 
 
@@ -45,13 +47,13 @@ def test_grid_lists():
 def test_composite_eve():
     cfg = parse_config_text(
         "eve_mode = composite\neve_mean_snr_db = -40\neve_shadow_sd_db = 5\n")
-    assert cfg.eve_spec == EveComposite(-40.0, 5.0)
+    assert cfg.network.eve_spec == EveComposite(-40.0, 5.0)
     # keys of the other mode are ignored; unset ones take the spec's defaults
     cfg = parse_config_text("eve_mode = composite\neve_mean_snr_db = -30\n"
                             "eve_mu = 9\n")
-    assert cfg.eve_spec == EveComposite(-30.0, 5.0)
+    assert cfg.network.eve_spec == EveComposite(-30.0, 5.0)
     cfg = parse_config_text("eve_mean_snr_db = -30\neve_sigma = 0.5\n")
-    assert cfg.eve_spec == EveDirect(0.21, 0.5)
+    assert cfg.network.eve_spec == EveDirect(0.21, 0.5)
 
 
 def test_malformed_value_reports_key_and_line():
@@ -148,3 +150,39 @@ def test_every_grid_entry_is_range_checked():
         parse_config_text("n_eve = 2, 0\n")
     with pytest.raises(ConfigParseError):
         parse_config_text("rs_target = 2, -1\n")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("grid, field", [("power_grid_dbm", "power_a_dbm"),
+                                         ("delta_grid_db", "delta_db")])
+def test_non_finite_grid_entries_rejected(grid, field, value):
+    # SystemConfig checks each entry, the first and every later one
+    for entries in ((value,), (-50.0, value)):
+        with pytest.raises(ConfigurationError, match=field):
+            RunConfig(**{grid: entries})
+
+
+def test_boolean_antenna_count_rejected():
+    for grid in ((True,), (2, True)):
+        with pytest.raises(ConfigurationError, match="n_eve"):
+            RunConfig(n_eve_grid=grid)
+
+
+def test_grids_own_the_operating_point():
+    cfg = RunConfig(network=SystemConfig(power_a_dbm=99.0, delta_db=-5.0, n_eve=7))
+    assert cfg == RunConfig()
+
+
+@pytest.mark.parametrize("name, eve_spec", [
+    ("paper-fig2", EveComposite(-40.0, 5.0)), ("sanity", EveDirect(0.21, 0.76))])
+def test_system_at_every_grid_point(name, eve_spec):
+    cfg = preset_run_config(name)
+    for p in cfg.power_grid_dbm:
+        for d in cfg.delta_grid_db:
+            for n in cfg.n_eve_grid:
+                assert repr(cfg.system(p, d, n)) == repr(SystemConfig(
+                    d_ab_m=30.0, relay_fraction=0.5, path_loss_exponent=4.0,
+                    nakagami_m=2.0, shadow_sd_db=10.0, power_a_dbm=p,
+                    power_r_dbm=p, delta_db=d, n_eve=n, eve_spec=eve_spec))
+

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from secrelay import parse_config_text
 from secrelay.cli import _build_parser
+from secrelay.config import _KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,6 +16,15 @@ def test_library_example_runs():
     library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_config_example_parses_and_names_every_key():
+    block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"),
+                      re.S).group(1)
+    parse_config_text(block)
+    # commented-out keys count: they document the other eavesdropper mode
+    named = set(re.findall(r"^#?\s*(\w+)\s*=", block, re.M))
+    assert named == set(_KEYS)
 
 
 def readme_cli_commands():

@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from secrelay import (ConfigurationError, EveDirect, RunConfig, SweepSpec,
-                      montecarlo, run_sweep, sweep)
+                      SystemConfig, montecarlo, run_sweep, sweep)
 from secrelay.sweep import CSV_HEADER, preset_run_config, sweep_rows
 
 
@@ -101,7 +101,8 @@ def test_outage_rows_monotone_in_target():
 def test_metric_errors_flagged_not_fatal():
     # a degenerate eavesdropper breaks the analytic rate; the row is flagged
     bad = RunConfig(power_grid_dbm=(40.0,), delta_grid_db=(-80.0,),
-                    n_eve_grid=(1,), eve_spec=EveDirect(0.2, 0.0))
+                    n_eve_grid=(1,),
+                    network=SystemConfig(eve_spec=EveDirect(0.2, 0.0)))
     rows = sweep_rows(SweepSpec(base=bad, metrics=("rate",),
                                 methods=("analytic",)))
     assert len(rows) == 1
@@ -116,12 +117,14 @@ def test_grid_size_cap():
                   metrics=("rate",), methods=("analytic",))
 
 
-@pytest.mark.parametrize("bad", [dict(d_ab_m=-1.0), dict(quadrature_order=0),
-                                 dict(n_eve_grid=())],
+# built inside the test: a bad network raises as soon as it is constructed
+@pytest.mark.parametrize("bad", [lambda: dict(network=SystemConfig(d_ab_m=-1.0)),
+                                 lambda: dict(quadrature_order=0),
+                                 lambda: dict(n_eve_grid=())],
                          ids=["negative-distance", "order-0", "empty-grid"])
 def test_bad_run_config_raises_at_construction(bad):
     with pytest.raises(ConfigurationError):
-        small_run_config(**bad)
+        small_run_config(**bad())
 
 
 def test_unknown_metric_and_method():
@@ -134,7 +137,8 @@ def test_unknown_metric_and_method():
 def test_presets_materialise():
     for name in ("paper-fig2", "paper-fig3", "sanity"):
         cfg = preset_run_config(name)
-        cfg.base_system()  # must validate
+        assert cfg.network == cfg.system(cfg.power_grid_dbm[0], cfg.delta_grid_db[0],
+                                         cfg.n_eve_grid[0])
     with pytest.raises(ConfigurationError):
         preset_run_config("paper-fig9")
 
