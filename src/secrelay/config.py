@@ -45,7 +45,8 @@ class RunConfig:
 
     The grids own the operating point: construction stores ``network`` at the
     first grid point, and builds the network at every other power, delta and
-    antenna entry, so SystemConfig range-checks each of them.  A RunConfig
+    antenna entry, so SystemConfig range-checks each of them.  No grid may be
+    empty or repeat an entry, so each grid point has one row.  A RunConfig
     built in code is held to the same ranges as one parsed from a file.
     """
 
@@ -65,6 +66,11 @@ class RunConfig:
                            (self.rs_grid, "rs_target")):
             if not grid:
                 raise ConfigurationError(f"grid {name} is empty")
+            seen = set()
+            for value in grid:
+                if value in seen:
+                    raise ConfigurationError(f"grid {name} repeats the entry {value!r}")
+                seen.add(value)
         point = self.system(self.power_grid_dbm[0], self.delta_grid_db[0],
                             self.n_eve_grid[0])
         object.__setattr__(self, "network", point)

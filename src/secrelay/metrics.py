@@ -14,6 +14,10 @@ so the trapezoid rule converges exponentially in K.  The paper's K-point
 Gauss-Laguerre (rate) and Gauss-Hermite (outage) forms converge slowly where
 the integrand's mass sits below their nodes and miss the acceptance gates at
 K = 24; tests/paper_forms.py keeps them to pin that envelope.
+
+The references integrate in the same y and v domains, adaptively
+(QUADPACK), with breakpoints at the endpoint means (mapped to v for the
+outage), at 0 and at the outage threshold's floor kink.
 """
 from __future__ import annotations
 
@@ -66,9 +70,12 @@ _TAIL_SHIFT = 0.8
 _UNDERFLOW_FLOOR = 1e-30
 
 
-def _integrate_metric(f, rel_tol: float) -> IntegralEstimate:
+def _integrate_metric(f, lo: float, hi: float, points: tuple[float, ...],
+                      rel_tol: float) -> IntegralEstimate:
+    if not (1e-12 <= rel_tol <= 1e-4):
+        raise ValueError(f"rel_tol must lie in [1e-12, 1e-4], got {rel_tol!r}")
     try:
-        return adaptive_integrate(f, 0.0, math.inf, rel_tol)
+        return adaptive_integrate(f, lo, hi, rel_tol, points)
     except AccuracyError as exc:
         if abs(exc.best_estimate) <= _UNDERFLOW_FLOOR:
             return IntegralEstimate(exc.best_estimate, exc.rel_error)
@@ -197,53 +204,36 @@ def avg_secrecy_rate(ep: Endpoints, order: int = 24) -> MetricResult:
     return MetricResult(value=value, method="quadrature", quadrature_order=order)
 
 
-def _rate_integrand_cdf_form(ep: Endpoints):
-    """Rate integrand built from the endpoint CDFs (oracle route)."""
-    eve = ep.eve
-
-    def f(z: float) -> float:
-        if z <= 0.0:
-            return 0.0
-        return eve.cdf(z) * (1.0 - min_snr_cdf(ep, z)) / (1.0 + z)
-
-    return f
-
-
-def _rate_integrand_erfc_form(ep: Endpoints):
-    """Closed erfc-product rate integrand (each factor scaled by its own sigma)."""
-    mr, sr = ep.relay.mu, ep.relay.sigma
-    mb, sb = ep.bob.mu, ep.bob.sigma
-    me, se = ep.eve.mu, ep.eve.sigma
-
-    def f(z: float) -> float:
-        if z <= 0.0:
-            return 0.0
-        lz = math.log(z)
-        return (math.erfc((me - lz) / (_SQRT2 * se))
-                * math.erfc((-mb + lz) / (_SQRT2 * sb))
-                * math.erfc((-mr + lz) / (_SQRT2 * sr))) / (8.0 * (1.0 + z))
-
-    return f
-
-
 def avg_secrecy_rate_reference(ep: Endpoints, rel_tol: float = 1e-9,
                                form: str = "cdf") -> MetricResult:
     """Average secrecy rate by adaptive integration (ground truth).
 
-    form="cdf" integrates F_eve(z) [1 - F_min(z)] / (1+z) built from the
+    form="cdf" integrates F_eve(z) [1 - F_min(z)] z / (1+z) built from the
     CDF routines; form="erfc" integrates the algebraically equal closed
     erfc-product integrand.  Both exist so their agreement can be asserted.
+    Either is integrated over y = ln z, where it has Gaussian tails, on a
+    window reaching 12 sqrt(2) of the widest sigma beyond the outermost mean
+    (each erfc factor is below erfc(12) ~ 1e-64 there), with breakpoints at
+    the three means and at 0.
     """
     _require_random(ep, "avg_secrecy_rate_reference")
-    if not (1e-12 <= rel_tol <= 1e-4):
-        raise ValueError(f"rel_tol must lie in [1e-12, 1e-4], got {rel_tol!r}")
+    means = me, mb, mr = ep.eve.mu, ep.bob.mu, ep.relay.mu
     if form == "cdf":
-        f = _rate_integrand_cdf_form(ep)
+        def f(y: float) -> float:
+            z = math.exp(y)
+            return ep.eve.cdf(z) * (1.0 - min_snr_cdf(ep, z)) * z / (1.0 + z)
     elif form == "erfc":
-        f = _rate_integrand_erfc_form(ep)
+        # each factor scaled by its own sigma
+        ce, cb, cr = (1.0 / (_SQRT2 * x.sigma) for x in (ep.eve, ep.bob, ep.relay))
+
+        def f(y: float) -> float:
+            return (math.erfc((me - y) * ce) * math.erfc((y - mb) * cb)
+                    * math.erfc((y - mr) * cr)) / (8.0 * (1.0 + math.exp(-y)))
     else:
         raise ValueError(f"unknown integrand form {form!r}")
-    est = _integrate_metric(f, rel_tol)
+    reach = 12.0 * _SQRT2 * max(ep.eve.sigma, ep.bob.sigma, ep.relay.sigma)
+    est = _integrate_metric(f, min(means) - reach, max(means) + reach,
+                            means + (0.0,), rel_tol)
     return MetricResult(value=est.value / _LN2, method="reference",
                         error_estimate=est.rel_error)
 
@@ -256,6 +246,18 @@ def _clamp_unit(value: float, what: str) -> float:
         logger.debug("%s rounded %.3e down to 1", what, value)
         return 1.0
     return value
+
+
+def _log_threshold(rs_target: float, eve_mu: float) -> tuple[float, float]:
+    """floor and offset of the outage's log rate threshold.
+
+    ln((2^rs - 1) + 2^rs e^(mu_e + sigma_e v)) = logaddexp(floor, offset +
+    sigma_e v), found without forming 2^rs, which overflows for rs above 1024.
+    """
+    if not (rs_target > 0.0 and math.isfinite(rs_target)):
+        raise ValueError(f"rs_target must be positive, got {rs_target!r}")
+    rs_nats = rs_target * _LN2
+    return rs_nats + math.log(-math.expm1(-rs_nats)), rs_nats + eve_mu
 
 
 def _outage_window(ep: Endpoints, floor: float, offset: float,
@@ -305,14 +307,8 @@ def secrecy_outage(ep: Endpoints, rs_target: float, order: int = 24) -> MetricRe
     midpoints of the window from _outage_window.
     """
     _require_random(ep, "secrecy_outage")
-    if not (rs_target > 0.0 and math.isfinite(rs_target)):
-        raise ValueError(f"rs_target must be positive, got {rs_target!r}")
+    floor, offset = _log_threshold(rs_target, ep.eve.mu)
     cells, depth_scale = _trapezoid_cells(order)  # validates the order range
-    # log threshold ln((2^rs - 1) + 2^rs e^(mu_e + sigma_e v)), without
-    # forming 2^rs, which overflows for rs above 1024
-    rs_nats = rs_target * _LN2
-    floor = rs_nats + math.log(-math.expm1(-rs_nats))
-    offset = rs_nats + ep.eve.mu
     lo, hi = _outage_window(ep, floor, offset, _OUTAGE_WINDOW_NATS * depth_scale)
     v = lo + (hi - lo) * cells
     lt = np.logaddexp(floor, offset + ep.eve.sigma * v)
@@ -326,20 +322,27 @@ def secrecy_outage(ep: Endpoints, rs_target: float, order: int = 24) -> MetricRe
 
 def secrecy_outage_reference(ep: Endpoints, rs_target: float,
                              rel_tol: float = 1e-10) -> MetricResult:
-    """Secrecy outage by adaptive integration of F_min(2^rs (1+z) - 1) f_eve(z)."""
+    """Secrecy outage by adaptive integration of F_min(2^rs (1+z) - 1) f_eve(z).
+
+    The integral runs over the eavesdropper's standard-normal v, z = exp(mu_e
+    + sigma_e v), on [-40, 40], beyond which phi(v) underflows, with
+    breakpoints at 0, at the threshold's floor kink and where the log
+    threshold crosses mu_bob and mu_relay.
+    """
     _require_random(ep, "secrecy_outage_reference")
-    if not (rs_target > 0.0 and math.isfinite(rs_target)):
-        raise ValueError(f"rs_target must be positive, got {rs_target!r}")
-    if not (1e-12 <= rel_tol <= 1e-4):
-        raise ValueError(f"rel_tol must lie in [1e-12, 1e-4], got {rel_tol!r}")
-    eve = ep.eve
-    scale = 2.0 ** rs_target
+    floor, offset = _log_threshold(rs_target, ep.eve.mu)
+    se = ep.eve.sigma
+    mb, cb = ep.bob.mu, 1.0 / (_SQRT2 * ep.bob.sigma)
+    mr, cr = ep.relay.mu, 1.0 / (_SQRT2 * ep.relay.sigma)
 
-    def f(z: float) -> float:
-        if z <= 0.0:
-            return 0.0
-        return min_snr_cdf(ep, scale * (1.0 + z) - 1.0) * eve.pdf(z)
+    def f(v: float) -> float:
+        x = offset + se * v
+        lt = (x + math.log1p(math.exp(floor - x)) if x > floor
+              else floor + math.log1p(math.exp(x - floor)))
+        survival = math.erfc((lt - mb) * cb) * math.erfc((lt - mr) * cr)
+        return (1.0 - 0.25 * survival) * math.exp(-0.5 * v * v) / _SQRT_2PI
 
-    est = _integrate_metric(f, rel_tol)
+    kinks = tuple((t - offset) / se for t in (floor, mb, mr))
+    est = _integrate_metric(f, -40.0, 40.0, kinks + (0.0,), rel_tol)
     return MetricResult(value=_clamp_unit(est.value, "secrecy_outage_reference"),
                         method="reference", error_estimate=est.rel_error)

@@ -1,11 +1,15 @@
 """The quadrature order range and the adaptive reference integrator.
 
+The metrics references call it on finite windows in y = ln z (rate) and in
+the standard-normal eavesdropper variable v (outage), with breakpoints at the
+endpoint means (mapped to v for the outage), at 0 and at the outage floor.
+
 Everything here is a pure function of its inputs, so concurrent use is safe.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -37,33 +41,21 @@ _ABS_FLOOR = 1e-300
 
 
 def adaptive_integrate(f: Callable[[float], float], a: float, b: float,
-                       rel_tol: float) -> IntegralEstimate:
-    """Adaptive quadrature of f over [a, b], b may be math.inf.
+                       rel_tol: float, points: Sequence[float] = ()) -> IntegralEstimate:
+    """Adaptive Gauss-Kronrod quadrature (QUADPACK) of f over [a, b].
 
-    A semi-infinite interval is first mapped onto (0, 1) via
-    x = a + t / (1 - t), then handed to an adaptive Gauss-Kronrod scheme.
-    Returns the estimate together with its estimated relative error; raises
-    AccuracyError (carrying the best estimate) if the tolerance cannot be met.
+    b may be math.inf when there are no breakpoints; breakpoints outside
+    (a, b) are dropped.  Returns the estimate together with its estimated
+    relative error; raises AccuracyError (carrying the best estimate) if the
+    tolerance cannot be met.
     """
     if not (_REL_TOL_MIN <= rel_tol <= _REL_TOL_MAX):
         raise ValueError(
             f"rel_tol must lie in [{_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}], got {rel_tol!r}")
     if not math.isfinite(a):
         raise ValueError(f"lower limit must be finite, got {a!r}")
-
-    if math.isinf(b):
-        def g(t: float) -> float:
-            if t >= 1.0:
-                return 0.0
-            u = 1.0 - t
-            return f(a + t / u) / (u * u)
-
-        lo, hi = 0.0, 1.0
-    else:
-        g, lo, hi = f, a, b
-
-    out = integrate.quad(g, lo, hi, epsabs=_ABS_FLOOR, epsrel=rel_tol,
-                         limit=400, full_output=1)
+    out = integrate.quad(f, a, b, epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=400,
+                         points=points or None, full_output=1)
     value, abserr = out[0], out[1]
     rel_err = abs(abserr) / max(abs(value), _ABS_FLOOR) if value != 0.0 else 0.0
     if len(out) > 3:  # quadpack appended a convergence complaint

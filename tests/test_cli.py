@@ -56,6 +56,18 @@ def test_oversized_power_sweep_is_a_config_error(tmp_path, capsys, sweep):
     assert not out.exists()
 
 
+def test_repeated_grid_entry_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("power_dbm = 40, 40\nn_eve = 2,2\nrs_target = 2,2\n")
+    out = tmp_path / "outage.csv"
+    code = main(["outage-sweep", "--config", str(cfg), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"configuration error: {cfg}: grid power_dbm repeats "
+                   "the entry 40.0\n")
+    assert not out.exists()
+
+
 def test_sweep_same_bytes_for_workers(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("power_dbm = 30:40:10\ndelta_db = -80\nsamples = 2000\n")

@@ -152,6 +152,18 @@ def test_every_grid_entry_is_range_checked():
         parse_config_text("rs_target = 2, -1\n")
 
 
+@pytest.mark.parametrize("grid, name, entries", [
+    ("power_grid_dbm", "power_dbm", (40.0, 50.0, 40.0)),
+    ("delta_grid_db", "delta_db", (-80.0, -80.0)),
+    ("n_eve_grid", "n_eve", (2, 4, 2)),
+    ("rs_grid", "rs_target", (2.0, 2.0))])
+def test_repeated_grid_entries_rejected(grid, name, entries):
+    # a repeated entry would sweep to rows with duplicate keys
+    with pytest.raises(ConfigurationError, match=f"grid {name} repeats the entry "
+                                                  f"{entries[-1]!r}"):
+        RunConfig(**{grid: entries})
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
                          ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("grid, field", [("power_grid_dbm", "power_a_dbm"),

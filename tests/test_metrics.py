@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from paper_forms import paper_outage, paper_rate
 from secrelay import (ConfigurationError, Endpoints, LogNormal, SystemConfig,
                       avg_secrecy_rate, avg_secrecy_rate_reference,
-                      endpoints_for, min_snr_cdf, secrecy_outage,
-                      secrecy_outage_reference)
+                      endpoints_for, metrics, min_snr_cdf, preset_run_config,
+                      secrecy_outage, secrecy_outage_reference)
 
 SANITY_EP = endpoints_for(SystemConfig())
 # adaptive reference at 1e-10, cross-checked against a 1e8-sample MC run
@@ -276,3 +276,60 @@ class TestEstimatorMonotonicity:
             assert secrecy_outage(up_b, rs, order).value <= out + 1e-12
             assert secrecy_outage(up_r, rs, order).value <= out + 1e-12
             assert secrecy_outage(ep, rs + step, order).value >= out - 1e-12
+
+
+@pytest.fixture(scope="module")
+def fig2_references():
+    """Every reference evaluation on the paper-fig2 grid, with the integrand
+    calls each one made (counted through the binding metrics calls)."""
+    calls = []
+    integrate = metrics.adaptive_integrate
+
+    def counting(f, *args, **kwargs):
+        calls.append(0)
+
+        def counted(x):
+            calls[-1] += 1
+            return f(x)
+
+        return integrate(counted, *args, **kwargs)
+
+    cfg = preset_run_config("paper-fig2")
+    rates, outages = {}, {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "adaptive_integrate", counting)
+        for p in cfg.power_grid_dbm:
+            for d in cfg.delta_grid_db:
+                for n in cfg.n_eve_grid:
+                    ep = endpoints_for(cfg.system(p, d, n))
+                    rates[p, d, n] = (ep, avg_secrecy_rate_reference(ep, 1e-9))
+                    for rs in cfg.rs_grid:
+                        outages[p, d, n, rs] = secrecy_outage_reference(ep, rs, 1e-10)
+    return rates, outages, calls
+
+
+class TestReferenceOnFig2:
+    """The adaptive references converge on every paper-fig2 grid point."""
+
+    def test_every_evaluation_meets_its_tolerance(self, fig2_references):
+        # an AccuracyError would have failed the fixture
+        rates, outages, _ = fig2_references
+        assert len(rates) == 126 and len(outages) == 252
+        assert all(r.error_estimate <= 1e-9 for _, r in rates.values())
+        assert all(o.error_estimate <= 1e-10 for o in outages.values())
+
+    @pytest.mark.parametrize("point", [(70.0, -90.0, 8), (70.0, -80.0, 8),
+                                       (75.0, -90.0, 4), (75.0, -90.0, 8),
+                                       (75.0, -80.0, 8), (75.0, -70.0, 8)])
+    def test_high_power_rates_match_fine_trapezoid(self, fig2_references, point):
+        # the highest-power points, whose mass lies furthest out in z
+        ep, ref = fig2_references[0][point]
+        assert ref.value == pytest.approx(avg_secrecy_rate(ep, 128).value, rel=1e-8)
+
+    def test_integrand_calls_per_evaluation(self, fig2_references):
+        # QUADPACK is deterministic, so the mean repeats exactly (343 with
+        # the y / v domains and their breakpoints); a change that adds
+        # evaluations back fails here
+        calls = fig2_references[2]
+        assert len(calls) == 378
+        assert sum(calls) / len(calls) <= 400
