@@ -17,7 +17,10 @@ K = 24; tests/paper_forms.py keeps them to pin that envelope.
 
 The references integrate in the same y and v domains, adaptively
 (QUADPACK), with breakpoints at the endpoint means (mapped to v for the
-outage), at 0 and at the outage threshold's floor kink.
+outage), at 0 and at the outage threshold's floor kink.  The rate reference
+integrates the closed erfc product, which holds no cancelling difference,
+so it meets its relative tolerance on vanishing rates too.  A reference
+that cannot meet its tolerance raises AccuracyError.
 """
 from __future__ import annotations
 
@@ -31,8 +34,7 @@ import numpy as np
 from scipy import special
 
 from .channel import Endpoints
-from .errors import AccuracyError
-from .numerics import IntegralEstimate, _check_order, adaptive_integrate
+from .numerics import _check_order, adaptive_integrate
 
 __all__ = [
     "MetricResult",
@@ -65,23 +67,6 @@ _OUTAGE_WINDOW_NATS = 25.0
 # down to -20 nats
 _TAIL_SHIFT = 0.8
 
-# below this, a rate or probability is zero for every purpose and relative
-# tolerance stops being meaningful for the adaptive integrator
-_UNDERFLOW_FLOOR = 1e-30
-
-
-def _integrate_metric(f, lo: float, hi: float, points: tuple[float, ...],
-                      rel_tol: float) -> IntegralEstimate:
-    if not (1e-12 <= rel_tol <= 1e-4):
-        raise ValueError(f"rel_tol must lie in [1e-12, 1e-4], got {rel_tol!r}")
-    try:
-        return adaptive_integrate(f, lo, hi, rel_tol, points)
-    except AccuracyError as exc:
-        if abs(exc.best_estimate) <= _UNDERFLOW_FLOOR:
-            return IntegralEstimate(exc.best_estimate, exc.rel_error)
-        raise
-
-
 @dataclass(frozen=True)
 class MetricResult:
     value: float
@@ -103,7 +88,7 @@ def min_snr_cdf(ep: Endpoints, z: float) -> float:
     Equals 1 - (1-F_relay)(1-F_bob); with log-normal inputs each survival
     factor is erfc((-mu + ln z) / (sqrt(2) sigma)) / 2.
     """
-    if z < 0.0:
+    if not z >= 0.0:  # also rejects nan, as LogNormal.cdf does
         raise ValueError(f"z must be >= 0, got {z!r}")
     if ep.relay.sigma <= 0.0 or ep.bob.sigma <= 0.0:
         raise ValueError("min_snr_cdf requires relay and bob sigmas > 0")
@@ -204,36 +189,29 @@ def avg_secrecy_rate(ep: Endpoints, order: int = 24) -> MetricResult:
     return MetricResult(value=value, method="quadrature", quadrature_order=order)
 
 
-def avg_secrecy_rate_reference(ep: Endpoints, rel_tol: float = 1e-9,
-                               form: str = "cdf") -> MetricResult:
+def avg_secrecy_rate_reference(ep: Endpoints,
+                               rel_tol: float = 1e-9) -> MetricResult:
     """Average secrecy rate by adaptive integration (ground truth).
 
-    form="cdf" integrates F_eve(z) [1 - F_min(z)] z / (1+z) built from the
-    CDF routines; form="erfc" integrates the algebraically equal closed
-    erfc-product integrand.  Both exist so their agreement can be asserted.
-    Either is integrated over y = ln z, where it has Gaussian tails, on a
-    window reaching 12 sqrt(2) of the widest sigma beyond the outermost mean
-    (each erfc factor is below erfc(12) ~ 1e-64 there), with breakpoints at
-    the three means and at 0.
+    The integrand F_eve(z) [1 - F_min(z)] / (1 + z) is taken in its closed
+    erfc-product form, erfc_eve * erfc_bob * erfc_relay / 8 * e^y / (1 + e^y),
+    over y = ln z, where it has Gaussian tails, on a window reaching
+    12 sqrt(2) of the widest sigma beyond the outermost mean (each erfc
+    factor is below erfc(12) ~ 1e-64 there), with breakpoints at the three
+    means and at 0.
     """
     _require_random(ep, "avg_secrecy_rate_reference")
     means = me, mb, mr = ep.eve.mu, ep.bob.mu, ep.relay.mu
-    if form == "cdf":
-        def f(y: float) -> float:
-            z = math.exp(y)
-            return ep.eve.cdf(z) * (1.0 - min_snr_cdf(ep, z)) * z / (1.0 + z)
-    elif form == "erfc":
-        # each factor scaled by its own sigma
-        ce, cb, cr = (1.0 / (_SQRT2 * x.sigma) for x in (ep.eve, ep.bob, ep.relay))
+    # each factor scaled by its own sigma
+    ce, cb, cr = (1.0 / (_SQRT2 * x.sigma) for x in (ep.eve, ep.bob, ep.relay))
 
-        def f(y: float) -> float:
-            return (math.erfc((me - y) * ce) * math.erfc((y - mb) * cb)
-                    * math.erfc((y - mr) * cr)) / (8.0 * (1.0 + math.exp(-y)))
-    else:
-        raise ValueError(f"unknown integrand form {form!r}")
+    def f(y: float) -> float:
+        return (math.erfc((me - y) * ce) * math.erfc((y - mb) * cb)
+                * math.erfc((y - mr) * cr)) / (8.0 * (1.0 + math.exp(-y)))
+
     reach = 12.0 * _SQRT2 * max(ep.eve.sigma, ep.bob.sigma, ep.relay.sigma)
-    est = _integrate_metric(f, min(means) - reach, max(means) + reach,
-                            means + (0.0,), rel_tol)
+    est = adaptive_integrate(f, min(means) - reach, max(means) + reach,
+                             rel_tol, means + (0.0,))
     return MetricResult(value=est.value / _LN2, method="reference",
                         error_estimate=est.rel_error)
 
@@ -343,6 +321,6 @@ def secrecy_outage_reference(ep: Endpoints, rs_target: float,
         return (1.0 - 0.25 * survival) * math.exp(-0.5 * v * v) / _SQRT_2PI
 
     kinks = tuple((t - offset) / se for t in (floor, mb, mr))
-    est = _integrate_metric(f, -40.0, 40.0, kinks + (0.0,), rel_tol)
+    est = adaptive_integrate(f, -40.0, 40.0, rel_tol, kinks + (0.0,))
     return MetricResult(value=_clamp_unit(est.value, "secrecy_outage_reference"),
                         method="reference", error_estimate=est.rel_error)

@@ -70,10 +70,13 @@ def _sample_eve_per_antenna(spec, rng: np.random.Generator, n: int) -> np.ndarra
     return sample_composite_snr(spec, rng, n)
 
 
-def _check_samples(n: int) -> None:
-    if not (isinstance(n, int) and n >= _MIN_SAMPLES):
+def _check_samples(n: int) -> int:
+    """n as a Python int; numpy integers pass, bools do not."""
+    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
+            or n < _MIN_SAMPLES):
         raise ConfigurationError(
             f"Monte-Carlo runs need at least {_MIN_SAMPLES} samples, got {n!r}")
+    return int(n)
 
 
 def _iter_rate_blocks(cfg: SystemConfig, mode: str, n: int, seed: int):
@@ -122,7 +125,7 @@ def mc_secrecy_metrics(cfg: SystemConfig, rs_targets: Sequence[float],
     Sharing them across targets (common random numbers) makes the outage
     estimates exactly nested: a higher target never reports lower outage.
     """
-    _check_samples(n)
+    n = _check_samples(n)
     targets = [float(r) for r in rs_targets]
     for r in targets:
         if not (r > 0.0 and math.isfinite(r)):

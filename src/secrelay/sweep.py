@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .config import _MAX_ROWS, RunConfig
-from .errors import AccuracyError, ConfigurationError
+from .errors import ConfigurationError
 from .channel import EveComposite, SystemConfig, endpoints_for
 from .metrics import avg_secrecy_rate, secrecy_outage
 from .montecarlo import mc_secrecy_metrics
@@ -29,7 +29,7 @@ METRICS = ("rate", "outage")
 METHODS = ("analytic", "mc-ln", "mc-composite")
 _MODE_OF = {"mc-ln": "ln_fit", "mc-composite": "composite"}
 _SEED_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio step decorrelates point streams
-_ANALYTIC_ERRORS = (ValueError, ConfigurationError, OverflowError, AccuracyError)
+_ANALYTIC_ERRORS = (ValueError, ConfigurationError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,13 @@ class SweepSpec:
     methods: tuple[str, ...] = ("analytic",)
 
     def __post_init__(self):
-        for m in self.metrics:
-            if m not in METRICS:
-                raise ConfigurationError(f"unknown metric {m!r}")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigurationError(f"unknown method {m!r}")
+        for axis, known, name in ((self.metrics, METRICS, "metric"),
+                                  (self.methods, METHODS, "method")):
+            for i, m in enumerate(axis):
+                if m not in known:
+                    raise ConfigurationError(f"unknown {name} {m!r}")
+                if m in axis[:i]:
+                    raise ConfigurationError(f"{name}s repeat the entry {m!r}")
         if not self.metrics or not self.methods:
             raise ConfigurationError("metrics and methods must be non-empty")
         if self.point_count() > _MAX_ROWS:

@@ -1,8 +1,10 @@
-"""The RunConfig API that the benchmark's workloads rely on.
+"""The package API that the benchmark relies on.
 
-``bench/workloads.py`` is loaded and read, never edited: a config change that
-would break the benchmark fails here, in the fast suite.
+``bench/workloads.py`` and ``bench/layers.py`` are loaded and read, never
+edited: a config change or a refactor that would break the benchmark's
+workloads or unbind a name its tracer wraps fails here, in the fast suite.
 """
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -11,7 +13,16 @@ import pytest
 
 from secrelay import parse_config_text
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+WORKLOADS = BENCH / "workloads.py"
+# Monte-Carlo wrappers the tracer still names; mc_secrecy_metrics replaced
+# them, and the tracer is to wrap it instead (ROADMAP item 1)
+STALE_TARGETS = {
+    ("secrelay.sweep", "mc_avg_secrecy_rate"),
+    ("secrelay.sweep", "mc_secrecy_outage_multi"),
+    ("secrelay.validate", "mc_avg_secrecy_rate"),
+    ("secrelay.validate", "mc_secrecy_outage"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +51,20 @@ def test_fig2_text_parses_to_the_expected_config(workloads, smoke):
     out = expected.with_overrides(samples=1000, seed=3)
     assert (out.samples, out.seed) == (1000, 3)
     assert out.network == expected.network
+
+
+def test_every_tracer_target_resolves(monkeypatch):
+    # layers.py imports its sibling tracer.py as a top-level module
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(layers)
+    finally:
+        sys.modules.pop("tracer", None)
+    targets = {(module, attr) for module, attr, _ in layers.TARGETS}
+    assert STALE_TARGETS <= targets
+    missing = [f"{module}.{attr}" for module, attr in sorted(targets - STALE_TARGETS)
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+    assert ("secrelay.metrics", "adaptive_integrate") in targets

@@ -31,6 +31,16 @@ def test_rate_sweep_with_config(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 2
 
 
+def test_repeated_method_flag_gives_one_row_per_point(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("power_dbm = 30:50:10\nsamples = 2000\n")
+    out = tmp_path / "rate.csv"
+    code = main(["rate-sweep", "--config", str(cfg), "--output", str(out),
+                 "--method", "analytic", "--method", "analytic"])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 3
+
+
 def test_outage_sweep_with_methods(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("power_dbm = 40\nrs_target = 1,2\nsamples = 2000\n")

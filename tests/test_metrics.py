@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paper_forms import paper_outage, paper_rate
+from paper_forms import cdf_form_rate, paper_outage, paper_rate
 from secrelay import (ConfigurationError, Endpoints, LogNormal, SystemConfig,
                       avg_secrecy_rate, avg_secrecy_rate_reference,
                       endpoints_for, metrics, min_snr_cdf, preset_run_config,
@@ -48,6 +48,11 @@ class TestMinSnrCdf:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             min_snr_cdf(SANITY_EP, -1.0)
+
+    def test_nan_rejected(self):
+        # as LogNormal.cdf rejects it, rather than returning nan
+        with pytest.raises(ValueError):
+            min_snr_cdf(SANITY_EP, math.nan)
 
     @given(mu_r=moderate["mu"], s_r=moderate["sigma"], mu_b=moderate["mu"],
            s_b=moderate["sigma"], z=st.floats(1e-3, 1e3))
@@ -97,13 +102,29 @@ class TestAvgSecrecyRate:
         assert ref.method == "reference" and ref.error_estimate <= 1e-9
 
     def test_reference_handles_vanishing_rate(self):
+        # the rate is about 2.6e-118; the erfc product has no 1 - F_min
+        # difference to cancel, so it meets its relative tolerance here too
         ep = make_ep(2.0, 1.0, 2.0, 1.0, 30.0, 1.0)
-        assert avg_secrecy_rate_reference(ep, 1e-8).value < 1e-6
+        ref = avg_secrecy_rate_reference(ep, 1e-8)
+        assert ref.error_estimate <= 1e-8
+        assert ref.value == pytest.approx(avg_secrecy_rate(ep, 128).value, rel=1e-8)
+
+    def test_reference_converges_on_the_c08_box(self):
+        # 1,000 random points of the c08 box; rates down to 1e-13 among them
+        # (points 208, 411 and 994) must meet the same relative tolerance
+        rng = np.random.default_rng(7)
+        for _ in range(1000):
+            mr, mb, me = rng.uniform(-3.0, 3.0, 3)
+            sr, sb, se = rng.uniform(0.4, 2.2, 3)
+            ep = make_ep(mr, sr, mb, sb, me, se)
+            ref = avg_secrecy_rate_reference(ep, 1e-9)  # AccuracyError fails here
+            assert ref.error_estimate <= 1e-9
+            assert ref.value == pytest.approx(avg_secrecy_rate(ep, 128).value, rel=1e-6)
 
     def test_integrand_forms_agree(self):
         ep = make_ep(1.0, 1.2, -0.5, 0.9, 0.3, 0.7)
-        a = avg_secrecy_rate_reference(ep, 1e-11, form="cdf").value
-        b = avg_secrecy_rate_reference(ep, 1e-11, form="erfc").value
+        a = cdf_form_rate(ep, 1e-11)
+        b = avg_secrecy_rate_reference(ep, 1e-11).value
         assert b == pytest.approx(a, rel=1e-10)
 
     def test_degenerate_endpoint_rejected(self):
@@ -112,10 +133,6 @@ class TestAvgSecrecyRate:
             avg_secrecy_rate(ep, 24)
         with pytest.raises(ValueError):
             avg_secrecy_rate_reference(ep, 1e-9)
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            avg_secrecy_rate_reference(SANITY_EP, 1e-9, form="printed")
 
     def test_iid_endpoints_have_positive_rate(self):
         ep = make_ep(0.5, 1.0, 0.5, 1.0, 0.5, 1.0)
@@ -235,6 +252,9 @@ class TestRules:
             avg_secrecy_rate(SANITY_EP, 24, rule="laguerre")
         with pytest.raises(TypeError):
             secrecy_outage(SANITY_EP, 2.0, 24, rule="hermite")
+        # and one integrand for the rate reference
+        with pytest.raises(TypeError):
+            avg_secrecy_rate_reference(SANITY_EP, 1e-9, form="cdf")
 
 
 class TestQuadratureReferenceAgreement:

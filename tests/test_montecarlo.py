@@ -69,6 +69,16 @@ class TestDeterminism:
         est = mc_secrecy_metrics(SystemConfig(), (), "ln_fit", 10_000, 5)[0]
         assert est.n_samples == 10_000 and est.seed == 5 and est.mode == "ln_fit"
 
+    def test_numpy_sample_count_accepted(self):
+        est = mc_secrecy_metrics(SystemConfig(), (2.0,), "ln_fit", np.int64(10_000), 5)
+        assert est == mc_secrecy_metrics(SystemConfig(), (2.0,), "ln_fit", 10_000, 5)
+        assert type(est[0].n_samples) is int
+
+    @pytest.mark.parametrize("n", [True, 999, np.int32(999), 10_000.0])
+    def test_bad_sample_count_rejected(self, n):
+        with pytest.raises(ConfigurationError, match="at least 1000 samples"):
+            mc_secrecy_metrics(SystemConfig(), (), "ln_fit", n, 5)
+
 
 class TestAgreementWithAnalytics:
     def test_ln_fit_rate_within_three_standard_errors(self):

@@ -1,6 +1,7 @@
 """Sweep runner: CSV schema, ordering, determinism across worker counts."""
 import hashlib
 
+import numpy as np
 import pytest
 
 from secrelay import (ConfigurationError, EveDirect, RunConfig, SweepSpec,
@@ -132,6 +133,25 @@ def test_unknown_metric_and_method():
         SweepSpec(base=small_run_config(), metrics=("capacity",))
     with pytest.raises(ConfigurationError):
         SweepSpec(base=small_run_config(), methods=("exact",))
+
+
+def test_repeated_metric_or_method_rejected():
+    # a repeat would emit two rows with the same key
+    with pytest.raises(ConfigurationError, match="repeat the entry 'analytic'"):
+        SweepSpec(base=small_run_config(), methods=("analytic", "analytic"))
+    with pytest.raises(ConfigurationError, match="repeat the entry 'rate'"):
+        SweepSpec(base=small_run_config(), metrics=("rate", "outage", "rate"))
+
+
+def test_numpy_sample_count_gives_the_int_rows():
+    def rows(samples):
+        spec = SweepSpec(base=small_run_config(samples=samples), metrics=("rate",),
+                         methods=("mc-ln",))
+        return [r.to_csv() for r in sweep_rows(spec)]
+
+    numpy_rows = rows(np.int64(2000))
+    assert all(line.endswith(",ok") for line in numpy_rows)
+    assert numpy_rows == rows(2000)
 
 
 def test_presets_materialise():
