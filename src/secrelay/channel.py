@@ -2,15 +2,15 @@
 
 The relay decodes against its self-interference (an SINR ratio), Bob combines
 the direct and relayed signals (a fitted log-normal sum), and the
-eavesdropper maximal-ratio-combines both sources over all antennas (cumulant
-folding).  Noise is fixed at unit variance, so transmit power in dBm is read
+eavesdropper maximal-ratio-combines both sources over all antennas: at one
+transmit power both reach each antenna over the same link, so she sums
+2 * N_E branches of it (cumulant folding).  Noise is fixed at unit variance, so transmit power in dBm is read
 relative to a 0 dB noise floor.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from . import lognormal as ln
 from .errors import ConfigurationError
@@ -37,17 +37,14 @@ class EveDirect:
 
 @dataclass(frozen=True)
 class EveComposite:
-    """Eavesdropper per-antenna links as composite channels in the power budget.
+    """Eavesdropper per-antenna link as a composite channel in the power budget.
 
-    gain_db is the path gain applied to each source's transmit power
-    (e.g. -40 dB is 10 m at path-loss exponent 4).
+    gain_db is the path gain from either source to each antenna, applied to
+    the common transmit power (e.g. -40 dB is 10 m at path-loss exponent 4).
     """
 
     gain_db: float
     shadow_sd_db: float = 5.0
-
-
-EveSpec = Union[EveDirect, EveComposite]
 
 
 @dataclass(frozen=True)
@@ -59,15 +56,14 @@ class SystemConfig:
     path_loss_exponent: float = 4.0
     nakagami_m: float = 2.0
     shadow_sd_db: float = 10.0
-    power_a_dbm: float = 40.0
-    power_r_dbm: float = 40.0
+    power_dbm: float = 40.0  # of source and relay alike
     delta_db: float = -80.0
     n_eve: int = 2
-    eve_spec: EveSpec = EveDirect()
+    eve_spec: EveDirect | EveComposite = EveDirect()
 
     def __post_init__(self):
         for name in ("d_ab_m", "relay_fraction", "path_loss_exponent", "nakagami_m",
-                     "shadow_sd_db", "power_a_dbm", "power_r_dbm", "delta_db"):
+                     "shadow_sd_db", "power_dbm", "delta_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(
                     f"{name} must be finite, got {getattr(self, name)!r}")
@@ -114,8 +110,7 @@ class LinkBudget:
     rr: CompositeLink
     ab: CompositeLink
     rb: CompositeLink
-    eve_a: EveSpec  # Alice -> Eve, per antenna
-    eve_r: EveSpec  # relay -> Eve, per antenna
+    eve: EveDirect | CompositeLink  # either source -> Eve, per antenna
 
 
 @dataclass(frozen=True)
@@ -135,34 +130,35 @@ def path_gain_db(distance_m: float, exponent: float) -> float:
 
 
 def link_budget(cfg: SystemConfig) -> LinkBudget:
-    """Resolve geometry and powers into per-link composite channel specs."""
+    """Resolve geometry and the transmit power into per-link channel specs.
+
+    Eve's entry is the one link from either source to each of her antennas.
+    """
     d_ar = cfg.relay_fraction * cfg.d_ab_m
     d_rb = (1.0 - cfg.relay_fraction) * cfg.d_ab_m
     nu = cfg.path_loss_exponent
 
-    def legit(power_dbm: float, gain_db: float) -> CompositeLink:
-        return CompositeLink(cfg.nakagami_m, power_dbm + gain_db, cfg.shadow_sd_db)
+    def legit(gain_db: float) -> CompositeLink:
+        return CompositeLink(cfg.nakagami_m, cfg.power_dbm + gain_db, cfg.shadow_sd_db)
 
-    ar = legit(cfg.power_a_dbm, path_gain_db(d_ar, nu))
-    rb = legit(cfg.power_r_dbm, path_gain_db(d_rb, nu))
-    ab = legit(cfg.power_a_dbm, path_gain_db(cfg.d_ab_m, nu))
+    ar = legit(path_gain_db(d_ar, nu))
+    rb = legit(path_gain_db(d_rb, nu))
+    ab = legit(path_gain_db(cfg.d_ab_m, nu))
     # self-interference sees the relay's own power through the attenuation
     # factor only, no distance term
-    rr = legit(cfg.power_r_dbm, cfg.delta_db)
+    rr = legit(cfg.delta_db)
 
-    if isinstance(cfg.eve_spec, EveComposite):
-        eve_a = CompositeLink(cfg.nakagami_m, cfg.power_a_dbm + cfg.eve_spec.gain_db,
-                              cfg.eve_spec.shadow_sd_db)
-        eve_r = CompositeLink(cfg.nakagami_m, cfg.power_r_dbm + cfg.eve_spec.gain_db,
-                              cfg.eve_spec.shadow_sd_db)
-        return LinkBudget(ar, rr, ab, rb, eve_a, eve_r)
-    return LinkBudget(ar, rr, ab, rb, cfg.eve_spec, cfg.eve_spec)
+    eve = cfg.eve_spec
+    if isinstance(eve, EveComposite):
+        eve = CompositeLink(cfg.nakagami_m, cfg.power_dbm + eve.gain_db,
+                            eve.shadow_sd_db)
+    return LinkBudget(ar, rr, ab, rb, eve)
 
 
-def _fit_eve(spec: EveSpec) -> LogNormal:
-    if isinstance(spec, EveDirect):
-        return LogNormal(spec.mu, spec.sigma)
-    return ln.from_composite(spec)
+def _fit_eve(link: EveDirect | CompositeLink) -> LogNormal:
+    if isinstance(link, EveDirect):
+        return LogNormal(link.mu, link.sigma)
+    return ln.from_composite(link)
 
 
 def endpoints_for(cfg: SystemConfig) -> Endpoints:
@@ -170,14 +166,12 @@ def endpoints_for(cfg: SystemConfig) -> Endpoints:
 
     Relay: exact ratio of the desired link over the self-interference link.
     Bob: fitted sum of the direct and relayed links.
-    Eve: cumulants of both per-antenna source links, scaled by the antenna
-    count, refitted to a single log-normal.
+    Eve: cumulants of the per-antenna link, scaled by the 2 * N_E branches
+    she combines, refitted to a single log-normal.
     """
     budget = link_budget(cfg)
     relay = ln.ratio(ln.from_composite(budget.ar), ln.from_composite(budget.rr))
     bob = ln.sum_lognormals([ln.from_composite(budget.ab),
                              ln.from_composite(budget.rb)])
-    per_antenna = (ln.cumulants(_fit_eve(budget.eve_a))
-                   + ln.cumulants(_fit_eve(budget.eve_r)))
-    eve = ln.from_cumulants(per_antenna.scaled(cfg.n_eve))
+    eve = ln.from_cumulants(ln.cumulants(_fit_eve(budget.eve)).scaled(2 * cfg.n_eve))
     return Endpoints(relay=relay, bob=bob, eve=eve)

@@ -36,8 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--preset", choices=PRESET_NAMES,
                          help="built-in experiment preset")
         p.add_argument("--output", required=True, help="CSV output path")
-        p.add_argument("--method", "--mode", action="append", dest="method",
-                       choices=METHODS,
+        p.add_argument("--method", action="append", choices=METHODS,
                        help="evaluation method (repeatable; default analytic)")
         p.add_argument("--samples", type=int, help="Monte-Carlo sample count")
         p.add_argument("--seed", type=int, help="Monte-Carlo base seed")

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, replace
 from .channel import EveComposite, EveDirect, SystemConfig
 from .errors import ConfigParseError, ConfigurationError
+from .montecarlo import _check_samples
 from .numerics import _check_order
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "DEFAULT_CONFIG_TEXT"]
@@ -22,7 +23,6 @@ path_loss_exponent = 4
 nakagami_m = 2
 shadow_sd_db = 10
 power_dbm = 40
-power_split = equal
 delta_db = -80
 n_eve = 2
 eve_mode = direct
@@ -77,19 +77,20 @@ class RunConfig:
         for p in self.power_grid_dbm[1:]:
             self.system(p, point.delta_db, point.n_eve)
         for d in self.delta_grid_db[1:]:
-            self.system(point.power_a_dbm, d, point.n_eve)
+            self.system(point.power_dbm, d, point.n_eve)
         for n in self.n_eve_grid[1:]:
-            self.system(point.power_a_dbm, point.delta_db, n)
+            self.system(point.power_dbm, point.delta_db, n)
         for rs in self.rs_grid:
             if not (math.isfinite(rs) and rs > 0.0):
                 raise ConfigurationError(
                     f"rs_target grid entry {rs!r} must be positive")
         _check_order(self.quadrature_order)
+        _check_samples(self.samples)
 
     def system(self, power_dbm: float, delta_db: float, n_eve: int) -> SystemConfig:
         """The network at one grid point."""
-        return replace(self.network, power_a_dbm=power_dbm, power_r_dbm=power_dbm,
-                       delta_db=delta_db, n_eve=n_eve)
+        return replace(self.network, power_dbm=power_dbm, delta_db=delta_db,
+                       n_eve=n_eve)
 
     def with_overrides(self, samples: int | None = None,
                        seed: int | None = None) -> "RunConfig":
@@ -156,14 +157,6 @@ def _parse_power(key: str, raw: str, path, line) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(int(math.floor(span)) + 1))
 
 
-def _parse_power_split(key: str, raw: str, path, line) -> str:
-    if raw != "equal":
-        raise ConfigParseError(
-            f"key 'power_split': only 'equal' is supported, got {raw!r}",
-            path, line)
-    return raw
-
-
 def _parse_eve_mode(key: str, raw: str, path, line) -> str:
     if raw not in ("direct", "composite"):
         raise ConfigParseError(
@@ -181,7 +174,6 @@ _KEYS = {
     "nakagami_m": (SystemConfig, "nakagami_m", _parse_float),
     "shadow_sd_db": (SystemConfig, "shadow_sd_db", _parse_float),
     "power_dbm": (RunConfig, "power_grid_dbm", _parse_power),
-    "power_split": (None, "power_split", _parse_power_split),
     "delta_db": (RunConfig, "delta_grid_db", _parse_float_list),
     "n_eve": (RunConfig, "n_eve_grid", _parse_int_list),
     "eve_mode": (None, "eve_mode", _parse_eve_mode),

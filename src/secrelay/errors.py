@@ -21,6 +21,11 @@ class ConfigParseError(ConfigurationError):
         super().__init__(prefix + message)
 
 
+# what evaluating a grid point may raise: a sweep flags the point's rows,
+# validate fails the check group
+_EVALUATION_ERRORS = (ValueError, ConfigurationError, OverflowError)
+
+
 class AccuracyError(Exception):
     """An adaptive routine failed to meet its tolerance; carries its best estimate."""
 

@@ -5,7 +5,7 @@ log-normal variable.  Composite Nakagami-m/log-normal links are collapsed to
 a single log-normal by matching the exact log-moments of the Gamma x LN
 product; sums are collapsed by matching the first two linear-scale cumulants
 (Fenton-Wilkinson).  sigma = 0 denotes a point mass at e^mu and is accepted
-everywhere except pdf(), so degenerate limits remain testable.
+everywhere, so degenerate limits remain testable.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ __all__ = [
 DB_TO_NAT = math.log(10.0) / 10.0
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EXP_ARG_MAX = 709.0  # exp() overflows just above this
 
 
@@ -57,15 +56,6 @@ class LogNormal:
         if self.sigma == 0.0:
             return 1.0 if math.log(z) >= self.mu else 0.0
         return 0.5 * math.erfc((self.mu - math.log(z)) / (_SQRT2 * self.sigma))
-
-    def pdf(self, z: float) -> float:
-        """Density at z; undefined for a point mass (sigma == 0)."""
-        if self.sigma == 0.0:
-            raise ValueError("pdf undefined for a degenerate (sigma = 0) log-normal")
-        if z <= 0.0:
-            return 0.0
-        u = (math.log(z) - self.mu) / self.sigma
-        return math.exp(-0.5 * u * u) / (z * self.sigma * _SQRT_2PI)
 
 
 @dataclass(frozen=True)

@@ -104,10 +104,8 @@ def _iter_rate_blocks(cfg: SystemConfig, mode: str, n: int, seed: int):
             g_ab = sample_composite_snr(budget.ab, rng, b)
             g_rb = sample_composite_snr(budget.rb, rng, b)
             g_eve = np.zeros(b)
-            for _ in range(cfg.n_eve):
-                g_eve += _sample_eve_per_antenna(budget.eve_a, rng, b)
-            for _ in range(cfg.n_eve):
-                g_eve += _sample_eve_per_antenna(budget.eve_r, rng, b)
+            for _ in range(2 * cfg.n_eve):  # both sources, every antenna
+                g_eve += _sample_eve_per_antenna(budget.eve, rng, b)
             yield np.maximum(np.log2(1.0 + np.minimum(g_ar / g_rr, g_ab + g_rb))
                              - np.log2(1.0 + g_eve), 0.0)
             done += b

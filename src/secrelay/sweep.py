@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .config import _MAX_ROWS, RunConfig
-from .errors import ConfigurationError
+from .errors import _EVALUATION_ERRORS, ConfigurationError
 from .channel import EveComposite, SystemConfig, endpoints_for
 from .metrics import avg_secrecy_rate, secrecy_outage
 from .montecarlo import mc_secrecy_metrics
@@ -29,7 +29,6 @@ METRICS = ("rate", "outage")
 METHODS = ("analytic", "mc-ln", "mc-composite")
 _MODE_OF = {"mc-ln": "ln_fit", "mc-composite": "composite"}
 _SEED_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio step decorrelates point streams
-_ANALYTIC_ERRORS = (ValueError, ConfigurationError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def _point_rows(spec: SweepSpec, power: float, delta: float, n_eve: int,
     if method == "analytic":
         try:
             ep = endpoints_for(cfg)
-        except _ANALYTIC_ERRORS as exc:
+        except _EVALUATION_ERRORS as exc:
             return flag_all(exc)
         rows = []
         for metric, rs in keys:
@@ -134,7 +133,7 @@ def _point_rows(spec: SweepSpec, power: float, delta: float, n_eve: int,
                 res = (avg_secrecy_rate(ep, base.quadrature_order) if rs is None
                        else secrecy_outage(ep, rs, base.quadrature_order))
                 rows.append(row(metric, rs, res.value))
-            except _ANALYTIC_ERRORS as exc:
+            except _EVALUATION_ERRORS as exc:
                 rows.append(row(metric, rs, status=_err(exc)))
         return rows
 
@@ -142,7 +141,7 @@ def _point_rows(spec: SweepSpec, power: float, delta: float, n_eve: int,
     try:
         rate, outages = mc_secrecy_metrics(cfg, targets, _MODE_OF[method],
                                            base.samples, point_seed)
-    except (ValueError, ConfigurationError, OverflowError) as exc:
+    except _EVALUATION_ERRORS as exc:
         return flag_all(exc)
     ests = ([rate] if "rate" in spec.metrics else []) + outages
     return [row(*key, est.mean, est.std_error, est.n_samples, est.seed)

@@ -2,14 +2,18 @@
 
 Each check compares an implementation route against an independent one
 (quadrature vs adaptive reference, closed forms vs identities, analytic vs
-Monte-Carlo) and reports its measured deviation against a tolerance.
+Monte-Carlo) and reports its measured deviation against a tolerance.  A
+check group that cannot be evaluated at the configured network fails with
+the error that stopped it, and the remaining groups still run.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .channel import endpoints_for
 from .config import RunConfig
+from .errors import _EVALUATION_ERRORS
 from .lognormal import LogNormal, cumulants, from_cumulants
 from .metrics import (avg_secrecy_rate, avg_secrecy_rate_reference,
                       min_snr_cdf, secrecy_outage, secrecy_outage_reference)
@@ -39,6 +43,8 @@ class CheckResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        if math.isnan(self.measured):  # nothing measured: detail says why
+            return f"{status}  {self.name}: {self.detail}"
         out = (f"{status}  {self.name}: measured {self.measured:.3e} "
                f"vs tolerance {self.tolerance:.3e}")
         if self.detail:
@@ -154,12 +160,22 @@ def _check_endpoint_invariants(cfg: RunConfig) -> list[CheckResult]:
                         "self-interference isolation and antenna scaling")]
 
 
+_GROUPS = (
+    ("quadrature-agreement", _check_quadrature_agreement),
+    ("identities", _check_identities),
+    ("estimator-monotonicity", _check_monotonicity),
+    ("endpoint-invariants", _check_endpoint_invariants),
+    ("mc-ln-agreement", _check_mc_agreement),
+)
+
+
 def run_validation(cfg: RunConfig) -> list[CheckResult]:
     """Run every check; callers decide how to report them."""
     checks: list[CheckResult] = []
-    checks += _check_quadrature_agreement(cfg)
-    checks += _check_identities(cfg)
-    checks += _check_monotonicity(cfg)
-    checks += _check_endpoint_invariants(cfg)
-    checks += _check_mc_agreement(cfg)
+    for name, group in _GROUPS:
+        try:
+            checks += group(cfg)
+        except _EVALUATION_ERRORS as exc:
+            checks.append(CheckResult(name, False, math.nan, math.nan,
+                                      f"error: {exc}"))
     return checks

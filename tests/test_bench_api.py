@@ -46,7 +46,7 @@ def test_fig2_text_parses_to_the_expected_config(workloads, smoke):
         for delta in expected.delta_grid_db:
             for n_eve in expected.n_eve_grid:
                 system = expected.system(power, delta, n_eve)
-                assert (system.power_a_dbm, system.delta_db, system.n_eve) == (
+                assert (system.power_dbm, system.delta_db, system.n_eve) == (
                     power, delta, n_eve)
     out = expected.with_overrides(samples=1000, seed=3)
     assert (out.samples, out.seed) == (1000, 3)

@@ -20,7 +20,7 @@ def test_geometry_path_gains():
 
 
 def test_self_interference_budget_has_no_path_loss():
-    cfg = SystemConfig(power_r_dbm=20.0, power_a_dbm=20.0)
+    cfg = SystemConfig(power_dbm=20.0)
     budget = link_budget(cfg)
     assert budget.rr.mean_snr_db == pytest.approx(20.0 - 80.0)
 
@@ -32,8 +32,7 @@ def test_sanity_preset_fitted_relay_input_link():
     assert gamma_ar.mu == pytest.approx(-1.8922232778941368, abs=1e-12)
     sigma = math.sqrt(0.6449340668482266 + (XI * 10.0) ** 2)
     assert gamma_ar.sigma == pytest.approx(sigma, abs=1e-12)
-    assert budget.eve_a == EveDirect(0.21, 0.76)
-    assert budget.eve_r == EveDirect(0.21, 0.76)
+    assert budget.eve == EveDirect(0.21, 0.76)
 
 
 def test_endpoint_ratio_rule():
@@ -50,7 +49,7 @@ def test_endpoint_ratio_rule():
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("field", [
     "d_ab_m", "relay_fraction", "path_loss_exponent", "nakagami_m",
-    "shadow_sd_db", "power_a_dbm", "power_r_dbm", "delta_db"])
+    "shadow_sd_db", "power_dbm", "delta_db"])
 def test_non_finite_values_rejected(field, value):
     with pytest.raises(ConfigurationError, match=field):
         SystemConfig(**{field: value})
@@ -72,7 +71,8 @@ def test_endpoints_fold_the_fitted_budget_links(eve_spec):
     ep = endpoints_for(cfg)
     assert ep.bob == sum_lognormals([from_composite(budget.ab),
                                      from_composite(budget.rb)])
-    per_antenna = cumulants(fit(budget.eve_a)) + cumulants(fit(budget.eve_r))
+    # bit-identical to folding one copy of the link per source
+    per_antenna = cumulants(fit(budget.eve)) + cumulants(fit(budget.eve))
     assert ep.eve == from_cumulants(per_antenna.scaled(4))
 
 
@@ -116,23 +116,13 @@ def test_budget_additivity():
     base = SystemConfig()
     shift = 7.0
     shifted_cfg = replace(
-        base, power_a_dbm=base.power_a_dbm + shift,
-        power_r_dbm=base.power_r_dbm + shift,
-        eve_spec=EveComposite(-40.0, 5.0))
+        base, power_dbm=base.power_dbm + shift, eve_spec=EveComposite(-40.0, 5.0))
     unshifted_cfg = replace(base, eve_spec=EveComposite(-40.0, 5.0))
     for a, b in zip(link_budget(shifted_cfg).__dict__.values(),
                     link_budget(unshifted_cfg).__dict__.values()):
         a, b = from_composite(a), from_composite(b)
         assert a.mu == pytest.approx(b.mu + XI * shift, rel=1e-12)
         assert a.sigma == b.sigma
-
-
-def test_composite_eve_links_follow_each_source_power():
-    cfg = SystemConfig(power_a_dbm=30.0, power_r_dbm=20.0,
-                       eve_spec=EveComposite(-40.0, 5.0))
-    budget = link_budget(cfg)
-    assert budget.eve_a.mean_snr_db == pytest.approx(-10.0)
-    assert budget.eve_r.mean_snr_db == pytest.approx(-20.0)
 
 
 def test_legit_links_share_the_config_shape_and_shadowing():
@@ -142,9 +132,8 @@ def test_legit_links_share_the_config_shape_and_shadowing():
     for link in (budget.ar, budget.rr, budget.ab, budget.rb):
         assert link.m == 1.0
         assert link.shadow_sd_db == 3.0
-    for link in (budget.eve_a, budget.eve_r):
-        assert link.m == 1.0
-        assert link.shadow_sd_db == 5.0
+    assert budget.eve.m == 1.0
+    assert budget.eve.shadow_sd_db == 5.0
 
 
 def test_config_validation():
@@ -185,6 +174,6 @@ def test_eve_zero_spread_stays_legal():
 
 def test_eve_direct_requires_no_budget():
     ep1 = endpoints_for(SystemConfig())
-    ep2 = endpoints_for(SystemConfig(power_a_dbm=50.0, power_r_dbm=50.0))
+    ep2 = endpoints_for(SystemConfig(power_dbm=50.0))
     assert ep1.eve == ep2.eve  # direct spec is power-independent
     assert ep2.bob.mu > ep1.bob.mu

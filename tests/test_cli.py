@@ -97,6 +97,25 @@ def test_sweep_preset_runs(tmp_path):
     assert len(lines) == 1 + 14 * 3 * 3  # powers x deltas x antennas
 
 
+def test_mode_alias_of_method_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rate-sweep", "--preset", "sanity", "--output",
+              str(tmp_path / "x.csv"), "--mode", "mc-ln"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
+def test_too_few_samples_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("samples = 500\n")
+    out = tmp_path / "x.csv"
+    code = main(["rate-sweep", "--config", str(cfg), "--output", str(out),
+                 "--method", "mc-ln"])
+    assert code == 2
+    assert "at least 1000 samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("power_dbm = 40\ndelta_db=abc\n")
@@ -137,6 +156,35 @@ def test_validate_low_order_fails(tmp_path, capsys):
     line = next(ln for ln in out.splitlines() if "rate-quadrature-agreement" in ln)
     measured = float(line.split("measured")[1].split()[0])
     assert measured > 1e-6
+
+
+@pytest.mark.parametrize("old, new, cause, report", [
+    ("eve_sigma = 0.76", "eve_sigma = 0",
+     "requires non-degenerate endpoints; eve has sigma = 0",
+     [("FAIL", "quadrature-agreement"), ("PASS", "min-cdf-identity"),
+      ("PASS", "cumulant-roundtrip"), ("FAIL", "estimator-monotonicity"),
+      ("PASS", "endpoint-invariants"), ("FAIL", "mc-ln-agreement")]),
+    ("power_dbm = 40", "power_dbm = 2000", "cumulants of LogNormal(",
+     [("FAIL", "quadrature-agreement"), ("FAIL", "identities"),
+      ("FAIL", "estimator-monotonicity"), ("FAIL", "endpoint-invariants"),
+      ("FAIL", "mc-ln-agreement")]),
+], ids=["point-mass-eve", "overflowing-power"])
+def test_validate_reports_evaluation_errors_as_fail_lines(tmp_path, capsys, old,
+                                                          new, cause, report):
+    # a check group that cannot be evaluated fails; the others still run
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_VALIDATE_CONFIG.replace(old + "\n", new + "\n"))
+    code = main(["validate", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    *checks, summary = captured.out.splitlines()
+    assert [tuple(ln.split(":")[0].split()) for ln in checks] == report
+    for ln in checks:
+        if ln.startswith("FAIL"):
+            assert ": error: " in ln and cause in ln
+    passed = sum(status == "PASS" for status, _ in report)
+    assert summary == f"{passed}/{len(report)} checks passed"
 
 
 def test_validate_missing_config_is_io_error(tmp_path):

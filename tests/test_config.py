@@ -1,11 +1,13 @@
 """Config file parsing."""
 import math
 
+import numpy as np
 import pytest
 
 from secrelay import (ConfigParseError, ConfigurationError, RunConfig,
                       SystemConfig, parse_config_text, preset_run_config)
 from secrelay.channel import EveComposite, EveDirect
+from secrelay.cli import main
 from secrelay.config import DEFAULT_CONFIG_TEXT, load_config
 
 
@@ -80,10 +82,15 @@ def test_missing_equals_rejected():
     assert err.value.line == 1
 
 
-def test_power_split_only_equal():
-    parse_config_text("power_split = equal\n")
-    with pytest.raises(ConfigParseError):
-        parse_config_text("power_split = weighted\n")
+def test_power_split_is_an_unknown_key(tmp_path, capsys):
+    # source and relay share power_dbm; there is nothing left to split
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("power_dbm = 40\npower_split = equal\n")
+    code = main(["rate-sweep", "--config", str(cfg),
+                 "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {cfg}:2: unknown key 'power_split'\n")
 
 
 def test_composite_eve_requires_gain():
@@ -113,6 +120,17 @@ def test_semantic_range_checks_surface_as_parse_errors():
         with pytest.raises(ConfigParseError) as err:
             parse_config_text(f"quadrature_order = {order}\n")
         assert "quadrature order" in str(err.value)
+    with pytest.raises(ConfigParseError, match="at least 1000 samples"):
+        parse_config_text("samples = 500\n")
+
+
+def test_sample_count_checked_at_construction():
+    assert RunConfig(samples=np.int64(1000)).samples == 1000
+    for bad in (999, True):
+        with pytest.raises(ConfigurationError, match="samples"):
+            RunConfig(samples=bad)
+    with pytest.raises(ConfigurationError, match="samples"):
+        RunConfig().with_overrides(samples=500)
 
 
 def test_bad_power_sweep():
@@ -139,8 +157,8 @@ def test_load_config_error_names_file(tmp_path):
 
 def test_overrides():
     cfg = parse_config_text("samples = 5000\nseed = 3\n")
-    out = cfg.with_overrides(samples=777, seed=None)
-    assert out.samples == 777 and out.seed == 3
+    out = cfg.with_overrides(samples=7777, seed=None)
+    assert out.samples == 7777 and out.seed == 3
 
 
 def test_every_grid_entry_is_range_checked():
@@ -166,7 +184,7 @@ def test_repeated_grid_entries_rejected(grid, name, entries):
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
                          ids=["inf", "-inf", "nan"])
-@pytest.mark.parametrize("grid, field", [("power_grid_dbm", "power_a_dbm"),
+@pytest.mark.parametrize("grid, field", [("power_grid_dbm", "power_dbm"),
                                          ("delta_grid_db", "delta_db")])
 def test_non_finite_grid_entries_rejected(grid, field, value):
     # SystemConfig checks each entry, the first and every later one
@@ -182,7 +200,7 @@ def test_boolean_antenna_count_rejected():
 
 
 def test_grids_own_the_operating_point():
-    cfg = RunConfig(network=SystemConfig(power_a_dbm=99.0, delta_db=-5.0, n_eve=7))
+    cfg = RunConfig(network=SystemConfig(power_dbm=99.0, delta_db=-5.0, n_eve=7))
     assert cfg == RunConfig()
 
 
@@ -195,6 +213,6 @@ def test_system_at_every_grid_point(name, eve_spec):
             for n in cfg.n_eve_grid:
                 assert repr(cfg.system(p, d, n)) == repr(SystemConfig(
                     d_ab_m=30.0, relay_fraction=0.5, path_loss_exponent=4.0,
-                    nakagami_m=2.0, shadow_sd_db=10.0, power_a_dbm=p,
-                    power_r_dbm=p, delta_db=d, n_eve=n, eve_spec=eve_spec))
+                    nakagami_m=2.0, shadow_sd_db=10.0, power_dbm=p,
+                    delta_db=d, n_eve=n, eve_spec=eve_spec))
 

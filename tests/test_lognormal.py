@@ -220,22 +220,6 @@ class TestCdfPdf:
         assert rv.cdf(1.0) == 1.0
         assert rv.cdf(1.001) == 1.0
 
-    def test_pdf_values(self):
-        rv = LogNormal(0.0, 1.0)
-        assert rv.pdf(1e-12) < 1e-30
-        assert rv.pdf(1.0) == pytest.approx(0.3989422804014327, abs=1e-12)
-        assert rv.pdf(0.0) == 0.0
-
-    def test_pdf_normalises(self):
-        from secrelay import adaptive_integrate
-        rv = LogNormal(0.4, 1.3)
-        est = adaptive_integrate(rv.pdf, 0.0, math.inf, 1e-9)
-        assert est.value == pytest.approx(1.0, abs=1e-8)
-
-    def test_pdf_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            LogNormal(0.0, 0.0).pdf(1.0)
-
 
 def erfc_series_oracle(x):
     """erfc via the Taylor series of erf; independent of the library path."""

@@ -104,7 +104,7 @@ class TestAgreementWithAnalytics:
 
 class TestOutageEstimates:
     def test_unreachable_rate(self):
-        cfg = SystemConfig(power_a_dbm=0.0, power_r_dbm=0.0)
+        cfg = SystemConfig(power_dbm=0.0)
         est = mc_secrecy_metrics(cfg, (60.0,), "ln_fit", 10_000, 1)[1][0]
         assert est.mean == 1.0
         assert est.std_error == 0.0

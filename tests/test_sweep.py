@@ -1,5 +1,6 @@
 """Sweep runner: CSV schema, ordering, determinism across worker counts."""
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,19 +218,20 @@ def test_endpoint_failure_flags_every_row(monkeypatch):
     assert all(r.value is None for r in rows)
 
 
-def test_too_few_samples_flags_rate_and_outage_rows():
-    spec = SweepSpec(base=small_run_config(rs_grid=(2.0, 4.0), samples=500),
-                     metrics=("rate", "outage"),
-                     methods=("analytic", "mc-ln", "mc-composite"))
+def test_mc_fit_overflow_flags_rate_and_outage_rows():
+    # at 2000 dBm the endpoint fit behind mc-ln overflows
+    spec = SweepSpec(base=small_run_config(power_grid_dbm=(40.0, 2000.0),
+                                           rs_grid=(2.0, 4.0)),
+                     metrics=("rate", "outage"), methods=("mc-ln",))
     rows = sweep_rows(spec)
-    mc = [r for r in rows if r.method != "analytic"]
-    assert len(mc) == 6 * 2 * 3
-    assert {(r.metric, r.rs_target) for r in mc} == {
+    bad = [r for r in rows if r.power_dbm == 2000.0]
+    assert len(bad) == 2 * 3
+    assert {(r.metric, r.rs_target) for r in bad} == {
         ("rate", None), ("outage", 2.0), ("outage", 4.0)}
-    assert {r.status for r in mc} == {
-        "error: Monte-Carlo runs need at least 1000 samples; got 500"}
-    assert all(r.value is None and r.seed is None for r in mc)
-    assert all(r.status == "ok" for r in rows if r.method == "analytic")
+    assert all(r.status.startswith("error: cumulants of LogNormal(")
+               and r.status.endswith(") overflow") for r in bad)
+    assert all(r.value is None and r.seed is None for r in bad)
+    assert all(r.status == "ok" for r in rows if r.power_dbm == 40.0)
 
 
 def test_mc_sweep_csv_digest(tmp_path):
@@ -243,3 +245,30 @@ def test_mc_sweep_csv_digest(tmp_path):
     run_sweep(spec, str(path), workers=2)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "d3fe16b00139f7c2d6916076ca3afed2665dd2f81236f36940331ffe92534151")
+
+
+def sweep_digest(spec, tmp_path, workers=1):
+    path = tmp_path / "sweep.csv"
+    run_sweep(spec, str(path), workers=workers)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_fig2_analytic_csv_digest(tmp_path):
+    # The paper-fig2 rate and outage rows from the closed forms, recorded
+    # with numpy 2.4.6 and scipy 1.17.1.
+    spec = SweepSpec(base=preset_run_config("paper-fig2").with_overrides(seed=11),
+                     metrics=("rate", "outage"), methods=("analytic",))
+    assert sweep_digest(spec, tmp_path) == (
+        "26f660603b66026fa17da9a684eee2dc1f73f97e2774106abe6ee276a32f0662")
+
+
+def test_composite_eve_mc_csv_digest(tmp_path):
+    # A composite eavesdropper on a reduced paper-fig2 grid: pins the order
+    # in which the composite oracle draws every link and antenna from the
+    # Philox stream.  Recorded with numpy 2.4.6 and scipy 1.17.1.
+    base = replace(preset_run_config("paper-fig2"), power_grid_dbm=(10.0, 70.0),
+                   delta_grid_db=(-80.0,), n_eve_grid=(2, 8), samples=1000, seed=11)
+    spec = SweepSpec(base=base, metrics=("rate", "outage"),
+                     methods=("mc-composite", "mc-ln"))
+    assert sweep_digest(spec, tmp_path, workers=2) == (
+        "a35fea396c309d48bb81120b00001bb6d8b62b7a2b3fcce9b2eff8a66c86b165")
