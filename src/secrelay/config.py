@@ -11,29 +11,8 @@ from dataclasses import dataclass, replace
 from .channel import EveComposite, EveDirect, SystemConfig
 from .errors import ConfigParseError, ConfigurationError
 from .montecarlo import _check_samples
-from .numerics import _check_order
 
-__all__ = ["RunConfig", "load_config", "parse_config_text", "DEFAULT_CONFIG_TEXT"]
-
-DEFAULT_CONFIG_TEXT = """\
-# secrelay experiment configuration (defaults shown)
-d_ab_m = 30
-relay_fraction = 0.5
-path_loss_exponent = 4
-nakagami_m = 2
-shadow_sd_db = 10
-power_dbm = 40
-delta_db = -80
-n_eve = 2
-eve_mode = direct
-eve_mu = 0.21
-eve_sigma = 0.76
-rs_target = 2
-quadrature_order = 24
-samples = 100000
-seed = 1
-"""
-
+__all__ = ["RunConfig", "load_config", "parse_config_text"]
 
 # a sweep's row cap; a longer power sweep is rejected while it is parsed
 _MAX_ROWS = 100_000
@@ -55,7 +34,6 @@ class RunConfig:
     n_eve_grid: tuple[int, ...] = (2,)
     rs_grid: tuple[float, ...] = (2.0,)
     network: SystemConfig = SystemConfig()
-    quadrature_order: int = 24
     samples: int = 100_000
     seed: int = 1
 
@@ -84,7 +62,6 @@ class RunConfig:
             if not (math.isfinite(rs) and rs > 0.0):
                 raise ConfigurationError(
                     f"rs_target grid entry {rs!r} must be positive")
-        _check_order(self.quadrature_order)
         _check_samples(self.samples)
 
     def system(self, power_dbm: float, delta_db: float, n_eve: int) -> SystemConfig:
@@ -182,7 +159,6 @@ _KEYS = {
     "eve_mean_snr_db": (EveComposite, "gain_db", _parse_float),
     "eve_shadow_sd_db": (EveComposite, "shadow_sd_db", _parse_float),
     "rs_target": (RunConfig, "rs_grid", _parse_float_list),
-    "quadrature_order": (RunConfig, "quadrature_order", _parse_int),
     "samples": (RunConfig, "samples", _parse_int),
     "seed": (RunConfig, "seed", _parse_int),
 }

@@ -21,11 +21,6 @@ class ConfigParseError(ConfigurationError):
         super().__init__(prefix + message)
 
 
-# what evaluating a grid point may raise: a sweep flags the point's rows,
-# validate fails the check group
-_EVALUATION_ERRORS = (ValueError, ConfigurationError, OverflowError)
-
-
 class AccuracyError(Exception):
     """An adaptive routine failed to meet its tolerance; carries its best estimate."""
 
@@ -34,3 +29,9 @@ class AccuracyError(Exception):
         self.rel_error = rel_error
         super().__init__(f"{message} (best estimate {best_estimate!r}, "
                          f"estimated relative error {rel_error:.3e})")
+
+
+# what evaluating a grid point may raise: a sweep flags the point's rows,
+# validate fails the check group
+_EVALUATION_ERRORS = (ValueError, ConfigurationError, OverflowError,
+                      AccuracyError)

@@ -70,9 +70,7 @@ _TAIL_SHIFT = 0.8
 @dataclass(frozen=True)
 class MetricResult:
     value: float
-    method: str  # "quadrature" or "reference"
-    quadrature_order: Optional[int] = None
-    error_estimate: Optional[float] = None
+    error_estimate: Optional[float] = None  # set by the references
 
 
 def _require_random(ep: Endpoints, who: str) -> None:
@@ -186,7 +184,7 @@ def avg_secrecy_rate(ep: Endpoints, order: int = 24) -> MetricResult:
                       [1.0 / (_SQRT2 * ep.relay.sigma)]])
     prod = special.erfc((y - mu) * scale).prod(axis=0)
     value = (hi - lo) / order * float(prod @ special.expit(y)) / (8.0 * _LN2)
-    return MetricResult(value=value, method="quadrature", quadrature_order=order)
+    return MetricResult(value=value)
 
 
 def avg_secrecy_rate_reference(ep: Endpoints,
@@ -212,8 +210,7 @@ def avg_secrecy_rate_reference(ep: Endpoints,
     reach = 12.0 * _SQRT2 * max(ep.eve.sigma, ep.bob.sigma, ep.relay.sigma)
     est = adaptive_integrate(f, min(means) - reach, max(means) + reach,
                              rel_tol, means + (0.0,))
-    return MetricResult(value=est.value / _LN2, method="reference",
-                        error_estimate=est.rel_error)
+    return MetricResult(value=est.value / _LN2, error_estimate=est.rel_error)
 
 
 def _clamp_unit(value: float, what: str) -> float:
@@ -294,8 +291,7 @@ def secrecy_outage(ep: Endpoints, rs_target: float, order: int = 24) -> MetricRe
                 * special.erfc((lt - ep.relay.mu) / (_SQRT2 * ep.relay.sigma)))
     integral = (hi - lo) / order * float(survival @ np.exp(-0.5 * v * v))
     value = 1.0 - integral / (4.0 * _SQRT_2PI)
-    return MetricResult(value=_clamp_unit(value, "secrecy_outage"),
-                        method="quadrature", quadrature_order=order)
+    return MetricResult(value=_clamp_unit(value, "secrecy_outage"))
 
 
 def secrecy_outage_reference(ep: Endpoints, rs_target: float,
@@ -323,4 +319,4 @@ def secrecy_outage_reference(ep: Endpoints, rs_target: float,
     kinks = tuple((t - offset) / se for t in (floor, mb, mr))
     est = adaptive_integrate(f, -40.0, 40.0, rel_tol, kinks + (0.0,))
     return MetricResult(value=_clamp_unit(est.value, "secrecy_outage_reference"),
-                        method="reference", error_estimate=est.rel_error)
+                        error_estimate=est.rel_error)

@@ -130,8 +130,8 @@ def _point_rows(spec: SweepSpec, power: float, delta: float, n_eve: int,
         rows = []
         for metric, rs in keys:
             try:
-                res = (avg_secrecy_rate(ep, base.quadrature_order) if rs is None
-                       else secrecy_outage(ep, rs, base.quadrature_order))
+                res = (avg_secrecy_rate(ep) if rs is None
+                       else secrecy_outage(ep, rs))
                 rows.append(row(metric, rs, res.value))
             except _EVALUATION_ERRORS as exc:
                 rows.append(row(metric, rs, status=_err(exc)))
@@ -201,9 +201,9 @@ def preset_run_config(name: str) -> RunConfig:
     The two figure presets are one sweep of transmit power against
     self-interference attenuation and eavesdropper antenna count over the
     reference geometry (30 m line, relay centred, exponent 4, m = 2, 10 dB
-    shadowing, order 24).  Their eavesdropper is placed 10 m from both sources (-40 dB path gain,
-    5 dB shadowing) so her links scale with transmit power like every other
-    link.  The sanity preset is the fixed single point used for
+    shadowing).  Their eavesdropper is placed 10 m from both sources (-40 dB
+    path gain, 5 dB shadowing) so her links scale with transmit power like
+    every other link.  The sanity preset is the fixed single point used for
     cross-validation, with the eavesdropper given directly in nats.
     """
     if name in ("paper-fig2", "paper-fig3"):

@@ -21,10 +21,9 @@ from .montecarlo import mc_secrecy_metrics
 
 __all__ = ["CheckResult", "run_validation"]
 
-# At K = 24 the log-domain trapezoid estimators sit orders of magnitude
-# inside these gates (about 1e-7 relative for the rate, far below 1e-6
-# absolute for the outage); the gates catch a broken or under-ordered rule,
-# and order 2 fails the rate gate.  The rate deviation is measured
+# The log-domain trapezoid estimators sit orders of magnitude inside these
+# gates (about 1e-7 relative for the rate, far below 1e-6 absolute for the
+# outage); the gates catch a broken estimator.  The rate deviation is measured
 # relative to max(reference, 0.01 bits/s/Hz) so that negligible tail-regime
 # rates are judged on absolute error.
 _RATE_AGREEMENT_REL = 1e-2
@@ -68,46 +67,44 @@ def _check_quadrature_agreement(cfg: RunConfig) -> list[CheckResult]:
     worst_out = 0.0
     for ep in _probe_endpoints(cfg):
         ref = avg_secrecy_rate_reference(ep, 1e-9).value
-        q = avg_secrecy_rate(ep, cfg.quadrature_order).value
+        q = avg_secrecy_rate(ep).value
         worst_rate = max(worst_rate, abs(q - ref) / max(ref, _RATE_SCALE_FLOOR))
         for rs in cfg.rs_grid:
             oref = secrecy_outage_reference(ep, rs, 1e-10).value
-            oq = secrecy_outage(ep, rs, cfg.quadrature_order).value
+            oq = secrecy_outage(ep, rs).value
             worst_out = max(worst_out, abs(oq - oref))
     return [
         CheckResult("rate-quadrature-agreement",
                     worst_rate <= _RATE_AGREEMENT_REL, worst_rate,
-                    _RATE_AGREEMENT_REL,
-                    f"relative, order {cfg.quadrature_order}"),
+                    _RATE_AGREEMENT_REL, "relative"),
         CheckResult("outage-quadrature-agreement",
                     worst_out <= _OUTAGE_AGREEMENT_ABS, worst_out,
-                    _OUTAGE_AGREEMENT_ABS,
-                    f"absolute, order {cfg.quadrature_order}"),
+                    _OUTAGE_AGREEMENT_ABS, "absolute"),
     ]
 
 
-def _check_identities(cfg: RunConfig) -> list[CheckResult]:
+def _check_min_cdf(cfg: RunConfig) -> list[CheckResult]:
     ep = endpoints_for(cfg.network)
     worst = 0.0
     for z in (0.05, 0.5, 1.0, 5.0, 50.0, 5e3):
         fr = ep.relay.cdf(z)
         fb = ep.bob.cdf(z)
         worst = max(worst, abs(min_snr_cdf(ep, z) - (fr + fb - fr * fb)))
-    res = [CheckResult("min-cdf-identity", worst <= 1e-12, worst, 1e-12)]
+    return [CheckResult("min-cdf-identity", worst <= 1e-12, worst, 1e-12)]
 
-    worst_rt = 0.0
+
+def _check_cumulant_roundtrip(cfg: RunConfig) -> list[CheckResult]:
+    worst = 0.0
     for mu in (-8.0, -1.0, 0.0, 2.5, 9.0):
         for sigma in (0.1, 0.7, 1.6, 2.8):
-            rv = LogNormal(mu, sigma)
-            back = from_cumulants(cumulants(rv))
-            worst_rt = max(worst_rt, abs(back.mu - mu), abs(back.sigma - sigma))
-    res.append(CheckResult("cumulant-roundtrip", worst_rt <= 1e-12, worst_rt, 1e-12))
-    return res
+            back = from_cumulants(cumulants(LogNormal(mu, sigma)))
+            worst = max(worst, abs(back.mu - mu), abs(back.sigma - sigma))
+    return [CheckResult("cumulant-roundtrip", worst <= 1e-12, worst, 1e-12)]
 
 
 def _check_monotonicity(cfg: RunConfig) -> list[CheckResult]:
     ep = endpoints_for(cfg.network)
-    order = cfg.quadrature_order
+    rs = cfg.rs_grid[0]
     step = 0.25
     worst = 0.0
 
@@ -115,14 +112,14 @@ def _check_monotonicity(cfg: RunConfig) -> list[CheckResult]:
         rv = getattr(e, field)
         return replace(e, **{field: LogNormal(rv.mu + d, rv.sigma)})
 
-    rate0 = avg_secrecy_rate(ep, order).value
-    worst = max(worst, avg_secrecy_rate(bump(ep, "eve", step), order).value - rate0)
-    worst = max(worst, rate0 - avg_secrecy_rate(bump(ep, "bob", step), order).value)
-    worst = max(worst, rate0 - avg_secrecy_rate(bump(ep, "relay", step), order).value)
-    out0 = secrecy_outage(ep, cfg.rs_grid[0], order).value
-    worst = max(worst, out0 - secrecy_outage(bump(ep, "eve", step), cfg.rs_grid[0], order).value)
-    worst = max(worst, secrecy_outage(bump(ep, "bob", step), cfg.rs_grid[0], order).value - out0)
-    worst = max(worst, out0 - secrecy_outage(ep, cfg.rs_grid[0] + 0.5, order).value)
+    rate0 = avg_secrecy_rate(ep).value
+    worst = max(worst, avg_secrecy_rate(bump(ep, "eve", step)).value - rate0)
+    worst = max(worst, rate0 - avg_secrecy_rate(bump(ep, "bob", step)).value)
+    worst = max(worst, rate0 - avg_secrecy_rate(bump(ep, "relay", step)).value)
+    out0 = secrecy_outage(ep, rs).value
+    worst = max(worst, out0 - secrecy_outage(bump(ep, "eve", step), rs).value)
+    worst = max(worst, secrecy_outage(bump(ep, "bob", step), rs).value - out0)
+    worst = max(worst, out0 - secrecy_outage(ep, rs + 0.5).value)
     return [CheckResult("estimator-monotonicity", worst <= 1e-12, worst, 1e-12,
                         "worst wrong-direction step")]
 
@@ -162,7 +159,8 @@ def _check_endpoint_invariants(cfg: RunConfig) -> list[CheckResult]:
 
 _GROUPS = (
     ("quadrature-agreement", _check_quadrature_agreement),
-    ("identities", _check_identities),
+    ("min-cdf-identity", _check_min_cdf),
+    ("cumulant-roundtrip", _check_cumulant_roundtrip),
     ("estimator-monotonicity", _check_monotonicity),
     ("endpoint-invariants", _check_endpoint_invariants),
     ("mc-ln-agreement", _check_mc_agreement),

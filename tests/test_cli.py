@@ -1,4 +1,5 @@
 """CLI end-to-end: subcommands, exit codes, output formats."""
+import functools
 import os
 import subprocess
 import sys
@@ -7,11 +8,22 @@ from pathlib import Path
 import pytest
 
 import secrelay
+from secrelay import validate
 from secrelay.cli import main
-from secrelay.config import DEFAULT_CONFIG_TEXT
 
-FAST_VALIDATE_CONFIG = DEFAULT_CONFIG_TEXT.replace("samples = 100000",
-                                                   "samples = 20000")
+FAST_VALIDATE_CONFIG = "power_dbm = 40\nsamples = 20000\n"
+
+# the outage reference misses its tolerance at this network
+OUTAGE_REFERENCE_FAILS_CONFIG = """\
+shadow_sd_db = 4
+delta_db = -120
+power_dbm = 80, 100
+eve_mode = composite
+eve_mean_snr_db = -100
+eve_shadow_sd_db = 4
+rs_target = 0.5
+samples = 10000
+"""
 
 
 def test_rules_subcommand_is_gone(capsys):
@@ -138,16 +150,26 @@ def test_validate_default_config_passes(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(FAST_VALIDATE_CONFIG)
     code = main(["validate", "--config", str(cfg)])
-    out = capsys.readouterr().out
+    *checks, summary = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert "FAIL" not in out
-    assert "PASS" in out
+    assert [tuple(ln.split(":")[0].split()) for ln in checks] == [
+        ("PASS", "rate-quadrature-agreement"),
+        ("PASS", "outage-quadrature-agreement"),
+        ("PASS", "min-cdf-identity"),
+        ("PASS", "cumulant-roundtrip"),
+        ("PASS", "estimator-monotonicity"),
+        ("PASS", "endpoint-invariants"),
+        ("PASS", "mc-ln-rate-agreement"),
+        ("PASS", "mc-ln-outage-agreement"),
+    ]
+    assert summary == "8/8 checks passed"
 
 
-def test_validate_low_order_fails(tmp_path, capsys):
+def test_validate_low_order_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(validate, "avg_secrecy_rate",
+                        functools.partial(secrelay.avg_secrecy_rate, order=2))
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(FAST_VALIDATE_CONFIG.replace("quadrature_order = 24",
-                                                "quadrature_order = 2"))
+    cfg.write_text(FAST_VALIDATE_CONFIG)
     code = main(["validate", "--config", str(cfg)])
     out = capsys.readouterr().out
     assert code == 1
@@ -158,22 +180,22 @@ def test_validate_low_order_fails(tmp_path, capsys):
     assert measured > 1e-6
 
 
-@pytest.mark.parametrize("old, new, cause, report", [
-    ("eve_sigma = 0.76", "eve_sigma = 0",
-     "requires non-degenerate endpoints; eve has sigma = 0",
+@pytest.mark.parametrize("text, cause, report", [
+    (OUTAGE_REFERENCE_FAILS_CONFIG, "adaptive integration did not converge",
      [("FAIL", "quadrature-agreement"), ("PASS", "min-cdf-identity"),
-      ("PASS", "cumulant-roundtrip"), ("FAIL", "estimator-monotonicity"),
+      ("PASS", "cumulant-roundtrip"), ("PASS", "estimator-monotonicity"),
       ("PASS", "endpoint-invariants"), ("FAIL", "mc-ln-agreement")]),
-    ("power_dbm = 40", "power_dbm = 2000", "cumulants of LogNormal(",
-     [("FAIL", "quadrature-agreement"), ("FAIL", "identities"),
-      ("FAIL", "estimator-monotonicity"), ("FAIL", "endpoint-invariants"),
-      ("FAIL", "mc-ln-agreement")]),
-], ids=["point-mass-eve", "overflowing-power"])
-def test_validate_reports_evaluation_errors_as_fail_lines(tmp_path, capsys, old,
-                                                          new, cause, report):
+    (FAST_VALIDATE_CONFIG.replace("power_dbm = 40\n", "power_dbm = 2000\n"),
+     "cumulants of LogNormal(",
+     [("FAIL", "quadrature-agreement"), ("FAIL", "min-cdf-identity"),
+      ("PASS", "cumulant-roundtrip"), ("FAIL", "estimator-monotonicity"),
+      ("FAIL", "endpoint-invariants"), ("FAIL", "mc-ln-agreement")]),
+], ids=["outage-reference-fails", "overflowing-power"])
+def test_validate_reports_evaluation_errors_as_fail_lines(tmp_path, capsys, text,
+                                                          cause, report):
     # a check group that cannot be evaluated fails; the others still run
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(FAST_VALIDATE_CONFIG.replace(old + "\n", new + "\n"))
+    cfg.write_text(text)
     code = main(["validate", "--config", str(cfg)])
     captured = capsys.readouterr()
     assert code == 1
@@ -214,11 +236,11 @@ def test_reader_closing_after_one_line_ends_the_sweep_quietly(tmp_path):
     assert err == b""
 
 
-@pytest.mark.parametrize("order, status", [(24, 0), (2, 1)])
-def test_validate_into_a_closed_pipe_keeps_its_status(tmp_path, order, status):
+@pytest.mark.parametrize("power, status", [(40, 0), (2000, 1)])
+def test_validate_into_a_closed_pipe_keeps_its_status(tmp_path, power, status):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(FAST_VALIDATE_CONFIG.replace("quadrature_order = 24",
-                                                f"quadrature_order = {order}"))
+    cfg.write_text(FAST_VALIDATE_CONFIG.replace("power_dbm = 40\n",
+                                                f"power_dbm = {power}\n"))
     with _spawn(["validate", "--config", str(cfg)]) as proc:
         proc.stdout.close()  # gone before the checks finish and print
         err = proc.stderr.read()

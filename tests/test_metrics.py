@@ -8,15 +8,15 @@ form (paper_forms.paper_rate) converges slowly, and its measured envelope is
 pinned as such.
 """
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paper_forms import cdf_form_rate, paper_outage, paper_rate
-from secrelay import (ConfigurationError, Endpoints, LogNormal, SystemConfig,
-                      avg_secrecy_rate, avg_secrecy_rate_reference,
+from secrelay import (ConfigurationError, Endpoints, LogNormal, MetricResult,
+                      SystemConfig, avg_secrecy_rate, avg_secrecy_rate_reference,
                       endpoints_for, metrics, min_snr_cdf, preset_run_config,
                       secrecy_outage, secrecy_outage_reference)
 
@@ -96,10 +96,9 @@ class TestAvgSecrecyRate:
         assert paper_rate(ep, 48) == pytest.approx(ref, rel=1e-4)
 
     def test_result_metadata(self):
-        res = avg_secrecy_rate(SANITY_EP, 24)
-        assert res.method == "quadrature" and res.quadrature_order == 24
+        assert [f.name for f in fields(MetricResult)] == ["value", "error_estimate"]
         ref = avg_secrecy_rate_reference(SANITY_EP, 1e-9)
-        assert ref.method == "reference" and ref.error_estimate <= 1e-9
+        assert ref.error_estimate <= 1e-9
 
     def test_reference_handles_vanishing_rate(self):
         # the rate is about 2.6e-118; the erfc product has no 1 - F_min

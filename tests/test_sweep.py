@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from secrelay import (ConfigurationError, EveDirect, RunConfig, SweepSpec,
-                      SystemConfig, montecarlo, run_sweep, sweep)
+from secrelay import (ConfigurationError, RunConfig, SweepSpec, SystemConfig,
+                      montecarlo, run_sweep, sweep)
 from secrelay.sweep import CSV_HEADER, preset_run_config, sweep_rows
 
 
@@ -101,10 +101,9 @@ def test_outage_rows_monotone_in_target():
 
 
 def test_metric_errors_flagged_not_fatal():
-    # a degenerate eavesdropper breaks the analytic rate; the row is flagged
-    bad = RunConfig(power_grid_dbm=(40.0,), delta_grid_db=(-80.0,),
-                    n_eve_grid=(1,),
-                    network=SystemConfig(eve_spec=EveDirect(0.2, 0.0)))
+    # an overflowing link budget breaks the analytic rate; the row is flagged
+    bad = RunConfig(power_grid_dbm=(2000.0,), delta_grid_db=(-80.0,),
+                    n_eve_grid=(1,))
     rows = sweep_rows(SweepSpec(base=bad, metrics=("rate",),
                                 methods=("analytic",)))
     assert len(rows) == 1
@@ -121,9 +120,8 @@ def test_grid_size_cap():
 
 # built inside the test: a bad network raises as soon as it is constructed
 @pytest.mark.parametrize("bad", [lambda: dict(network=SystemConfig(d_ab_m=-1.0)),
-                                 lambda: dict(quadrature_order=0),
                                  lambda: dict(n_eve_grid=())],
-                         ids=["negative-distance", "order-0", "empty-grid"])
+                         ids=["negative-distance", "empty-grid"])
 def test_bad_run_config_raises_at_construction(bad):
     with pytest.raises(ConfigurationError):
         small_run_config(**bad())
@@ -169,7 +167,6 @@ def test_preset_fig2_shape():
     assert cfg.power_grid_dbm[0] == 10.0 and cfg.power_grid_dbm[-1] == 75.0
     assert set(cfg.delta_grid_db) == {-70.0, -80.0, -90.0}
     assert set(cfg.n_eve_grid) == {2, 4, 8}
-    assert cfg.quadrature_order == 24
 
 
 def counting(monkeypatch, module, name):
