@@ -32,6 +32,6 @@ class AccuracyError(Exception):
 
 
 # what evaluating a grid point may raise: a sweep flags the point's rows,
-# validate fails the check group
+# validate fails the check
 _EVALUATION_ERRORS = (ValueError, ConfigurationError, OverflowError,
                       AccuracyError)

@@ -7,6 +7,11 @@ Its relative-tolerance range, [1e-12, 1e-4], is the one both references
 accept, and a call that misses its tolerance raises: it never hands back a
 best estimate as if it were a result.
 
+QUADPACK (``scipy.integrate``, which pulls in ``scipy.optimize``, ``linalg``
+and ``sparse``) is imported on the first reference call, not with the
+package: no sweep method integrates adaptively, so a sweep loads only numpy
+and ``scipy.special``.
+
 Everything here is a pure function of its inputs, so concurrent use is safe.
 """
 from __future__ import annotations
@@ -15,7 +20,6 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import AccuracyError, ConfigurationError
 
@@ -57,6 +61,7 @@ def adaptive_integrate(f: Callable[[float], float], a: float, b: float,
             f"rel_tol must lie in [{_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}], got {rel_tol!r}")
     if not math.isfinite(a):
         raise ValueError(f"lower limit must be finite, got {a!r}")
+    from scipy import integrate  # QUADPACK: loaded on the first reference call
     out = integrate.quad(f, a, b, epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=400,
                          points=points or None, full_output=1)
     value, abserr = out[0], out[1]

@@ -3,11 +3,14 @@
 Each check compares an implementation route against an independent one
 (quadrature vs adaptive reference, closed forms vs identities, analytic vs
 Monte-Carlo) and reports its measured deviation against a tolerance.  A
-check group that cannot be evaluated at the configured network fails with
-the error that stopped it, and the remaining groups still run.
+check that cannot be evaluated at the configured network fails with the
+error that stopped it, and the remaining checks still run.  The rate and
+outage checks share their probe endpoints and one Monte-Carlo pass; an
+error in a shared input fails every check that uses it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -30,6 +33,9 @@ _RATE_AGREEMENT_REL = 1e-2
 _RATE_SCALE_FLOOR = 1e-2
 _OUTAGE_AGREEMENT_ABS = 1e-6
 _MC_SIGMAS = 4.0
+
+# what a check returns: passed, measured, tolerance, detail
+Outcome = tuple[bool, float, float, str]
 
 
 @dataclass(frozen=True)
@@ -62,47 +68,45 @@ def _probe_endpoints(cfg: RunConfig):
     return probes
 
 
-def _check_quadrature_agreement(cfg: RunConfig) -> list[CheckResult]:
-    worst_rate = 0.0
-    worst_out = 0.0
-    for ep in _probe_endpoints(cfg):
+def _check_rate_quadrature(cfg: RunConfig, shared) -> Outcome:
+    worst = 0.0
+    for ep in shared(_probe_endpoints):
         ref = avg_secrecy_rate_reference(ep, 1e-9).value
         q = avg_secrecy_rate(ep).value
-        worst_rate = max(worst_rate, abs(q - ref) / max(ref, _RATE_SCALE_FLOOR))
+        worst = max(worst, abs(q - ref) / max(ref, _RATE_SCALE_FLOOR))
+    return worst <= _RATE_AGREEMENT_REL, worst, _RATE_AGREEMENT_REL, "relative"
+
+
+def _check_outage_quadrature(cfg: RunConfig, shared) -> Outcome:
+    worst = 0.0
+    for ep in shared(_probe_endpoints):
         for rs in cfg.rs_grid:
-            oref = secrecy_outage_reference(ep, rs, 1e-10).value
-            oq = secrecy_outage(ep, rs).value
-            worst_out = max(worst_out, abs(oq - oref))
-    return [
-        CheckResult("rate-quadrature-agreement",
-                    worst_rate <= _RATE_AGREEMENT_REL, worst_rate,
-                    _RATE_AGREEMENT_REL, "relative"),
-        CheckResult("outage-quadrature-agreement",
-                    worst_out <= _OUTAGE_AGREEMENT_ABS, worst_out,
-                    _OUTAGE_AGREEMENT_ABS, "absolute"),
-    ]
+            ref = secrecy_outage_reference(ep, rs, 1e-10).value
+            q = secrecy_outage(ep, rs).value
+            worst = max(worst, abs(q - ref))
+    return worst <= _OUTAGE_AGREEMENT_ABS, worst, _OUTAGE_AGREEMENT_ABS, "absolute"
 
 
-def _check_min_cdf(cfg: RunConfig) -> list[CheckResult]:
+def _check_min_cdf(cfg: RunConfig, shared) -> Outcome:
     ep = endpoints_for(cfg.network)
     worst = 0.0
     for z in (0.05, 0.5, 1.0, 5.0, 50.0, 5e3):
         fr = ep.relay.cdf(z)
         fb = ep.bob.cdf(z)
         worst = max(worst, abs(min_snr_cdf(ep, z) - (fr + fb - fr * fb)))
-    return [CheckResult("min-cdf-identity", worst <= 1e-12, worst, 1e-12)]
+    return worst <= 1e-12, worst, 1e-12, ""
 
 
-def _check_cumulant_roundtrip(cfg: RunConfig) -> list[CheckResult]:
+def _check_cumulant_roundtrip(cfg: RunConfig, shared) -> Outcome:
     worst = 0.0
     for mu in (-8.0, -1.0, 0.0, 2.5, 9.0):
         for sigma in (0.1, 0.7, 1.6, 2.8):
             back = from_cumulants(cumulants(LogNormal(mu, sigma)))
             worst = max(worst, abs(back.mu - mu), abs(back.sigma - sigma))
-    return [CheckResult("cumulant-roundtrip", worst <= 1e-12, worst, 1e-12)]
+    return worst <= 1e-12, worst, 1e-12, ""
 
 
-def _check_monotonicity(cfg: RunConfig) -> list[CheckResult]:
+def _check_monotonicity(cfg: RunConfig, shared) -> Outcome:
     ep = endpoints_for(cfg.network)
     rs = cfg.rs_grid[0]
     step = 0.25
@@ -120,30 +124,10 @@ def _check_monotonicity(cfg: RunConfig) -> list[CheckResult]:
     worst = max(worst, out0 - secrecy_outage(bump(ep, "eve", step), rs).value)
     worst = max(worst, secrecy_outage(bump(ep, "bob", step), rs).value - out0)
     worst = max(worst, out0 - secrecy_outage(ep, rs + 0.5).value)
-    return [CheckResult("estimator-monotonicity", worst <= 1e-12, worst, 1e-12,
-                        "worst wrong-direction step")]
+    return worst <= 1e-12, worst, 1e-12, "worst wrong-direction step"
 
 
-def _check_mc_agreement(cfg: RunConfig) -> list[CheckResult]:
-    ep = endpoints_for(cfg.network)
-    n = max(cfg.samples, 10_000)
-    rs = cfg.rs_grid[0]
-    est, (oest,) = mc_secrecy_metrics(cfg.network, [rs], "ln_fit", n, cfg.seed)
-    rate_ref = avg_secrecy_rate_reference(ep, 1e-9).value
-    rate_dev = abs(est.mean - rate_ref) / est.std_error if est.std_error > 0 else 0.0
-
-    out_ref = secrecy_outage_reference(ep, rs, 1e-10).value
-    out_dev = (abs(oest.mean - out_ref) / oest.std_error
-               if oest.std_error > 0 else 0.0)
-    return [
-        CheckResult("mc-ln-rate-agreement", rate_dev <= _MC_SIGMAS, rate_dev,
-                    _MC_SIGMAS, f"standard errors at n={n}"),
-        CheckResult("mc-ln-outage-agreement", out_dev <= _MC_SIGMAS, out_dev,
-                    _MC_SIGMAS, f"standard errors at n={n}"),
-    ]
-
-
-def _check_endpoint_invariants(cfg: RunConfig) -> list[CheckResult]:
+def _check_endpoint_invariants(cfg: RunConfig, shared) -> Outcome:
     base = cfg.network
     ep = endpoints_for(base)
     worse_si = endpoints_for(replace(base, delta_db=base.delta_db + 5.0))
@@ -153,26 +137,58 @@ def _check_endpoint_invariants(cfg: RunConfig) -> list[CheckResult]:
     k1_ratio = cumulants(more_antennas.eve).k1 / cumulants(ep.eve).k1
     ok = ok and abs(k1_ratio - 2.0) < 1e-9
     measured = abs(k1_ratio - 2.0)
-    return [CheckResult("endpoint-invariants", ok, measured, 1e-9,
-                        "self-interference isolation and antenna scaling")]
+    return ok, measured, 1e-9, "self-interference isolation and antenna scaling"
 
 
-_GROUPS = (
-    ("quadrature-agreement", _check_quadrature_agreement),
+def _mc_pass(cfg: RunConfig):
+    """The one Monte-Carlo pass both MC checks use, and its endpoints."""
+    ep = endpoints_for(cfg.network)
+    n = max(cfg.samples, 10_000)
+    rate, (outage,) = mc_secrecy_metrics(cfg.network, [cfg.rs_grid[0]], "ln_fit",
+                                         n, cfg.seed)
+    return ep, n, rate, outage
+
+
+def _mc_deviation(est, ref: float) -> float:
+    return abs(est.mean - ref) / est.std_error if est.std_error > 0 else 0.0
+
+
+def _check_mc_rate(cfg: RunConfig, shared) -> Outcome:
+    ep, n, est, _ = shared(_mc_pass)
+    ref = avg_secrecy_rate_reference(ep, 1e-9).value
+    dev = _mc_deviation(est, ref)
+    return dev <= _MC_SIGMAS, dev, _MC_SIGMAS, f"standard errors at n={n}"
+
+
+def _check_mc_outage(cfg: RunConfig, shared) -> Outcome:
+    ep, n, _, est = shared(_mc_pass)
+    ref = secrecy_outage_reference(ep, cfg.rs_grid[0], 1e-10).value
+    dev = _mc_deviation(est, ref)
+    return dev <= _MC_SIGMAS, dev, _MC_SIGMAS, f"standard errors at n={n}"
+
+
+_CHECKS = (
+    ("rate-quadrature-agreement", _check_rate_quadrature),
+    ("outage-quadrature-agreement", _check_outage_quadrature),
     ("min-cdf-identity", _check_min_cdf),
     ("cumulant-roundtrip", _check_cumulant_roundtrip),
     ("estimator-monotonicity", _check_monotonicity),
     ("endpoint-invariants", _check_endpoint_invariants),
-    ("mc-ln-agreement", _check_mc_agreement),
+    ("mc-ln-rate-agreement", _check_mc_rate),
+    ("mc-ln-outage-agreement", _check_mc_outage),
 )
 
 
 def run_validation(cfg: RunConfig) -> list[CheckResult]:
     """Run every check; callers decide how to report them."""
-    checks: list[CheckResult] = []
-    for name, group in _GROUPS:
+    # an input two checks use is computed once per run; one that raises is
+    # not cached, so each check that asks for it fails with the same error
+    # (the probes and the MC pass raise in the endpoint fit, before sampling)
+    shared = functools.cache(lambda compute: compute(cfg))
+    checks = []
+    for name, check in _CHECKS:
         try:
-            checks += group(cfg)
+            checks.append(CheckResult(name, *check(cfg, shared)))
         except _EVALUATION_ERRORS as exc:
             checks.append(CheckResult(name, False, math.nan, math.nan,
                                       f"error: {exc}"))

@@ -181,19 +181,24 @@ def test_validate_low_order_fails(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("text, cause, report", [
+    # only the outage reference fails: the rate checks still pass
     (OUTAGE_REFERENCE_FAILS_CONFIG, "adaptive integration did not converge",
-     [("FAIL", "quadrature-agreement"), ("PASS", "min-cdf-identity"),
-      ("PASS", "cumulant-roundtrip"), ("PASS", "estimator-monotonicity"),
-      ("PASS", "endpoint-invariants"), ("FAIL", "mc-ln-agreement")]),
+     [("PASS", "rate-quadrature-agreement"),
+      ("FAIL", "outage-quadrature-agreement"),
+      ("PASS", "min-cdf-identity"), ("PASS", "cumulant-roundtrip"),
+      ("PASS", "estimator-monotonicity"), ("PASS", "endpoint-invariants"),
+      ("PASS", "mc-ln-rate-agreement"), ("FAIL", "mc-ln-outage-agreement")]),
     (FAST_VALIDATE_CONFIG.replace("power_dbm = 40\n", "power_dbm = 2000\n"),
      "cumulants of LogNormal(",
-     [("FAIL", "quadrature-agreement"), ("FAIL", "min-cdf-identity"),
-      ("PASS", "cumulant-roundtrip"), ("FAIL", "estimator-monotonicity"),
-      ("FAIL", "endpoint-invariants"), ("FAIL", "mc-ln-agreement")]),
+     [("FAIL", "rate-quadrature-agreement"),
+      ("FAIL", "outage-quadrature-agreement"),
+      ("FAIL", "min-cdf-identity"), ("PASS", "cumulant-roundtrip"),
+      ("FAIL", "estimator-monotonicity"), ("FAIL", "endpoint-invariants"),
+      ("FAIL", "mc-ln-rate-agreement"), ("FAIL", "mc-ln-outage-agreement")]),
 ], ids=["outage-reference-fails", "overflowing-power"])
 def test_validate_reports_evaluation_errors_as_fail_lines(tmp_path, capsys, text,
                                                           cause, report):
-    # a check group that cannot be evaluated fails; the others still run
+    # a check that cannot be evaluated fails; the others still run
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(text)
     code = main(["validate", "--config", str(cfg)])
@@ -234,6 +239,16 @@ def test_reader_closing_after_one_line_ends_the_sweep_quietly(tmp_path):
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+def test_validate_in_a_cold_process_loads_quadpack_itself(tmp_path):
+    # the reference integrator imports QUADPACK on its first call
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_VALIDATE_CONFIG)
+    with _spawn(["validate", "--config", str(cfg)]) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err.decode()
+    assert out.decode().splitlines()[-1] == "8/8 checks passed"
 
 
 @pytest.mark.parametrize("power, status", [(40, 0), (2000, 1)])

@@ -1,10 +1,16 @@
 """The paper's quadrature tables (tests/paper_forms.py) and the adaptive
 reference integrator."""
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import secrelay
 from paper_forms import gauss_hermite_rule, gauss_laguerre_rule
 from secrelay import AccuracyError, ConfigurationError, adaptive_integrate
 
@@ -199,3 +205,28 @@ class TestAdaptiveIntegrate:
         with pytest.raises(AccuracyError) as err:
             adaptive_integrate(spiky, 0.0, 1.0, 1e-12)
         assert math.isfinite(err.value.best_estimate)
+
+
+# run in a fresh interpreter, whose sys.modules no other test has touched
+IMPORT_GRAPH_CHILD = textwrap.dedent("""
+    import sys
+    import secrelay as sr
+
+    cfg = sr.preset_run_config("sanity").with_overrides(samples=1000)
+    spec = sr.SweepSpec(base=cfg, metrics=("rate", "outage"),
+                        methods=("analytic", "mc-ln", "mc-composite"))
+    rows = sr.sweep.sweep_rows(spec)
+    assert len(rows) == 6 and all(r.status == "ok" for r in rows), rows
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+    loaded = [m for m in heavy if m in sys.modules]
+    assert not loaded, f"a sweep loaded {loaded}"
+    sr.avg_secrecy_rate_reference(sr.endpoints_for(cfg.network), 1e-9)
+    assert "scipy.integrate" in sys.modules
+""")
+
+
+def test_sweeps_leave_quadpack_unloaded_until_a_reference_call():
+    env = dict(os.environ, PYTHONPATH=str(Path(secrelay.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_CHILD],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
