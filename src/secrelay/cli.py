@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, help="Monte-Carlo sample count")
         p.add_argument("--seed", type=int, help="Monte-Carlo base seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker threads over grid points")
+                       help="worker threads over grid points (1 to 64)")
 
     val = sub.add_parser("validate", help="run the self-validation checks")
     val.add_argument("--config", required=True)

@@ -9,11 +9,10 @@ everywhere, so degenerate limits remain testable.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
-
-from scipy import special
 
 __all__ = [
     "DB_TO_NAT",
@@ -96,6 +95,18 @@ class CompositeLink:
             raise ValueError(f"mean SNR must be finite, got {self.mean_snr_db!r}")
 
 
+@functools.lru_cache(maxsize=64)
+def _gamma_log_moments(m: float) -> tuple[float, float]:
+    """Mean psi(m) - ln(m) and variance zeta(2, m) of ln G, G ~ Gamma(m, 1/m).
+
+    A network has a handful of distinct shapes, so each is computed once;
+    scipy.special is imported here, on the first fit, not with the package.
+    """
+    from scipy import special
+    return (float(special.digamma(m)) - math.log(m),
+            float(special.zeta(2.0, m)))
+
+
 def from_composite(link: CompositeLink) -> LogNormal:
     """Fit a single log-normal to a Gamma(m) x log-normal composite SNR.
 
@@ -103,9 +114,9 @@ def from_composite(link: CompositeLink) -> LogNormal:
     mean contributes psi(m) - ln(m) to the mean of ln(SNR) and zeta(2, m) to
     its variance; shadowing contributes its dB moments converted to nats.
     """
-    mu = (float(special.digamma(link.m)) - math.log(link.m)
-          + DB_TO_NAT * link.mean_snr_db)
-    var = float(special.zeta(2.0, link.m)) + (DB_TO_NAT * link.shadow_sd_db) ** 2
+    gamma_mean, gamma_var = _gamma_log_moments(float(link.m))
+    mu = gamma_mean + DB_TO_NAT * link.mean_snr_db
+    var = gamma_var + (DB_TO_NAT * link.shadow_sd_db) ** 2
     return LogNormal(mu, math.sqrt(var))
 
 

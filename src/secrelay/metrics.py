@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .channel import Endpoints
 from .numerics import _check_order, adaptive_integrate
@@ -173,6 +172,8 @@ def avg_secrecy_rate(ep: Endpoints, order: int = 24) -> MetricResult:
     takes `order` equally spaced nodes at the cell midpoints of the window
     from _rate_window.
     """
+    from scipy import special  # loaded on the first closed-form call
+
     _require_random(ep, "avg_secrecy_rate")
     cells, depth_scale = _trapezoid_cells(order)  # validates the order range
     lo, hi = _rate_window(ep, _RATE_WINDOW_NATS * depth_scale)
@@ -281,6 +282,8 @@ def secrecy_outage(ep: Endpoints, rs_target: float, order: int = 24) -> MetricRe
     trapezoid rule in v takes `order` equally spaced nodes at the cell
     midpoints of the window from _outage_window.
     """
+    from scipy import special  # loaded on the first closed-form call
+
     _require_random(ep, "secrecy_outage")
     floor, offset = _log_threshold(rs_target, ep.eve.mu)
     cells, depth_scale = _trapezoid_cells(order)  # validates the order range

@@ -16,6 +16,10 @@ seed, and samples are reduced sequentially in fixed-size blocks, so results
 are bit-identical for a given (config, mode, n, seed) regardless of how many
 sweep workers run concurrently.  ``mc_secrecy_metrics`` is the one estimator:
 it reduces one sample set into the rate and every outage target.
+
+Each call draws its blocks into buffers it allocates once, so a yielded
+block of rates is a view that the next block overwrites.  The buffers are
+local to the call, never shared between sweep worker threads.
 """
 from __future__ import annotations
 
@@ -52,6 +56,25 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & (2 ** 128 - 1)))
 
 
+def _draw_composite(link: CompositeLink, rng: np.random.Generator,
+                    out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with SNR samples G * S of a composite link, in place.
+
+    ``scratch`` is a work array of the same shape.  The draws and the
+    arithmetic are those of rng.gamma(m, 1/m) * exp(xi * (mean + sd * z)),
+    so the samples are bit-identical to that expression on the same stream.
+    """
+    rng.standard_gamma(link.m, out=out)
+    out *= 1.0 / link.m
+    rng.standard_normal(out=scratch)
+    scratch *= link.shadow_sd_db
+    scratch += link.mean_snr_db
+    scratch *= DB_TO_NAT
+    np.exp(scratch, out=scratch)
+    out *= scratch
+    return out
+
+
 def sample_composite_snr(link: CompositeLink, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     """Draw ``size`` SNR samples G * S from a composite link.
@@ -59,15 +82,17 @@ def sample_composite_snr(link: CompositeLink, rng: np.random.Generator,
     G is Gamma(shape m, scale 1/m), i.e. mean-normalised Nakagami-m squared
     envelope; S is the log-normal shadowing with the link's dB mean and sd.
     """
-    g = rng.gamma(link.m, 1.0 / link.m, size)
-    db = link.mean_snr_db + link.shadow_sd_db * rng.standard_normal(size)
-    return g * np.exp(DB_TO_NAT * db)
+    return _draw_composite(link, rng, np.empty(size), np.empty(size))
 
 
-def _sample_eve_per_antenna(spec, rng: np.random.Generator, n: int) -> np.ndarray:
+def _draw_eve_per_antenna(spec, rng: np.random.Generator, out: np.ndarray,
+                          scratch: np.ndarray) -> np.ndarray:
     if isinstance(spec, EveDirect):
-        return np.exp(spec.mu + spec.sigma * rng.standard_normal(n))
-    return sample_composite_snr(spec, rng, n)
+        rng.standard_normal(out=out)
+        out *= spec.sigma
+        out += spec.mu
+        return np.exp(out, out=out)
+    return _draw_composite(spec, rng, out, scratch)
 
 
 def _check_samples(n: int) -> int:
@@ -79,35 +104,56 @@ def _check_samples(n: int) -> int:
     return int(n)
 
 
+def _secrecy_rates(main: np.ndarray, eve: np.ndarray) -> np.ndarray:
+    """max(log2(1 + main) - log2(1 + eve), 0), computed in place in both."""
+    main += 1.0
+    eve += 1.0
+    np.log2(main, out=main)
+    np.log2(eve, out=eve)
+    main -= eve
+    return np.maximum(main, 0.0, out=main)
+
+
 def _iter_rate_blocks(cfg: SystemConfig, mode: str, n: int, seed: int):
-    """Yield per-block arrays of instantaneous secrecy rates (bits/s/Hz)."""
+    """Yield per-block arrays of instantaneous secrecy rates (bits/s/Hz).
+
+    Each block is drawn into buffers allocated once per call, so a yielded
+    block is a view that the next block overwrites: reduce it (or copy it)
+    before advancing the generator.  The buffers are local to the call, so
+    concurrent calls from sweep workers share nothing.
+    """
     rng = _rng_for(seed)
+    size = min(_BLOCK, n)
     if mode == "ln_fit":
         ep = endpoints_for(cfg)
+        buf = np.empty(3 * size)
         done = 0
         while done < n:
             b = min(_BLOCK, n - done)
-            z = rng.standard_normal((3, b))
-            g_relay = np.exp(ep.relay.mu + ep.relay.sigma * z[0])
-            g_bob = np.exp(ep.bob.mu + ep.bob.sigma * z[1])
-            g_eve = np.exp(ep.eve.mu + ep.eve.sigma * z[2])
-            yield np.maximum(np.log2(1.0 + np.minimum(g_relay, g_bob))
-                             - np.log2(1.0 + g_eve), 0.0)
+            z = buf[:3 * b].reshape(3, b)  # C-contiguous: drawn row by row
+            rng.standard_normal(out=z)
+            for row, fit in zip(z, (ep.relay, ep.bob, ep.eve)):
+                row *= fit.sigma
+                row += fit.mu
+            np.exp(z, out=z)
+            relay, bob, eve = z
+            yield _secrecy_rates(np.minimum(relay, bob, out=relay), eve)
             done += b
     elif mode == "composite":
         budget = link_budget(cfg)
+        bufs = np.empty((5, size))
         done = 0
         while done < n:
             b = min(_BLOCK, n - done)
-            g_ar = sample_composite_snr(budget.ar, rng, b)
-            g_rr = sample_composite_snr(budget.rr, rng, b)
-            g_ab = sample_composite_snr(budget.ab, rng, b)
-            g_rb = sample_composite_snr(budget.rb, rng, b)
-            g_eve = np.zeros(b)
+            relay, bob, eve, tmp, scratch = bufs[:, :b]  # contiguous rows
+            _draw_composite(budget.ar, rng, relay, scratch)
+            relay /= _draw_composite(budget.rr, rng, tmp, scratch)
+            _draw_composite(budget.ab, rng, bob, scratch)
+            bob += _draw_composite(budget.rb, rng, tmp, scratch)
+            eve.fill(0.0)
             for _ in range(2 * cfg.n_eve):  # both sources, every antenna
-                g_eve += _sample_eve_per_antenna(budget.eve, rng, b)
-            yield np.maximum(np.log2(1.0 + np.minimum(g_ar / g_rr, g_ab + g_rb))
-                             - np.log2(1.0 + g_eve), 0.0)
+                eve += _draw_eve_per_antenna(budget.eve, rng, tmp, scratch)
+            yield _secrecy_rates(np.minimum(relay, bob, out=relay), eve)
             done += b
     else:
         raise ValueError(f"unknown Monte-Carlo mode {mode!r}")

@@ -9,8 +9,10 @@ best estimate as if it were a result.
 
 QUADPACK (``scipy.integrate``, which pulls in ``scipy.optimize``, ``linalg``
 and ``sparse``) is imported on the first reference call, not with the
-package: no sweep method integrates adaptively, so a sweep loads only numpy
-and ``scipy.special``.
+package: no sweep method integrates adaptively.  ``scipy.special`` is
+likewise imported on the first closed-form call or endpoint fit, so an
+``mc-composite`` sweep loads numpy alone, and the analytic and ``mc-ln``
+sweeps add ``scipy.special``.
 
 Everything here is a pure function of its inputs, so concurrent use is safe.
 """

@@ -29,6 +29,7 @@ METRICS = ("rate", "outage")
 METHODS = ("analytic", "mc-ln", "mc-composite")
 _MODE_OF = {"mc-ln": "ln_fit", "mc-composite": "composite"}
 _SEED_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio step decorrelates point streams
+MAX_WORKERS = 64  # the pool starts up to this many OS threads
 
 
 @dataclass(frozen=True)
@@ -153,9 +154,14 @@ def _err(exc: Exception) -> str:
 
 
 def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
-    """Evaluate every grid point; rows come back sorted by their keys."""
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
+    """Evaluate every grid point; rows come back sorted by their keys.
+
+    ``workers`` threads (1 to MAX_WORKERS) share the points; it is checked
+    before any thread starts.
+    """
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ConfigurationError(
+            f"workers must be in [1, {MAX_WORKERS}], got {workers!r}")
     points = [(power, delta, n_eve, method)
               for power in sorted(spec.base.power_grid_dbm)
               for delta in sorted(spec.base.delta_grid_db)

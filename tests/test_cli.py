@@ -101,6 +101,16 @@ def test_sweep_same_bytes_for_workers(tmp_path):
     assert out1.read_bytes() == out4.read_bytes()
 
 
+def test_too_many_workers_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["rate-sweep", "--preset", "sanity", "--output", str(out),
+                 "--method", "mc-composite", "--workers", "65"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: workers must be in [1, 64], got 65\n")
+    assert not out.exists()
+
+
 def test_sweep_preset_runs(tmp_path):
     out = tmp_path / "fig2.csv"
     code = main(["rate-sweep", "--preset", "paper-fig2", "--output", str(out)])

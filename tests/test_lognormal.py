@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from secrelay import (CompositeLink, Cumulants, LogNormal, cumulants,
                       from_composite, from_cumulants, ratio, sum_lognormals)
-from secrelay.lognormal import DB_TO_NAT
+from secrelay.lognormal import DB_TO_NAT, _gamma_log_moments
 
 XI = DB_TO_NAT
 EULER = 0.5772156649015329
@@ -285,6 +286,18 @@ class TestCompositeLogMoments:
         # psi(m + 1) = psi(m) + 1/m and zeta(2, m) = zeta(2, m + 1) + 1/m^2
         assert b.mu - a.mu == pytest.approx(1.0 / m - math.log1p(1.0 / m), abs=1e-11)
         assert a.sigma ** 2 - b.sigma ** 2 == pytest.approx(1.0 / m ** 2, abs=1e-11)
+        # one cache entry per distinct shape, and never more than its bound
+        info = _gamma_log_moments.cache_info()
+        assert info.maxsize == 64 and info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.7, 50.0])
+    def test_cached_moments_give_the_direct_fit_bitwise(self, m):
+        rv = from_composite(CompositeLink(m, -7.0, 6.0))
+        mean = float(special.digamma(m)) - math.log(m) + XI * -7.0
+        var = float(special.zeta(2.0, m)) + (XI * 6.0) ** 2
+        assert (rv.mu, rv.sigma) == (mean, math.sqrt(var))
+        # a repeat fit is served from the cache and is the same fit
+        assert from_composite(CompositeLink(m, -7.0, 6.0)) == rv
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_domain(self, bad):

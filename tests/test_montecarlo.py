@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from secrelay import (CompositeLink, ConfigurationError, EveComposite,
-                      McEstimate, SystemConfig, avg_secrecy_rate_reference,
-                      endpoints_for, mc_secrecy_metrics, sample_composite_snr,
+                      EveDirect, McEstimate, SystemConfig,
+                      avg_secrecy_rate_reference, endpoints_for, link_budget,
+                      mc_secrecy_metrics, sample_composite_snr,
                       secrecy_outage_reference)
 from secrelay import montecarlo
 from secrelay.lognormal import DB_TO_NAT
@@ -44,6 +45,12 @@ class TestCompositeSampler:
         assert var == pytest.approx(1.9704085944678265, abs=3 * se)
         assert logs.mean() == pytest.approx(
             -0.27036284546147815 + XI * -10.0, abs=3 * logs.std() / math.sqrt(n))
+
+    @pytest.mark.parametrize("m", [0.5, 2.0, 3.7])
+    def test_bit_identical_to_allocating_formula(self, m):
+        link = CompositeLink(m, -7.0, 6.0)
+        got = sample_composite_snr(link, rng_of(5), 3000)
+        assert got.tobytes() == allocating_composite(link, rng_of(5), 3000).tobytes()
 
 
 class TestDeterminism:
@@ -173,6 +180,47 @@ def two_pass_reference(cfg, targets, mode, n, seed):
     return rate, outages
 
 
+def allocating_composite(link, rng, b):
+    """A composite link's samples as one allocating expression per step."""
+    g = rng.gamma(link.m, 1.0 / link.m, b)
+    db = link.mean_snr_db + link.shadow_sd_db * rng.standard_normal(b)
+    return g * np.exp(XI * db)
+
+
+def allocating_blocks(cfg, mode, n, seed):
+    """The per-block secrecy rates from allocating formulas on a twin stream."""
+    rng = rng_of(seed)
+    block = montecarlo._BLOCK
+    for done in range(0, n, block):
+        b = min(block, n - done)
+        if mode == "ln_fit":
+            ep = endpoints_for(cfg)
+            z = rng.standard_normal((3, b))
+            main = np.minimum(np.exp(ep.relay.mu + ep.relay.sigma * z[0]),
+                              np.exp(ep.bob.mu + ep.bob.sigma * z[1]))
+            eve = np.exp(ep.eve.mu + ep.eve.sigma * z[2])
+        else:
+            budget = link_budget(cfg)
+            g_ar, g_rr, g_ab, g_rb = (allocating_composite(link, rng, b) for link
+                                      in (budget.ar, budget.rr, budget.ab, budget.rb))
+            main = np.minimum(g_ar / g_rr, g_ab + g_rb)
+            eve = np.zeros(b)
+            for _ in range(2 * cfg.n_eve):
+                if isinstance(budget.eve, EveDirect):
+                    eve += np.exp(budget.eve.mu
+                                  + budget.eve.sigma * rng.standard_normal(b))
+                else:
+                    eve += allocating_composite(budget.eve, rng, b)
+        yield np.maximum(np.log2(1.0 + main) - np.log2(1.0 + eve), 0.0)
+
+
+def config_with_eve(eve):
+    cfg = SystemConfig()
+    if eve == "composite":
+        cfg = replace(cfg, eve_spec=EveComposite(-40.0, 5.0))
+    return cfg
+
+
 class TestSinglePassReducer:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -183,9 +231,7 @@ class TestSinglePassReducer:
     @pytest.mark.parametrize("eve", ["direct", "composite"])
     @pytest.mark.parametrize("targets", [(), (2.0,), (0.5, 2.0, 4.0)])
     def test_bit_identical_to_public_functions(self, mode, eve, targets):
-        cfg = SystemConfig()
-        if eve == "composite":
-            cfg = replace(cfg, eve_spec=EveComposite(-40.0, 5.0))
+        cfg = config_with_eve(eve)
         n, seed = 4500, 17
         rate, outages = mc_secrecy_metrics(cfg, targets, mode, n, seed)
         assert len(outages) == len(targets)
@@ -194,3 +240,15 @@ class TestSinglePassReducer:
         assert rate == mc_secrecy_metrics(cfg, (), mode, n, seed)[0]
         assert outages == [mc_secrecy_metrics(cfg, (r,), mode, n, seed)[1][0]
                            for r in targets]
+
+    @pytest.mark.parametrize("mode", ["ln_fit", "composite"])
+    @pytest.mark.parametrize("eve", ["direct", "composite"])
+    def test_blocks_bit_identical_to_allocating_formulas(self, mode, eve):
+        cfg = config_with_eve(eve)
+        n, seed = 4500, 17  # four full blocks and a partial one
+        # a yielded block is a view the next block overwrites, so copy it
+        got = [rates.copy()
+               for rates in montecarlo._iter_rate_blocks(cfg, mode, n, seed)]
+        want = list(allocating_blocks(cfg, mode, n, seed))
+        assert [len(rates) for rates in got] == [1024] * 4 + [404]
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in want]

@@ -207,16 +207,35 @@ class TestAdaptiveIntegrate:
         assert math.isfinite(err.value.best_estimate)
 
 
-# run in a fresh interpreter, whose sys.modules no other test has touched
+# run in a fresh interpreter, whose sys.modules no other test has touched:
+# parsing, the CLI parser and an mc-composite sweep load no scipy at all,
+# closed forms load scipy.special alone, and a reference call adds QUADPACK
 IMPORT_GRAPH_CHILD = textwrap.dedent("""
     import sys
     import secrelay as sr
+    from secrelay import cli
 
-    cfg = sr.preset_run_config("sanity").with_overrides(samples=1000)
-    spec = sr.SweepSpec(base=cfg, metrics=("rate", "outage"),
-                        methods=("analytic", "mc-ln", "mc-composite"))
-    rows = sr.sweep.sweep_rows(spec)
-    assert len(rows) == 6 and all(r.status == "ok" for r in rows), rows
+    def scipy_loaded():
+        return sorted(m for m in sys.modules
+                      if m == "scipy" or m.startswith("scipy."))
+
+    def sweep(cfg, methods):
+        spec = sr.SweepSpec(base=cfg, metrics=("rate", "outage"),
+                            methods=methods)
+        rows = sr.sweep.sweep_rows(spec, workers=2)
+        assert rows and all(r.status == "ok" for r in rows), rows
+
+    cfg = sr.parse_config_text(
+        "power_dbm = 30, 60\\nn_eve = 2, 4\\nsamples = 1000\\n"
+        "eve_mode = composite\\neve_mean_snr_db = -40\\neve_shadow_sd_db = 5\\n")
+    assert isinstance(cfg.network.eve_spec, sr.EveComposite)
+    cli._build_parser().parse_args(
+        ["rate-sweep", "--preset", "paper-fig2", "--output", "unused.csv"])
+    sweep(cfg, ("mc-composite",))
+    assert not scipy_loaded(), f"an mc-composite run loaded {scipy_loaded()}"
+
+    sweep(cfg, ("analytic", "mc-ln"))
+    assert "scipy.special" in sys.modules, scipy_loaded()
     heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
     loaded = [m for m in heavy if m in sys.modules]
     assert not loaded, f"a sweep loaded {loaded}"

@@ -1,5 +1,6 @@
 """Sweep runner: CSV schema, ordering, determinism across worker counts."""
 import hashlib
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -46,6 +47,17 @@ def test_rows_sorted_by_keys():
     rows = sweep_rows(spec)
     keys = [r.sort_key() for r in rows]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("workers", [0, sweep.MAX_WORKERS + 1])
+def test_worker_count_out_of_range_starts_no_thread(tmp_path, workers):
+    spec = SweepSpec(base=small_run_config(), metrics=("rate",),
+                     methods=("mc-ln",))
+    threads = threading.active_count()
+    with pytest.raises(ConfigurationError, match=r"workers must be in \[1, 64\]"):
+        run_sweep(spec, str(tmp_path / "x.csv"), workers=workers)
+    assert threading.active_count() == threads
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_byte_identical_across_runs_and_workers(tmp_path):
