@@ -105,13 +105,13 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Per-link composite channel specs before any log-normal fitting."""
+    """Per-link channel specs: CompositeLinks, and Eve's LogNormal if direct."""
 
     ar: CompositeLink
     rr: CompositeLink
     ab: CompositeLink
     rb: CompositeLink
-    eve: EveDirect | CompositeLink  # either source -> Eve, per antenna
+    eve: LogNormal | CompositeLink  # either source -> Eve, per antenna
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,9 @@ def path_gain_db(distance_m: float, exponent: float) -> float:
 def link_budget(cfg: SystemConfig) -> LinkBudget:
     """Resolve geometry and the transmit power into per-link channel specs.
 
-    Eve's entry is the one link from either source to each of her antennas.
+    Eve's entry is the one link from either source to each of her antennas:
+    a direct spec resolves to its LogNormal, a composite one to a
+    CompositeLink at the transmit power.
     """
     d_ar = cfg.relay_fraction * cfg.d_ab_m
     d_rb = (1.0 - cfg.relay_fraction) * cfg.d_ab_m
@@ -149,17 +151,13 @@ def link_budget(cfg: SystemConfig) -> LinkBudget:
     # factor only, no distance term
     rr = legit(cfg.delta_db)
 
-    eve = cfg.eve_spec
-    if isinstance(eve, EveComposite):
-        eve = CompositeLink(cfg.nakagami_m, cfg.power_dbm + eve.gain_db,
-                            eve.shadow_sd_db)
+    spec = cfg.eve_spec
+    if isinstance(spec, EveDirect):
+        eve = LogNormal(spec.mu, spec.sigma)
+    else:
+        eve = CompositeLink(cfg.nakagami_m, cfg.power_dbm + spec.gain_db,
+                            spec.shadow_sd_db)
     return LinkBudget(ar, rr, ab, rb, eve)
-
-
-def _fit_eve(link: EveDirect | CompositeLink) -> LogNormal:
-    if isinstance(link, EveDirect):
-        return LogNormal(link.mu, link.sigma)
-    return ln.from_composite(link)
 
 
 def endpoints_for(cfg: SystemConfig) -> Endpoints:
@@ -174,5 +172,7 @@ def endpoints_for(cfg: SystemConfig) -> Endpoints:
     relay = ln.ratio(ln.from_composite(budget.ar), ln.from_composite(budget.rr))
     bob = ln.sum_lognormals([ln.from_composite(budget.ab),
                              ln.from_composite(budget.rb)])
-    eve = ln.from_cumulants(ln.cumulants(_fit_eve(budget.eve)).scaled(2 * cfg.n_eve))
+    eve = (budget.eve if isinstance(budget.eve, LogNormal)
+           else ln.from_composite(budget.eve))
+    eve = ln.from_cumulants(ln.cumulants(eve).scaled(2 * cfg.n_eve))
     return Endpoints(relay=relay, bob=bob, eve=eve)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from .channel import EveComposite, EveDirect, SystemConfig
 from .errors import ConfigParseError, ConfigurationError
 from .montecarlo import _check_samples
@@ -99,23 +100,17 @@ def _parse_int(key: str, raw: str, path, line) -> int:
                                path, line) from None
 
 
-def _parse_float_list(key: str, raw: str, path, line) -> tuple[float, ...]:
+def _parse_list(item, key: str, raw: str, path, line) -> tuple:
+    """A comma list, each entry read by the ``item`` parser."""
     items = [s.strip() for s in raw.split(",") if s.strip()]
     if not items:
         raise ConfigParseError(f"key {key!r}: empty list", path, line)
-    return tuple(_parse_float(key, s, path, line) for s in items)
-
-
-def _parse_int_list(key: str, raw: str, path, line) -> tuple[int, ...]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    if not items:
-        raise ConfigParseError(f"key {key!r}: empty list", path, line)
-    return tuple(_parse_int(key, s, path, line) for s in items)
+    return tuple(item(key, s, path, line) for s in items)
 
 
 def _parse_power(key: str, raw: str, path, line) -> tuple[float, ...]:
     if ":" not in raw:
-        return _parse_float_list(key, raw, path, line)
+        return _parse_list(_parse_float, key, raw, path, line)
     parts = raw.split(":")
     if len(parts) != 3:
         raise ConfigParseError(
@@ -151,14 +146,14 @@ _KEYS = {
     "nakagami_m": (SystemConfig, "nakagami_m", _parse_float),
     "shadow_sd_db": (SystemConfig, "shadow_sd_db", _parse_float),
     "power_dbm": (RunConfig, "power_grid_dbm", _parse_power),
-    "delta_db": (RunConfig, "delta_grid_db", _parse_float_list),
-    "n_eve": (RunConfig, "n_eve_grid", _parse_int_list),
+    "delta_db": (RunConfig, "delta_grid_db", partial(_parse_list, _parse_float)),
+    "n_eve": (RunConfig, "n_eve_grid", partial(_parse_list, _parse_int)),
     "eve_mode": (None, "eve_mode", _parse_eve_mode),
     "eve_mu": (EveDirect, "mu", _parse_float),
     "eve_sigma": (EveDirect, "sigma", _parse_float),
     "eve_mean_snr_db": (EveComposite, "gain_db", _parse_float),
     "eve_shadow_sd_db": (EveComposite, "shadow_sd_db", _parse_float),
-    "rs_target": (RunConfig, "rs_grid", _parse_float_list),
+    "rs_target": (RunConfig, "rs_grid", partial(_parse_list, _parse_float)),
     "samples": (RunConfig, "samples", _parse_int),
     "seed": (RunConfig, "seed", _parse_int),
 }

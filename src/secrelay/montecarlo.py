@@ -6,16 +6,20 @@ Two modes:
                      endpoint distributions.  Estimates exactly the quantity
                      the analytic formulas integrate, so it isolates
                      quadrature error.
-* ``composite``   -- draw every individual link as a true Gamma x log-normal
-                     composite (per antenna for the eavesdropper) and combine
-                     per the signal model.  Differences from the analytic
-                     values measure the log-normal approximation error.
+* ``composite``   -- draw every link of the budget (Gamma x log-normal
+                     composites, and the eavesdropper's link once per source
+                     and antenna) and combine per the signal model.
+                     Differences from the analytic values measure the
+                     log-normal approximation error.
 
-Streams use the counter-based Philox generator keyed directly by the caller's
-seed, and samples are reduced sequentially in fixed-size blocks, so results
-are bit-identical for a given (config, mode, n, seed) regardless of how many
-sweep workers run concurrently.  ``mc_secrecy_metrics`` is the one estimator:
-it reduces one sample set into the rate and every outage target.
+Every link either mode draws is a LogNormal or a CompositeLink, and one
+in-place sampler draws both kinds.  Streams use the counter-based Philox
+generator keyed directly by the caller's seed, and samples are reduced
+sequentially in fixed-size blocks, so results are bit-identical for a given
+(config, mode, n, seed) regardless of how many sweep workers run
+concurrently.  ``mc_secrecy_metrics`` is the one estimator: it reduces one
+sample set into the rate and every outage target, each an ``McEstimate`` of
+mean and standard error.
 
 Each call draws its blocks into buffers it allocates once, so a yielded
 block of rates is a view that the next block overwrites.  The buffers are
@@ -29,9 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import EveDirect, SystemConfig, endpoints_for, link_budget
+from .channel import SystemConfig, endpoints_for, link_budget
 from .errors import ConfigurationError
-from .lognormal import DB_TO_NAT, CompositeLink
+from .lognormal import DB_TO_NAT, CompositeLink, LogNormal
 
 __all__ = [
     "McEstimate",
@@ -47,23 +51,27 @@ _MIN_SAMPLES = 1000
 class McEstimate:
     mean: float
     std_error: float
-    n_samples: int
-    seed: int
-    mode: str
 
 
 def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & (2 ** 128 - 1)))
 
 
-def _draw_composite(link: CompositeLink, rng: np.random.Generator,
-                    out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with SNR samples G * S of a composite link, in place.
+def _draw(link: LogNormal | CompositeLink, rng: np.random.Generator,
+          out: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+    """Fill ``out`` with SNR samples of one link, in place.
 
-    ``scratch`` is a work array of the same shape.  The draws and the
-    arithmetic are those of rng.gamma(m, 1/m) * exp(xi * (mean + sd * z)),
-    so the samples are bit-identical to that expression on the same stream.
+    A LogNormal draws exp(mu + sigma * z).  A composite link draws
+    rng.gamma(m, 1/m) * exp(xi * (mean + sd * z)) with the same draws and
+    arithmetic, so its samples are bit-identical to that expression on the
+    same stream; ``scratch``, a work array of ``out``'s shape, holds the
+    shadowing factor (a LogNormal needs none).
     """
+    if isinstance(link, LogNormal):
+        rng.standard_normal(out=out)
+        out *= link.sigma
+        out += link.mu
+        return np.exp(out, out=out)
     rng.standard_gamma(link.m, out=out)
     out *= 1.0 / link.m
     rng.standard_normal(out=scratch)
@@ -82,17 +90,7 @@ def sample_composite_snr(link: CompositeLink, rng: np.random.Generator,
     G is Gamma(shape m, scale 1/m), i.e. mean-normalised Nakagami-m squared
     envelope; S is the log-normal shadowing with the link's dB mean and sd.
     """
-    return _draw_composite(link, rng, np.empty(size), np.empty(size))
-
-
-def _draw_eve_per_antenna(spec, rng: np.random.Generator, out: np.ndarray,
-                          scratch: np.ndarray) -> np.ndarray:
-    if isinstance(spec, EveDirect):
-        rng.standard_normal(out=out)
-        out *= spec.sigma
-        out += spec.mu
-        return np.exp(out, out=out)
-    return _draw_composite(spec, rng, out, scratch)
+    return _draw(link, rng, np.empty(size), np.empty(size))
 
 
 def _check_samples(n: int) -> int:
@@ -104,59 +102,48 @@ def _check_samples(n: int) -> int:
     return int(n)
 
 
-def _secrecy_rates(main: np.ndarray, eve: np.ndarray) -> np.ndarray:
-    """max(log2(1 + main) - log2(1 + eve), 0), computed in place in both."""
-    main += 1.0
-    eve += 1.0
-    np.log2(main, out=main)
-    np.log2(eve, out=eve)
-    main -= eve
-    return np.maximum(main, 0.0, out=main)
-
-
 def _iter_rate_blocks(cfg: SystemConfig, mode: str, n: int, seed: int):
     """Yield per-block arrays of instantaneous secrecy rates (bits/s/Hz).
+
+    Both modes run one loop over the links they draw, in stream order: the
+    relay's links (divided), Bob's (added) and Eve's (added).  ``ln_fit``
+    draws one fitted endpoint for each; ``composite`` draws ar over rr,
+    ab plus rb, and Eve's per-antenna link 2 * N_E times.
 
     Each block is drawn into buffers allocated once per call, so a yielded
     block is a view that the next block overwrites: reduce it (or copy it)
     before advancing the generator.  The buffers are local to the call, so
     concurrent calls from sweep workers share nothing.
     """
-    rng = _rng_for(seed)
-    size = min(_BLOCK, n)
     if mode == "ln_fit":
         ep = endpoints_for(cfg)
-        buf = np.empty(3 * size)
-        done = 0
-        while done < n:
-            b = min(_BLOCK, n - done)
-            z = buf[:3 * b].reshape(3, b)  # C-contiguous: drawn row by row
-            rng.standard_normal(out=z)
-            for row, fit in zip(z, (ep.relay, ep.bob, ep.eve)):
-                row *= fit.sigma
-                row += fit.mu
-            np.exp(z, out=z)
-            relay, bob, eve = z
-            yield _secrecy_rates(np.minimum(relay, bob, out=relay), eve)
-            done += b
+        plan, rows = ((ep.relay,), (ep.bob,), (ep.eve,)), 3
     elif mode == "composite":
         budget = link_budget(cfg)
-        bufs = np.empty((5, size))
-        done = 0
-        while done < n:
-            b = min(_BLOCK, n - done)
-            relay, bob, eve, tmp, scratch = bufs[:, :b]  # contiguous rows
-            _draw_composite(budget.ar, rng, relay, scratch)
-            relay /= _draw_composite(budget.rr, rng, tmp, scratch)
-            _draw_composite(budget.ab, rng, bob, scratch)
-            bob += _draw_composite(budget.rb, rng, tmp, scratch)
-            eve.fill(0.0)
-            for _ in range(2 * cfg.n_eve):  # both sources, every antenna
-                eve += _draw_eve_per_antenna(budget.eve, rng, tmp, scratch)
-            yield _secrecy_rates(np.minimum(relay, bob, out=relay), eve)
-            done += b
+        plan = ((budget.ar, budget.rr), (budget.ab, budget.rb),
+                (budget.eve,) * (2 * cfg.n_eve))  # both sources, every antenna
+        rows = 5  # plus a row to draw further links into and a work row
     else:
         raise ValueError(f"unknown Monte-Carlo mode {mode!r}")
+    rng = _rng_for(seed)
+    bufs = np.empty((rows, min(_BLOCK, n)))
+    for done in range(0, n, _BLOCK):
+        b = min(_BLOCK, n - done)
+        relay, bob, eve, *work = bufs[:, :b]  # contiguous rows
+        tmp, scratch = work or (None, None)  # ln_fit draws lone LogNormals
+        for out, combine, (first, *rest) in zip((relay, bob, eve),
+                                                (np.divide, np.add, np.add), plan):
+            _draw(first, rng, out, scratch)
+            for link in rest:
+                combine(out, _draw(link, rng, tmp, scratch), out=out)
+        # max(log2(1 + min(relay, bob)) - log2(1 + eve), 0), in place
+        main = np.minimum(relay, bob, out=relay)
+        main += 1.0
+        eve += 1.0
+        np.log2(main, out=main)
+        np.log2(eve, out=eve)
+        main -= eve
+        yield np.maximum(main, 0.0, out=main)
 
 
 def mc_secrecy_metrics(cfg: SystemConfig, rs_targets: Sequence[float],
@@ -184,9 +171,7 @@ def mc_secrecy_metrics(cfg: SystemConfig, rs_targets: Sequence[float],
             counts[i] += int(np.count_nonzero(rates < r))
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-    rate = McEstimate(mean=mean, std_error=math.sqrt(var / n),
-                      n_samples=n, seed=seed, mode=mode)
-    return rate, [McEstimate(mean=float(p), std_error=math.sqrt(p * (1.0 - p) / n),
-                             n_samples=n, seed=seed, mode=mode)
+    rate = McEstimate(mean=mean, std_error=math.sqrt(var / n))
+    return rate, [McEstimate(mean=float(p), std_error=math.sqrt(p * (1.0 - p) / n))
                   for p in counts / n]
 

@@ -145,7 +145,7 @@ def _point_rows(spec: SweepSpec, power: float, delta: float, n_eve: int,
     except _EVALUATION_ERRORS as exc:
         return flag_all(exc)
     ests = ([rate] if "rate" in spec.metrics else []) + outages
-    return [row(*key, est.mean, est.std_error, est.n_samples, est.seed)
+    return [row(*key, est.mean, est.std_error, base.samples, point_seed)
             for key, est in zip(keys, ests)]
 
 

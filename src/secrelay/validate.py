@@ -149,21 +149,29 @@ def _mc_pass(cfg: RunConfig):
     return ep, n, rate, outage
 
 
-def _mc_deviation(est, ref: float) -> float:
-    return abs(est.mean - ref) / est.std_error if est.std_error > 0 else 0.0
-
-
 def _check_mc_rate(cfg: RunConfig, shared) -> Outcome:
     ep, n, est, _ = shared(_mc_pass)
     ref = avg_secrecy_rate_reference(ep, 1e-9).value
-    dev = _mc_deviation(est, ref)
+    if est.std_error == 0.0:
+        # a zero-spread sample has no error scale of its own, so it is held
+        # to the rate quadrature gate
+        dev = abs(est.mean - ref) / max(ref, _RATE_SCALE_FLOOR)
+        return (dev <= _RATE_AGREEMENT_REL, dev, _RATE_AGREEMENT_REL,
+                f"relative, zero spread at n={n}")
+    dev = abs(est.mean - ref) / est.std_error
     return dev <= _MC_SIGMAS, dev, _MC_SIGMAS, f"standard errors at n={n}"
 
 
 def _check_mc_outage(cfg: RunConfig, shared) -> Outcome:
     ep, n, _, est = shared(_mc_pass)
     ref = secrecy_outage_reference(ep, cfg.rs_grid[0], 1e-10).value
-    dev = _mc_deviation(est, ref)
+    # a zero-spread sample (every rate on one side of the target) is judged
+    # by the binomial error the reference predicts at n
+    se = est.std_error or math.sqrt(max(ref * (1.0 - ref), 0.0) / n)
+    if se > 0.0:
+        dev = abs(est.mean - ref) / se
+    else:  # no spread on either side: only an exact match agrees
+        dev = 0.0 if est.mean == ref else math.inf
     return dev <= _MC_SIGMAS, dev, _MC_SIGMAS, f"standard errors at n={n}"
 
 

@@ -32,7 +32,7 @@ def test_sanity_preset_fitted_relay_input_link():
     assert gamma_ar.mu == pytest.approx(-1.8922232778941368, abs=1e-12)
     sigma = math.sqrt(0.6449340668482266 + (XI * 10.0) ** 2)
     assert gamma_ar.sigma == pytest.approx(sigma, abs=1e-12)
-    assert budget.eve == EveDirect(0.21, 0.76)
+    assert budget.eve == LogNormal(0.21, 0.76)
 
 
 def test_endpoint_ratio_rule():
@@ -64,8 +64,8 @@ def test_endpoints_fold_the_fitted_budget_links(eve_spec):
     budget = link_budget(cfg)
 
     def fit(link):
-        if isinstance(link, EveDirect):
-            return LogNormal(link.mu, link.sigma)
+        if isinstance(link, LogNormal):
+            return link
         return from_composite(link)
 
     ep = endpoints_for(cfg)

@@ -190,6 +190,24 @@ def test_validate_low_order_fails(tmp_path, capsys, monkeypatch):
     assert measured > 1e-6
 
 
+def test_validate_zero_spread_estimates_are_still_judged(tmp_path, capsys,
+                                                         monkeypatch):
+    # rate 0 +- 0 and outage 1 +- 0 against references of about 0.095 and
+    # 0.983: no spread must not mean no deviation
+    monkeypatch.setattr(validate, "mc_secrecy_metrics", lambda *args: (
+        secrelay.McEstimate(0.0, 0.0), [secrelay.McEstimate(1.0, 0.0)]))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_VALIDATE_CONFIG)
+    assert main(["validate", "--config", str(cfg)]) == 1
+    lines = {ln.split(":")[0]: ln for ln in capsys.readouterr().out.splitlines()}
+    rate = lines["FAIL  mc-ln-rate-agreement"]
+    outage = lines["FAIL  mc-ln-outage-agreement"]
+    # the rate is held to the quadrature gate, relative to the reference
+    assert "measured 1.000e+00 vs tolerance 1.000e-02" in rate
+    # the outage to the reference's binomial error at n = 20000
+    assert float(outage.split("measured")[1].split()[0]) > 10.0
+
+
 @pytest.mark.parametrize("text, cause, report", [
     # only the outage reference fails: the rate checks still pass
     (OUTAGE_REFERENCE_FAILS_CONFIG, "adaptive integration did not converge",
