@@ -15,10 +15,10 @@ from .errors import AccuracyError, ConfigParseError, ConfigurationError
 from .lognormal import (DB_TO_NAT, CompositeLink, Cumulants, LogNormal,
                         cumulants, from_composite, from_cumulants, ratio,
                         sum_lognormals)
-from .metrics import (MetricResult, avg_secrecy_rate, avg_secrecy_rate_reference,
-                      min_snr_cdf, secrecy_outage, secrecy_outage_reference)
+from .metrics import (MetricResult, adaptive_integrate, avg_secrecy_rate,
+                      avg_secrecy_rate_reference, min_snr_cdf, secrecy_outage,
+                      secrecy_outage_reference)
 from .montecarlo import McEstimate, mc_secrecy_metrics, sample_composite_snr
-from .numerics import IntegralEstimate, adaptive_integrate
 from .sweep import SweepRow, SweepSpec, preset_run_config, run_sweep
 from .validate import CheckResult, run_validation
 
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError", "CheckResult", "CompositeLink", "ConfigParseError",
     "ConfigurationError", "Cumulants", "DB_TO_NAT", "Endpoints",
-    "EveComposite", "EveDirect", "IntegralEstimate", "LinkBudget",
+    "EveComposite", "EveDirect", "LinkBudget",
     "LogNormal", "McEstimate", "MetricResult", "RunConfig", "SweepRow",
     "SweepSpec", "SystemConfig", "adaptive_integrate", "avg_secrecy_rate",
     "avg_secrecy_rate_reference", "cumulants", "endpoints_for",

@@ -195,6 +195,11 @@ def parse_config_text(text: str, path: str | None = None) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    """Read and parse a config file."""
+    """Read and parse a config file; one that is not UTF-8 does not parse."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), path=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError(f"not UTF-8 text ({exc.reason} at byte "
+                                   f"{exc.start})", path=path) from None
+    return parse_config_text(text, path=path)

@@ -19,8 +19,11 @@ The references integrate in the same y and v domains, adaptively
 (QUADPACK), with breakpoints at the endpoint means (mapped to v for the
 outage), at 0 and at the outage threshold's floor kink.  The rate reference
 integrates the closed erfc product, which holds no cancelling difference,
-so it meets its relative tolerance on vanishing rates too.  A reference
-that cannot meet its tolerance raises AccuracyError.
+so it meets its relative tolerance on vanishing rates too.  Both references
+accept a relative tolerance in [1e-12, 1e-4], and one that cannot meet it
+raises AccuracyError.  QUADPACK (``scipy.integrate``, which pulls in
+``scipy.optimize``, ``linalg`` and ``sparse``) is imported on the first
+reference call, not with the package: no sweep integrates adaptively.
 """
 from __future__ import annotations
 
@@ -28,15 +31,16 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .channel import Endpoints
-from .numerics import _check_order, adaptive_integrate
+from .errors import AccuracyError, ConfigurationError
 
 __all__ = [
     "MetricResult",
+    "adaptive_integrate",
     "min_snr_cdf",
     "avg_secrecy_rate",
     "avg_secrecy_rate_reference",
@@ -65,11 +69,50 @@ _OUTAGE_WINDOW_NATS = 25.0
 # the near-1 side of the median; it stays within 2.5 nats of the true value
 # down to -20 nats
 _TAIL_SHIFT = 0.8
+MAX_QUADRATURE_ORDER = 128
+_REL_TOL_MIN = 1e-12
+_REL_TOL_MAX = 1e-4
+# absolute floor so integrals that are numerically zero still converge
+_ABS_FLOOR = 1e-300
+
 
 @dataclass(frozen=True)
 class MetricResult:
     value: float
-    error_estimate: Optional[float] = None  # set by the references
+    error_estimate: Optional[float] = None  # set by adaptive integration
+
+
+def _check_order(order: int) -> None:
+    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
+        raise ConfigurationError(f"quadrature order must be an integer, got {order!r}")
+    if not 1 <= order <= MAX_QUADRATURE_ORDER:
+        raise ConfigurationError(
+            f"quadrature order must be in [1, {MAX_QUADRATURE_ORDER}], got {order}")
+
+
+def adaptive_integrate(f: Callable[[float], float], a: float, b: float,
+                       rel_tol: float, points: Sequence[float] = ()) -> MetricResult:
+    """Adaptive Gauss-Kronrod quadrature (QUADPACK) of f over [a, b].
+
+    b may be math.inf when there are no breakpoints; breakpoints outside
+    (a, b) are dropped.  Returns the estimate with its estimated relative
+    error; raises AccuracyError (carrying the best estimate) if the
+    tolerance cannot be met.
+    """
+    if not (_REL_TOL_MIN <= rel_tol <= _REL_TOL_MAX):
+        raise ValueError(
+            f"rel_tol must lie in [{_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}], got {rel_tol!r}")
+    if not math.isfinite(a):
+        raise ValueError(f"lower limit must be finite, got {a!r}")
+    from scipy import integrate  # QUADPACK: loaded on the first reference call
+    out = integrate.quad(f, a, b, epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=400,
+                         points=points or None, full_output=1)
+    value, abserr = out[0], out[1]
+    rel_err = abs(abserr) / max(abs(value), _ABS_FLOOR) if value != 0.0 else 0.0
+    if len(out) > 3:  # quadpack appended a convergence complaint
+        raise AccuracyError("adaptive integration did not converge",
+                            best_estimate=value, rel_error=rel_err)
+    return MetricResult(value, error_estimate=rel_err)
 
 
 def _require_random(ep: Endpoints, who: str) -> None:
@@ -211,7 +254,7 @@ def avg_secrecy_rate_reference(ep: Endpoints,
     reach = 12.0 * _SQRT2 * max(ep.eve.sigma, ep.bob.sigma, ep.relay.sigma)
     est = adaptive_integrate(f, min(means) - reach, max(means) + reach,
                              rel_tol, means + (0.0,))
-    return MetricResult(value=est.value / _LN2, error_estimate=est.rel_error)
+    return MetricResult(est.value / _LN2, est.error_estimate)
 
 
 def _clamp_unit(value: float, what: str) -> float:
@@ -321,5 +364,5 @@ def secrecy_outage_reference(ep: Endpoints, rs_target: float,
 
     kinks = tuple((t - offset) / se for t in (floor, mb, mr))
     est = adaptive_integrate(f, -40.0, 40.0, rel_tol, kinks + (0.0,))
-    return MetricResult(value=_clamp_unit(est.value, "secrecy_outage_reference"),
-                        error_estimate=est.rel_error)
+    return MetricResult(_clamp_unit(est.value, "secrecy_outage_reference"),
+                        est.error_estimate)

@@ -169,6 +169,9 @@ def mc_secrecy_metrics(cfg: SystemConfig, rs_targets: Sequence[float],
         total_sq += float((rates * rates).sum())
         for i, r in enumerate(targets):
             counts[i] += int(np.count_nonzero(rates < r))
+    if not math.isfinite(total):  # overflowing draws, e.g. inf / inf in the relay SINR
+        raise OverflowError(
+            f"Monte-Carlo draws overflow: the secrecy rates sum to {total!r}")
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
     rate = McEstimate(mean=mean, std_error=math.sqrt(var / n))

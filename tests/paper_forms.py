@@ -20,8 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from secrelay.metrics import min_snr_cdf
-from secrelay.numerics import _check_order, adaptive_integrate
+from secrelay.metrics import _check_order, adaptive_integrate, min_snr_cdf
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)

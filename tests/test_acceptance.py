@@ -111,7 +111,7 @@ def test_c03_integrand_equivalence():
         # spread; scaling it by the eavesdropper's spread instead breaks the
         # equivalence
         if not checked_misprint and abs(sb - se) > 0.3:
-            from secrelay.numerics import adaptive_integrate
+            from secrelay.metrics import adaptive_integrate
             sqrt2 = math.sqrt(2.0)
 
             def misprinted(z):

@@ -68,3 +68,15 @@ def test_every_tracer_target_resolves(monkeypatch):
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
     assert ("secrelay.metrics", "adaptive_integrate") in targets
+
+
+def test_every_workload_op_runs_and_checks_in_smoke_mode(workloads, tmp_path):
+    # one op of each workload, and the determinism probe, as the benchmark
+    # runs them: a result type or signature the workloads rely on that
+    # changes fails here
+    for name, workload in workloads.WORKLOADS.items():
+        op = workload.make_op(7, smoke=True, workdir=str(tmp_path))
+        checked = op.check(op.run())
+        assert checked.units > 0, name
+    probe = workloads.determinism_probe(str(tmp_path))
+    assert set(probe) == {"mc-ln", "mc-composite"}

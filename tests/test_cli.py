@@ -148,6 +148,16 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "delta_db" in err and "2" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["rate-sweep", "--output", "unused.csv"], ["validate"]], ids=["sweep", "validate"])
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"power_dbm = 40\n# caf\xe9\n")
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {cfg}: not UTF-8 text")
+
+
 def test_unwritable_output_exits_3(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("power_dbm = 40\n")
@@ -173,6 +183,16 @@ def test_validate_default_config_passes(tmp_path, capsys):
         ("PASS", "mc-ln-outage-agreement"),
     ]
     assert summary == "8/8 checks passed"
+
+
+def test_validate_passes_with_self_interference_near_0_db(tmp_path, capsys):
+    # the isolation probe must stay within delta_db <= 0
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_VALIDATE_CONFIG + "delta_db = -3\n")
+    code = main(["validate", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "8/8 checks passed", out
+    assert code == 0
 
 
 def test_validate_low_order_fails(tmp_path, capsys, monkeypatch):

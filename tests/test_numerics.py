@@ -12,7 +12,8 @@ import pytest
 
 import secrelay
 from paper_forms import gauss_hermite_rule, gauss_laguerre_rule
-from secrelay import AccuracyError, ConfigurationError, adaptive_integrate
+from secrelay import (AccuracyError, ConfigurationError, MetricResult,
+                      adaptive_integrate)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -176,8 +177,9 @@ def test_every_order_passes_validate_rule_checks():
 class TestAdaptiveIntegrate:
     def test_exponential(self):
         est = adaptive_integrate(lambda x: math.exp(-x), 0.0, math.inf, 1e-10)
+        assert isinstance(est, MetricResult)
         assert est.value == pytest.approx(1.0, rel=1e-10)
-        assert est.rel_error <= 1e-10
+        assert est.error_estimate <= 1e-10
 
     def test_lorentzian_tail(self):
         est = adaptive_integrate(lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf, 1e-10)

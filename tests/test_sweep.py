@@ -243,6 +243,19 @@ def test_mc_fit_overflow_flags_rate_and_outage_rows():
     assert all(r.status == "ok" for r in rows if r.power_dbm == 40.0)
 
 
+def test_mc_composite_overflow_flags_its_rows():
+    # at 3500 dBm the composite draws overflow and the relay SINR reads
+    # inf / inf; no nan may pass as an ok row
+    spec = SweepSpec(base=small_run_config(power_grid_dbm=(3500.0,),
+                                           rs_grid=(2.0, 4.0)),
+                     metrics=("rate", "outage"), methods=("mc-composite",))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = sweep_rows(spec)
+    assert len(rows) == 2 * 3
+    assert all(r.status.startswith("error: Monte-Carlo draws overflow")
+               and r.value is None for r in rows)
+
+
 def test_mc_sweep_csv_digest(tmp_path):
     # Written by the estimators that sampled rate and outage in separate
     # passes; the digest depends on numpy's Philox Generator streams and
