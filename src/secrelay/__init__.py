@@ -8,8 +8,8 @@ fixed-order quadrature of the closed forms (a log-domain trapezoid rule),
 adaptive numerical integration (reference), and seeded Monte-Carlo
 simulation (oracle).
 """
-from .channel import (Endpoints, EveComposite, EveDirect, LinkBudget,
-                      SystemConfig, endpoints_for, link_budget)
+from .channel import (Endpoints, EveComposite, LinkBudget, SystemConfig,
+                      endpoints_for, link_budget)
 from .config import RunConfig, load_config, parse_config_text
 from .errors import AccuracyError, ConfigParseError, ConfigurationError
 from .lognormal import (DB_TO_NAT, CompositeLink, Cumulants, LogNormal,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError", "CheckResult", "CompositeLink", "ConfigParseError",
     "ConfigurationError", "Cumulants", "DB_TO_NAT", "Endpoints",
-    "EveComposite", "EveDirect", "LinkBudget",
+    "EveComposite", "LinkBudget",
     "LogNormal", "McEstimate", "MetricResult", "RunConfig", "SweepRow",
     "SweepSpec", "SystemConfig", "adaptive_integrate", "avg_secrecy_rate",
     "avg_secrecy_rate_reference", "cumulants", "endpoints_for",

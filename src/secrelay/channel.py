@@ -17,7 +17,6 @@ from .errors import ConfigurationError
 from .lognormal import CompositeLink, LogNormal
 
 __all__ = [
-    "EveDirect",
     "EveComposite",
     "SystemConfig",
     "LinkBudget",
@@ -25,14 +24,6 @@ __all__ = [
     "link_budget",
     "endpoints_for",
 ]
-
-
-@dataclass(frozen=True)
-class EveDirect:
-    """Eavesdropper per-antenna, per-source SNR given directly in nats."""
-
-    mu: float = 0.21
-    sigma: float = 0.76
 
 
 @dataclass(frozen=True)
@@ -59,7 +50,7 @@ class SystemConfig:
     power_dbm: float = 40.0  # of source and relay alike
     delta_db: float = -80.0
     n_eve: int = 2
-    eve_spec: EveDirect | EveComposite = EveDirect()
+    eve_spec: LogNormal | EveComposite = LogNormal(0.21, 0.76)  # Eve's link, per antenna
 
     def __post_init__(self):
         for name in ("d_ab_m", "relay_fraction", "path_loss_exponent", "nakagami_m",
@@ -87,20 +78,18 @@ class SystemConfig:
         if (not isinstance(self.n_eve, int) or isinstance(self.n_eve, bool)
                 or self.n_eve < 1):
             raise ConfigurationError(f"n_eve must be a positive integer, got {self.n_eve!r}")
-        if not isinstance(self.eve_spec, (EveDirect, EveComposite)):
-            raise ConfigurationError(
-                f"eve_spec must be an EveDirect or an EveComposite, got {self.eve_spec!r}")
-        # the Gamma fading keeps a composite link's spread positive at zero
-        # shadowing; a direct link must bring its own
+        # a direct link must bring its own spread; the Gamma fading keeps a
+        # composite link's spread positive at zero shadowing
         spec = self.eve_spec
-        direct = isinstance(spec, EveDirect)
-        where, spread = ("mu", "sigma") if direct else ("gain_db", "shadow_sd_db")
-        s = getattr(spec, spread)
-        if not (math.isfinite(getattr(spec, where)) and math.isfinite(s)
-                and (s > 0.0 if direct else s >= 0.0)):
+        if isinstance(spec, LogNormal):  # itself rejects a non-finite mu or sigma
+            ok = spec.sigma > 0.0
+        else:
+            ok = (isinstance(spec, EveComposite) and math.isfinite(spec.gain_db)
+                  and math.isfinite(spec.shadow_sd_db) and spec.shadow_sd_db >= 0.0)
+        if not ok:
             raise ConfigurationError(
-                f"{type(spec).__name__} needs a finite {where} and a finite "
-                f"{spread} {'> 0' if direct else '>= 0'}, got {spec!r}")
+                "eve_spec must be a LogNormal with sigma > 0 or an EveComposite "
+                f"with a finite gain_db and a finite shadow_sd_db >= 0, got {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +123,8 @@ def link_budget(cfg: SystemConfig) -> LinkBudget:
     """Resolve geometry and the transmit power into per-link channel specs.
 
     Eve's entry is the one link from either source to each of her antennas:
-    a direct spec resolves to its LogNormal, a composite one to a
-    CompositeLink at the transmit power.
+    a LogNormal passes through, a composite spec becomes a CompositeLink at
+    the transmit power.
     """
     d_ar = cfg.relay_fraction * cfg.d_ab_m
     d_rb = (1.0 - cfg.relay_fraction) * cfg.d_ab_m
@@ -151,12 +140,10 @@ def link_budget(cfg: SystemConfig) -> LinkBudget:
     # factor only, no distance term
     rr = legit(cfg.delta_db)
 
-    spec = cfg.eve_spec
-    if isinstance(spec, EveDirect):
-        eve = LogNormal(spec.mu, spec.sigma)
-    else:
-        eve = CompositeLink(cfg.nakagami_m, cfg.power_dbm + spec.gain_db,
-                            spec.shadow_sd_db)
+    eve = cfg.eve_spec
+    if isinstance(eve, EveComposite):
+        eve = CompositeLink(cfg.nakagami_m, cfg.power_dbm + eve.gain_db,
+                            eve.shadow_sd_db)
     return LinkBudget(ar, rr, ab, rb, eve)
 
 

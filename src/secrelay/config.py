@@ -9,8 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from .channel import EveComposite, EveDirect, SystemConfig
+from .channel import EveComposite, SystemConfig
 from .errors import ConfigParseError, ConfigurationError
+from .lognormal import LogNormal
 from .montecarlo import _check_samples
 
 __all__ = ["RunConfig", "load_config", "parse_config_text"]
@@ -149,8 +150,8 @@ _KEYS = {
     "delta_db": (RunConfig, "delta_grid_db", partial(_parse_list, _parse_float)),
     "n_eve": (RunConfig, "n_eve_grid", partial(_parse_list, _parse_int)),
     "eve_mode": (None, "eve_mode", _parse_eve_mode),
-    "eve_mu": (EveDirect, "mu", _parse_float),
-    "eve_sigma": (EveDirect, "sigma", _parse_float),
+    "eve_mu": (LogNormal, "mu", _parse_float),
+    "eve_sigma": (LogNormal, "sigma", _parse_float),
     "eve_mean_snr_db": (EveComposite, "gain_db", _parse_float),
     "eve_shadow_sd_db": (EveComposite, "shadow_sd_db", _parse_float),
     "rs_target": (RunConfig, "rs_grid", partial(_parse_list, _parse_float)),
@@ -181,16 +182,17 @@ def parse_config_text(text: str, path: str | None = None) -> RunConfig:
             raise ConfigParseError(f"key {key!r}: missing value", path, lineno)
         given[owner][field_name] = parser(key, value, path, lineno)
 
-    eve_type = EveComposite if given[None].get("eve_mode") == "composite" else EveDirect
-    if eve_type is EveComposite and "gain_db" not in given[EveComposite]:
+    composite = given[None].get("eve_mode") == "composite"
+    if composite and "gain_db" not in given[EveComposite]:
         raise ConfigParseError(
             "eve_mode = composite requires eve_mean_snr_db", path, None)
     # keys of the other mode are accepted and ignored
     try:
-        network = SystemConfig(eve_spec=eve_type(**given[eve_type]),
-                               **given[SystemConfig])
+        eve = (EveComposite(**given[EveComposite]) if composite
+               else replace(SystemConfig.eve_spec, **given[LogNormal]))
+        network = SystemConfig(eve_spec=eve, **given[SystemConfig])
         return RunConfig(network=network, **given[RunConfig])
-    except ConfigurationError as exc:
+    except (ConfigurationError, ValueError) as exc:  # LogNormal raises ValueError
         raise ConfigParseError(str(exc), path, None) from exc
 
 

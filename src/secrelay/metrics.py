@@ -237,23 +237,32 @@ def avg_secrecy_rate_reference(ep: Endpoints,
 
     The integrand F_eve(z) [1 - F_min(z)] / (1 + z) is taken in its closed
     erfc-product form, erfc_eve * erfc_bob * erfc_relay / 8 * e^y / (1 + e^y),
-    over y = ln z, where it has Gaussian tails, on a window reaching
-    12 sqrt(2) of the widest sigma beyond the outermost mean (each erfc
-    factor is below erfc(12) ~ 1e-64 there), with breakpoints at the three
-    means and at 0.
+    over y = ln z, where it has Gaussian tails.  Each erfc factor is below
+    erfc(12) ~ 1e-64 from 12 sqrt(2) sigma past its mean, so the window runs
+    from there below eve's mean to the nearer of there above bob's and the
+    relay's, which a far-off mean cannot widen.  A window narrower than the
+    larger reach at its edges (eve far above bob or the relay) leaves mass
+    past them; it then reaches 12 sqrt(2) of the widest sigma beyond the
+    lowest mean and eve's.  Breakpoints sit at the three means and at 0.
     """
     _require_random(ep, "avg_secrecy_rate_reference")
-    means = me, mb, mr = ep.eve.mu, ep.bob.mu, ep.relay.mu
+    e, b, r = ep.eve, ep.bob, ep.relay
+    means = me, mb, mr = e.mu, b.mu, r.mu
     # each factor scaled by its own sigma
-    ce, cb, cr = (1.0 / (_SQRT2 * x.sigma) for x in (ep.eve, ep.bob, ep.relay))
+    ce, cb, cr = (1.0 / (_SQRT2 * x.sigma) for x in (e, b, r))
 
     def f(y: float) -> float:
         return (math.erfc((me - y) * ce) * math.erfc((y - mb) * cb)
                 * math.erfc((y - mr) * cr)) / (8.0 * (1.0 + math.exp(-y)))
 
-    reach = 12.0 * _SQRT2 * max(ep.eve.sigma, ep.bob.sigma, ep.relay.sigma)
-    est = adaptive_integrate(f, min(means) - reach, max(means) + reach,
-                             rel_tol, means + (0.0,))
+    reach = 12.0 * _SQRT2
+    lo = me - reach * e.sigma
+    hi, upper_sigma = min((mb + reach * b.sigma, b.sigma),
+                          (mr + reach * r.sigma, r.sigma))
+    if hi - lo < reach * max(e.sigma, upper_sigma):
+        widest = reach * max(e.sigma, b.sigma, r.sigma)
+        lo, hi = min(means) - widest, me + widest
+    est = adaptive_integrate(f, lo, hi, rel_tol, means + (0.0,))
     return MetricResult(est.value / _LN2, est.error_estimate)
 
 

@@ -164,11 +164,13 @@ def mc_secrecy_metrics(cfg: SystemConfig, rs_targets: Sequence[float],
     total = 0.0
     total_sq = 0.0
     counts = np.zeros(len(targets), dtype=np.int64)
-    for rates in _iter_rate_blocks(cfg, mode, n, seed):
-        total += float(rates.sum())
-        total_sq += float((rates * rates).sum())
-        for i, r in enumerate(targets):
-            counts[i] += int(np.count_nonzero(rates < r))
+    # overflow is reported below, not warned of; errstate is per thread
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for rates in _iter_rate_blocks(cfg, mode, n, seed):
+            total += float(rates.sum())
+            total_sq += float((rates * rates).sum())
+            for i, r in enumerate(targets):
+                counts[i] += int(np.count_nonzero(rates < r))
     if not math.isfinite(total):  # overflowing draws, e.g. inf / inf in the relay SINR
         raise OverflowError(
             f"Monte-Carlo draws overflow: the secrecy rates sum to {total!r}")

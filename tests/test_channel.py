@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from secrelay import (ConfigurationError, EveComposite, EveDirect, LogNormal,
+from secrelay import (ConfigurationError, EveComposite, LogNormal,
                       SystemConfig, cumulants, endpoints_for, from_composite,
                       from_cumulants, link_budget, ratio, sum_lognormals)
 from secrelay.lognormal import DB_TO_NAT
@@ -57,7 +57,7 @@ def test_non_finite_values_rejected(field, value):
         SystemConfig(**{field: -value})
 
 
-@pytest.mark.parametrize("eve_spec", [EveDirect(), EveComposite(-40.0)],
+@pytest.mark.parametrize("eve_spec", [LogNormal(0.21, 0.76), EveComposite(-40.0)],
                          ids=["direct", "composite"])
 def test_endpoints_fold_the_fitted_budget_links(eve_spec):
     cfg = SystemConfig(n_eve=4, eve_spec=eve_spec)
@@ -77,7 +77,7 @@ def test_endpoints_fold_the_fitted_budget_links(eve_spec):
 
 
 def test_endpoint_eve_mrc_fold():
-    ep = endpoints_for(SystemConfig(n_eve=4, eve_spec=EveDirect(0.0, 1.0)))
+    ep = endpoints_for(SystemConfig(n_eve=4, eve_spec=LogNormal(0.0, 1.0)))
     # cumulants (8 k1, 8 k2) of a unit log-normal, refitted; cross-checked
     # against a direct simulation of the eight-term sum
     assert ep.eve.mu == pytest.approx(2.48215789440583, abs=1e-12)
@@ -145,19 +145,22 @@ def test_config_validation():
         SystemConfig(nakagami_m=0.3)
     with pytest.raises(ConfigurationError):
         SystemConfig(eve_spec="composite")
-    with pytest.raises(ConfigurationError):
-        SystemConfig(eve_spec=EveDirect(0.2, -1.0))
 
 
 @pytest.mark.parametrize("eve_spec", [
-    EveDirect(math.nan, 1.0), EveDirect(0.2, -1.0), EveDirect(0.2, 0.0),
-    EveDirect(0.2, math.inf), EveComposite(math.inf, 5.0),
+    LogNormal(0.2, 0.0), EveComposite(math.inf, 5.0),
     EveComposite(-40.0, -5.0), EveComposite(-40.0, math.nan),
-], ids=["direct-mu-nan", "direct-sigma-negative", "direct-sigma-zero",
-        "direct-sigma-inf", "composite-gain-inf", "composite-sd-negative", "composite-sd-nan"])
+], ids=["direct-sigma-zero", "composite-gain-inf", "composite-sd-negative",
+        "composite-sd-nan"])
 def test_eve_spec_range_checks(eve_spec):
+    # a LogNormal rejects a non-finite mu or sigma and a negative sigma itself
     with pytest.raises(ConfigurationError):
         SystemConfig(eve_spec=eve_spec)
+
+
+def test_link_budget_passes_a_direct_eve_through():
+    spec = LogNormal(0.3, 0.9)
+    assert link_budget(SystemConfig(eve_spec=spec)).eve is spec
 
 
 def test_eve_zero_spread_stays_legal():

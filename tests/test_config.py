@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from secrelay import (ConfigParseError, ConfigurationError, RunConfig,
-                      SystemConfig, parse_config_text, preset_run_config)
-from secrelay.channel import EveComposite, EveDirect
+from secrelay import (ConfigParseError, ConfigurationError, LogNormal,
+                      RunConfig, SystemConfig, parse_config_text,
+                      preset_run_config)
+from secrelay.channel import EveComposite
 from secrelay.cli import main
 from secrelay.config import load_config
 
@@ -17,7 +18,7 @@ def test_defaults_parse():
     assert cfg.delta_grid_db == (-80.0,)
     assert cfg.n_eve_grid == (2,)
     assert cfg.rs_grid == (2.0,)
-    assert cfg.network.eve_spec == EveDirect(0.21, 0.76)
+    assert cfg.network.eve_spec == LogNormal(0.21, 0.76)
     assert cfg == RunConfig()
     assert RunConfig().network == SystemConfig()
     assert preset_run_config("sanity") == RunConfig()
@@ -54,7 +55,7 @@ def test_composite_eve():
                             "eve_mu = 9\n")
     assert cfg.network.eve_spec == EveComposite(-30.0, 5.0)
     cfg = parse_config_text("eve_mean_snr_db = -30\neve_sigma = 0.5\n")
-    assert cfg.network.eve_spec == EveDirect(0.21, 0.5)
+    assert cfg.network.eve_spec == LogNormal(0.21, 0.5)
 
 
 def test_malformed_value_reports_key_and_line():
@@ -124,7 +125,7 @@ def test_semantic_range_checks_surface_as_parse_errors():
     with pytest.raises(ConfigParseError):
         parse_config_text("delta_db = 10\n")
     for sigma in (-1, 0):
-        with pytest.raises(ConfigParseError):
+        with pytest.raises(ConfigParseError, match="sigma"):
             parse_config_text(f"eve_sigma = {sigma}\n")
     with pytest.raises(ConfigParseError):
         parse_config_text("eve_mode = composite\neve_mean_snr_db = -40\n"
@@ -215,7 +216,7 @@ def test_grids_own_the_operating_point():
 
 
 @pytest.mark.parametrize("name, eve_spec", [
-    ("paper-fig2", EveComposite(-40.0, 5.0)), ("sanity", EveDirect(0.21, 0.76))])
+    ("paper-fig2", EveComposite(-40.0, 5.0)), ("sanity", LogNormal(0.21, 0.76))])
 def test_system_at_every_grid_point(name, eve_spec):
     cfg = preset_run_config(name)
     for p in cfg.power_grid_dbm:

@@ -20,6 +20,8 @@ class TestTypes:
             LogNormal(math.nan, 1.0)
         with pytest.raises(ValueError):
             LogNormal(0.0, -0.1)
+        with pytest.raises(ValueError):
+            LogNormal(0.2, math.inf)
         LogNormal(0.0, 0.0)  # degenerate point mass is allowed
 
     def test_cumulants_validation(self):

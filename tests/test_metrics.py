@@ -106,7 +106,8 @@ class TestAvgSecrecyRate:
         ep = make_ep(2.0, 1.0, 2.0, 1.0, 30.0, 1.0)
         ref = avg_secrecy_rate_reference(ep, 1e-8)
         assert ref.error_estimate <= 1e-8
-        assert ref.value == pytest.approx(avg_secrecy_rate(ep, 128).value, rel=1e-8)
+        assert ref.value == pytest.approx(avg_secrecy_rate(ep, 128).value,
+                                          rel=1e-8, abs=0.0)
 
     def test_reference_converges_on_the_c08_box(self):
         # 1,000 random points of the c08 box; rates down to 1e-13 among them
@@ -119,6 +120,49 @@ class TestAvgSecrecyRate:
             ref = avg_secrecy_rate_reference(ep, 1e-9)  # AccuracyError fails here
             assert ref.error_estimate <= 1e-9
             assert ref.value == pytest.approx(avg_secrecy_rate(ep, 128).value, rel=1e-6)
+
+    def test_reference_ignores_a_vanishing_self_interference(self):
+        # at delta = -1e6 dB the relay mean sits 2.3e5 nats out; the window
+        # ends where bob's factor does, so the relay does not stretch it
+        ref = {d: avg_secrecy_rate_reference(
+                   endpoints_for(SystemConfig(delta_db=d)), 1e-9).value
+               for d in (-200.0, -1e6)}
+        assert ref[-1e6] == pytest.approx(ref[-200.0], rel=1e-9)
+        assert ref[-1e6] == pytest.approx(0.1041492039, rel=1e-9)
+
+    def test_reference_ignores_a_far_relay_mean(self):
+        eve, bob = SANITY_EP.eve, SANITY_EP.bob
+        near, far = (avg_secrecy_rate_reference(
+            Endpoints(relay=LogNormal(mu, 3.0), bob=bob, eve=eve), 1e-9).value
+            for mu in (1e3, 1e6))
+        assert far == near
+
+    @pytest.mark.parametrize("ep", [
+        # eve 44 nats above bob: the edge window is empty, and her narrow
+        # factor puts the peak within 0.17 nats of her mean, past the
+        # swapped edges
+        make_ep(1e3, 1.0, -4.0, 2.0, 40.0, 0.01),
+        make_ep(-4.0, 2.0, 1e6, 1.0, 40.0, 0.01),
+        # a window 3.4 nats wide: most of the mass lies past its edges
+        make_ep(20.3, 1.76, 13.25, 1.27, 47.9, 0.98),
+    ], ids=["empty-bob", "empty-relay", "narrow"])
+    def test_reference_keeps_the_peak_when_eve_sits_above_the_window(self, ep):
+        from scipy import special
+        # an independent fine trapezoid of the log-integrand over a window
+        # reaching 20 nats past the means
+        lo = min(ep.eve.mu, ep.bob.mu, ep.relay.mu) - 20.0
+        y = np.linspace(lo, ep.eve.mu + 20.0, 800_001)
+        log_f = (special.log_ndtr((y - ep.eve.mu) / ep.eve.sigma)
+                 + special.log_ndtr((ep.bob.mu - y) / ep.bob.sigma)
+                 + special.log_ndtr((ep.relay.mu - y) / ep.relay.sigma)
+                 + special.log_expit(y))
+        peak = log_f.max()
+        fine = (math.exp(peak) * np.trapezoid(np.exp(log_f - peak), y)
+                / math.log(2.0))
+        ref = avg_secrecy_rate_reference(ep, 1e-9)
+        assert 0.0 < fine < 1e-100
+        # abs=0: approx's default absolute floor would pass any tiny value
+        assert ref.value == pytest.approx(fine, rel=1e-8, abs=0.0)
 
     def test_integrand_forms_agree(self):
         ep = make_ep(1.0, 1.2, -0.5, 0.9, 0.3, 0.7)
@@ -156,6 +200,15 @@ class TestSecrecyOutage:
         assert q.value == pytest.approx(SANITY_OUTAGE_RS2_REF, abs=1e-12)
         ref = secrecy_outage_reference(SANITY_EP, 2.0, 1e-10)
         assert ref.value == pytest.approx(SANITY_OUTAGE_RS2_REF, abs=1e-9)
+
+    @pytest.mark.parametrize("field", ["relay", "bob"])
+    def test_reference_ignores_a_far_upper_mean(self, field):
+        # the v window is fixed and a kink past it is dropped, so a far-off
+        # relay or bob mean cannot stretch it
+        near, far = (secrecy_outage_reference(
+            replace(SANITY_EP, **{field: LogNormal(mu, 3.0)}), 2.0, 1e-10).value
+            for mu in (1e3, 1e6))
+        assert far == near
 
     def test_degenerate_eavesdropper_reduction(self):
         # sigma_e -> 0 collapses the expectation to one CDF evaluation

@@ -249,8 +249,7 @@ def test_mc_composite_overflow_flags_its_rows():
     spec = SweepSpec(base=small_run_config(power_grid_dbm=(3500.0,),
                                            rs_grid=(2.0, 4.0)),
                      metrics=("rate", "outage"), methods=("mc-composite",))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = sweep_rows(spec)
+    rows = sweep_rows(spec)
     assert len(rows) == 2 * 3
     assert all(r.status.startswith("error: Monte-Carlo draws overflow")
                and r.value is None for r in rows)
