@@ -7,17 +7,28 @@ accepts an inclusive ``start:stop:step`` sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 from .channel import EveComposite, SystemConfig
 from .errors import ConfigParseError, ConfigurationError
 from .lognormal import LogNormal
-from .montecarlo import _check_samples
 
 __all__ = ["RunConfig", "load_config", "parse_config_text"]
 
 # a sweep's row cap; a longer power sweep is rejected while it is parsed
 _MAX_ROWS = 100_000
+_MIN_SAMPLES = 1000
+
+
+def _check_samples(n: int) -> int:
+    """A Monte-Carlo sample count as a Python int; numpy integers pass,
+    bools do not."""
+    if (not isinstance(n, numbers.Integral) or isinstance(n, bool)
+            or n < _MIN_SAMPLES):
+        raise ConfigurationError(
+            f"Monte-Carlo runs need at least {_MIN_SAMPLES} samples, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True)

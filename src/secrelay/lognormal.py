@@ -99,12 +99,25 @@ class CompositeLink:
 def _gamma_log_moments(m: float) -> tuple[float, float]:
     """Mean psi(m) - ln(m) and variance zeta(2, m) of ln G, G ~ Gamma(m, 1/m).
 
-    A network has a handful of distinct shapes, so each is computed once;
-    scipy.special is imported here, on the first fit, not with the package.
+    The recurrences psi(x) = psi(x + 1) - 1/x and zeta(2, x) = zeta(2, x + 1)
+    + 1/x^2 carry m up to x >= 16, where the asymptotic series of psi(x) -
+    ln(x) and of zeta(2, x), to the Bernoulli number B_12, are exact in
+    float64.  A network has a handful of distinct shapes, so each is computed
+    once, without scipy.
     """
-    from scipy import special
-    return (float(special.digamma(m)) - math.log(m),
-            float(special.zeta(2.0, m)))
+    n = 0 if m >= 16.0 else math.ceil(16.0 - m)
+    x = m + n
+    t = 1.0 / (x * x)
+    mean = -0.5 / x - t * (1 / 12 - t * (1 / 120 - t * (
+        1 / 252 - t * (1 / 240 - t * (1 / 132 - t * 691 / 32760)))))
+    var = 1.0 / x + 0.5 * t + t / x * (1 / 6 - t * (1 / 30 - t * (
+        1 / 42 - t * (1 / 30 - t * (5 / 66 - t * 691 / 2730)))))
+    for j in reversed(range(n)):  # smallest terms first
+        y = m + j
+        mean -= 1.0 / y
+        var += 1.0 / (y * y)
+    mean += math.log(x / m)
+    return mean, var
 
 
 def from_composite(link: CompositeLink) -> LogNormal:

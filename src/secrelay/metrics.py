@@ -21,19 +21,22 @@ outage), at 0 and at the outage threshold's floor kink.  The rate reference
 integrates the closed erfc product, which holds no cancelling difference,
 so it meets its relative tolerance on vanishing rates too.  Both references
 accept a relative tolerance in [1e-12, 1e-4], and one that cannot meet it
-raises AccuracyError.  QUADPACK (``scipy.integrate``, which pulls in
-``scipy.optimize``, ``linalg`` and ``sparse``) is imported on the first
-reference call, not with the package: no sweep integrates adaptively.
+raises AccuracyError.
+
+The estimators loop over their nodes with ``math.erfc``, ``exp`` and
+``log1p``, so the analytic route needs neither numpy nor scipy.  QUADPACK
+(``scipy.integrate``, which pulls in numpy, ``scipy.optimize``, ``linalg``
+and ``sparse``) is imported on the first reference call, not with the
+package: no sweep integrates adaptively.
 """
 from __future__ import annotations
 
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .channel import Endpoints
 from .errors import AccuracyError, ConfigurationError
@@ -83,7 +86,7 @@ class MetricResult:
 
 
 def _check_order(order: int) -> None:
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
+    if not isinstance(order, numbers.Integral) or isinstance(order, bool):
         raise ConfigurationError(f"quadrature order must be an integer, got {order!r}")
     if not 1 <= order <= MAX_QUADRATURE_ORDER:
         raise ConfigurationError(
@@ -141,21 +144,20 @@ def min_snr_cdf(ep: Endpoints, z: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _trapezoid_cells(order: int) -> tuple[np.ndarray, float]:
-    """Midpoints of `order` equal cells of [0, 1] (read-only), and the
-    factor (order / 24)^(2/3) that scales the window depth."""
+def _trapezoid_cells(order: int) -> tuple[tuple[float, ...], float]:
+    """Midpoints of `order` equal cells of [0, 1], and the factor
+    (order / 24)^(2/3) that scales the window depth."""
     _check_order(order)
     k = int(order)
-    cells = (np.arange(k) + 0.5) / k
-    cells.setflags(write=False)
-    return cells, (k / 24.0) ** (2.0 / 3.0)
+    return tuple((i + 0.5) / k for i in range(k)), (k / 24.0) ** (2.0 / 3.0)
 
 
 def _hinge_root(tau: float, p1: float, s1: float, p2: float, s2: float) -> float:
     """The x where ((x - p1)_+ / s1)^2 / 2 + ((x - p2)_+ / s2)^2 / 2 = tau > 0."""
     r = math.sqrt(2.0 * tau)
     v1, v2 = s1 * s1, s2 * s2
-    disc = 2.0 * tau * (v1 + v2) - (p1 - p2) ** 2
+    gap = p1 - p2
+    disc = 2.0 * tau * (v1 + v2) - gap * gap  # an overflow gives -inf or nan
     if disc > 0.0:
         both = (p1 * v2 + p2 * v1 + s1 * s2 * math.sqrt(disc)) / (v1 + v2)
         if both >= max(p1, p2):
@@ -215,19 +217,23 @@ def avg_secrecy_rate(ep: Endpoints, order: int = 24) -> MetricResult:
     takes `order` equally spaced nodes at the cell midpoints of the window
     from _rate_window.
     """
-    from scipy import special  # loaded on the first closed-form call
-
     _require_random(ep, "avg_secrecy_rate")
     cells, depth_scale = _trapezoid_cells(order)  # validates the order range
     lo, hi = _rate_window(ep, _RATE_WINDOW_NATS * depth_scale)
-    y = lo + (hi - lo) * cells
-    # one erfc call over the eve, bob and relay rows
-    mu = np.array([[ep.eve.mu], [ep.bob.mu], [ep.relay.mu]])
-    scale = np.array([[-1.0 / (_SQRT2 * ep.eve.sigma)],
-                      [1.0 / (_SQRT2 * ep.bob.sigma)],
-                      [1.0 / (_SQRT2 * ep.relay.sigma)]])
-    prod = special.erfc((y - mu) * scale).prod(axis=0)
-    value = (hi - lo) / order * float(prod @ special.expit(y)) / (8.0 * _LN2)
+    me, mb, mr = ep.eve.mu, ep.bob.mu, ep.relay.mu
+    # each factor scaled by its own sigma
+    ce, cb, cr = (1.0 / (_SQRT2 * x.sigma) for x in (ep.eve, ep.bob, ep.relay))
+    total = 0.0
+    for c in cells:
+        y = lo + (hi - lo) * c
+        if y >= 0.0:  # the logistic factor e^y / (1 + e^y), without overflow
+            logistic = 1.0 / (1.0 + math.exp(-y))
+        else:
+            ey = math.exp(y)
+            logistic = ey / (1.0 + ey)
+        total += (math.erfc((me - y) * ce) * math.erfc((y - mb) * cb)
+                  * math.erfc((y - mr) * cr) * logistic)
+    value = (hi - lo) / order * total / (8.0 * _LN2)
     return MetricResult(value=value)
 
 
@@ -334,17 +340,23 @@ def secrecy_outage(ep: Endpoints, rs_target: float, order: int = 24) -> MetricRe
     trapezoid rule in v takes `order` equally spaced nodes at the cell
     midpoints of the window from _outage_window.
     """
-    from scipy import special  # loaded on the first closed-form call
-
     _require_random(ep, "secrecy_outage")
     floor, offset = _log_threshold(rs_target, ep.eve.mu)
     cells, depth_scale = _trapezoid_cells(order)  # validates the order range
     lo, hi = _outage_window(ep, floor, offset, _OUTAGE_WINDOW_NATS * depth_scale)
-    v = lo + (hi - lo) * cells
-    lt = np.logaddexp(floor, offset + ep.eve.sigma * v)
-    survival = (special.erfc((lt - ep.bob.mu) / (_SQRT2 * ep.bob.sigma))
-                * special.erfc((lt - ep.relay.mu) / (_SQRT2 * ep.relay.sigma)))
-    integral = (hi - lo) / order * float(survival @ np.exp(-0.5 * v * v))
+    se = ep.eve.sigma
+    mb, cb = ep.bob.mu, 1.0 / (_SQRT2 * ep.bob.sigma)
+    mr, cr = ep.relay.mu, 1.0 / (_SQRT2 * ep.relay.sigma)
+    total = 0.0
+    for c in cells:
+        v = lo + (hi - lo) * c
+        x = offset + se * v
+        # logaddexp(floor, x)
+        lt = (x + math.log1p(math.exp(floor - x)) if x > floor
+              else floor + math.log1p(math.exp(x - floor)))
+        total += (math.erfc((lt - mb) * cb) * math.erfc((lt - mr) * cr)
+                  * math.exp(-0.5 * v * v))
+    integral = (hi - lo) / order * total
     value = 1.0 - integral / (4.0 * _SQRT_2PI)
     return MetricResult(value=_clamp_unit(value, "secrecy_outage"))
 

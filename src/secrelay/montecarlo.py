@@ -24,18 +24,23 @@ mean and standard error.
 Each call draws its blocks into buffers it allocates once, so a yielded
 block of rates is a view that the next block overwrites.  The buffers are
 local to the call, never shared between sweep worker threads.
+
+This is the package's one numpy module, and numpy is imported inside the
+functions that draw: importing the package loads the standard library only,
+and the first Monte-Carlo call pays for numpy, once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .channel import SystemConfig, endpoints_for, link_budget
-from .errors import ConfigurationError
+from .config import _check_samples
 from .lognormal import DB_TO_NAT, CompositeLink, LogNormal
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "McEstimate",
@@ -44,17 +49,12 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 17  # fixed reduction block keeps accumulation order canonical
-_MIN_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
 class McEstimate:
     mean: float
     std_error: float
-
-
-def _rng_for(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed) & (2 ** 128 - 1)))
 
 
 def _draw(link: LogNormal | CompositeLink, rng: np.random.Generator,
@@ -67,6 +67,7 @@ def _draw(link: LogNormal | CompositeLink, rng: np.random.Generator,
     same stream; ``scratch``, a work array of ``out``'s shape, holds the
     shadowing factor (a LogNormal needs none).
     """
+    import numpy as np
     if isinstance(link, LogNormal):
         rng.standard_normal(out=out)
         out *= link.sigma
@@ -90,16 +91,8 @@ def sample_composite_snr(link: CompositeLink, rng: np.random.Generator,
     G is Gamma(shape m, scale 1/m), i.e. mean-normalised Nakagami-m squared
     envelope; S is the log-normal shadowing with the link's dB mean and sd.
     """
+    import numpy as np
     return _draw(link, rng, np.empty(size), np.empty(size))
-
-
-def _check_samples(n: int) -> int:
-    """n as a Python int; numpy integers pass, bools do not."""
-    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
-            or n < _MIN_SAMPLES):
-        raise ConfigurationError(
-            f"Monte-Carlo runs need at least {_MIN_SAMPLES} samples, got {n!r}")
-    return int(n)
 
 
 def _iter_rate_blocks(cfg: SystemConfig, mode: str, n: int, seed: int):
@@ -115,6 +108,7 @@ def _iter_rate_blocks(cfg: SystemConfig, mode: str, n: int, seed: int):
     before advancing the generator.  The buffers are local to the call, so
     concurrent calls from sweep workers share nothing.
     """
+    import numpy as np
     if mode == "ln_fit":
         ep = endpoints_for(cfg)
         plan, rows = ((ep.relay,), (ep.bob,), (ep.eve,)), 3
@@ -125,7 +119,7 @@ def _iter_rate_blocks(cfg: SystemConfig, mode: str, n: int, seed: int):
         rows = 5  # plus a row to draw further links into and a work row
     else:
         raise ValueError(f"unknown Monte-Carlo mode {mode!r}")
-    rng = _rng_for(seed)
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2 ** 128 - 1)))
     bufs = np.empty((rows, min(_BLOCK, n)))
     for done in range(0, n, _BLOCK):
         b = min(_BLOCK, n - done)
@@ -156,6 +150,7 @@ def mc_secrecy_metrics(cfg: SystemConfig, rs_targets: Sequence[float],
     Sharing them across targets (common random numbers) makes the outage
     estimates exactly nested: a higher target never reports lower outage.
     """
+    import numpy as np
     n = _check_samples(n)
     targets = [float(r) for r in rs_targets]
     for r in targets:

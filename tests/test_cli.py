@@ -312,11 +312,12 @@ def test_validate_in_a_cold_process_loads_quadpack_itself(tmp_path):
     assert out.decode().splitlines()[-1] == "7/7 checks passed"
 
 
-@pytest.mark.parametrize("delta", ["-1e17", "-1e6"])
+@pytest.mark.parametrize("delta", ["-1e17", "-1e6", "-1e300"])
 def test_validate_passes_at_a_vanishing_self_interference(tmp_path, delta):
     # the isolation probe must move delta_db where a 5 dB step rounds away,
-    # the rate reference must not stretch to the relay's far mean, and the
-    # overflowing relay draws must print no warning
+    # the rate reference must not stretch to the relay's far mean, the
+    # estimators' windows must not overflow on it, and the overflowing relay
+    # draws must print no warning
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(FAST_VALIDATE_CONFIG + f"delta_db = {delta}\n")
     with _spawn(["validate", "--config", str(cfg)]) as proc:

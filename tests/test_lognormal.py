@@ -295,11 +295,25 @@ class TestCompositeLogMoments:
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.7, 50.0])
     def test_cached_moments_give_the_direct_fit_bitwise(self, m):
         rv = from_composite(CompositeLink(m, -7.0, 6.0))
-        mean = float(special.digamma(m)) - math.log(m) + XI * -7.0
-        var = float(special.zeta(2.0, m)) + (XI * 6.0) ** 2
+        gamma_mean, gamma_var = _gamma_log_moments.__wrapped__(m)
+        mean = gamma_mean + XI * -7.0
+        var = gamma_var + (XI * 6.0) ** 2
         assert (rv.mu, rv.sigma) == (mean, math.sqrt(var))
         # a repeat fit is served from the cache and is the same fit
         assert from_composite(CompositeLink(m, -7.0, 6.0)) == rv
+
+    def test_moments_match_scipy(self):
+        # the recurrence and asymptotic series against scipy's digamma and
+        # Hurwitz zeta, which they replace; the worst errors read 8.3e-16
+        # (mean) and 6.0e-16 (variance)
+        worst_mean = worst_var = 0.0
+        for m in np.linspace(0.5, 50.0, 2000):
+            mean, var = _gamma_log_moments.__wrapped__(float(m))
+            zeta = float(special.zeta(2.0, m))
+            worst_mean = max(worst_mean, abs(
+                mean - (float(special.digamma(m)) - math.log(m))))
+            worst_var = max(worst_var, abs(var - zeta) / zeta)
+        assert worst_mean <= 2e-15 and worst_var <= 2e-15, (worst_mean, worst_var)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_domain(self, bad):

@@ -289,6 +289,24 @@ class TestRules:
         with pytest.raises(ConfigurationError):
             secrecy_outage(SANITY_EP, 2.0, order)
 
+    def test_numpy_integer_order_accepted(self):
+        assert (avg_secrecy_rate(SANITY_EP, np.int64(24))
+                == avg_secrecy_rate(SANITY_EP, 24))
+        assert (secrecy_outage(SANITY_EP, 2.0, np.int32(24))
+                == secrecy_outage(SANITY_EP, 2.0, 24))
+
+    @pytest.mark.parametrize("delta", [-1e156, -1e300])
+    def test_relay_mean_past_the_square_of_a_double(self, delta):
+        # the windows' hinge root squares the gap between bob's and the
+        # relay's means; past about 1e154 nats that overflows, and the
+        # nearer edge must be taken, as it is just below
+        near = endpoints_for(SystemConfig(delta_db=-1e154))
+        far = endpoints_for(SystemConfig(delta_db=delta))
+        assert avg_secrecy_rate(far) == avg_secrecy_rate(near)
+        assert secrecy_outage(far, 2.0) == secrecy_outage(near, 2.0)
+        assert avg_secrecy_rate(near).value == 0.10414948228384811
+        assert secrecy_outage(near, 2.0).value == 0.9812451570560197
+
     def test_target_rate_beyond_float_range_of_two_to_the_rs(self):
         # 2^2000 overflows a double; the trapezoid rule works in logs
         assert secrecy_outage(SANITY_EP, 2000.0, 24).value == 1.0

@@ -210,16 +210,16 @@ class TestAdaptiveIntegrate:
 
 
 # run in a fresh interpreter, whose sys.modules no other test has touched:
-# parsing, the CLI parser and an mc-composite sweep load no scipy at all,
-# closed forms load scipy.special alone, and a reference call adds QUADPACK
+# the package, parsing, the CLI and an analytic sweep load neither numpy nor
+# scipy, Monte-Carlo sweeps load numpy alone, and a reference call adds
+# QUADPACK
 IMPORT_GRAPH_CHILD = textwrap.dedent("""
     import sys
     import secrelay as sr
     from secrelay import cli
 
-    def scipy_loaded():
-        return sorted(m for m in sys.modules
-                      if m == "scipy" or m.startswith("scipy."))
+    def loaded(*names):
+        return sorted(m for m in sys.modules if m.split(".")[0] in names)
 
     def sweep(cfg, methods):
         spec = sr.SweepSpec(base=cfg, metrics=("rate", "outage"),
@@ -231,23 +231,26 @@ IMPORT_GRAPH_CHILD = textwrap.dedent("""
         "power_dbm = 30, 60\\nn_eve = 2, 4\\nsamples = 1000\\n"
         "eve_mode = composite\\neve_mean_snr_db = -40\\neve_shadow_sd_db = 5\\n")
     assert isinstance(cfg.network.eve_spec, sr.EveComposite)
-    cli._build_parser().parse_args(
-        ["rate-sweep", "--preset", "paper-fig2", "--output", "unused.csv"])
-    sweep(cfg, ("mc-composite",))
-    assert not scipy_loaded(), f"an mc-composite run loaded {scipy_loaded()}"
+    assert cli.main(["rate-sweep", "--preset", "paper-fig2",
+                     "--output", sys.argv[1]]) == 0
+    with open(sys.argv[1], encoding="utf-8") as fh:
+        assert len(fh.readlines()) == 1 + 126
+    heavy = loaded("numpy", "scipy")
+    assert not heavy, f"an analytic run loaded {heavy}"
 
-    sweep(cfg, ("analytic", "mc-ln"))
-    assert "scipy.special" in sys.modules, scipy_loaded()
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
-    loaded = [m for m in heavy if m in sys.modules]
-    assert not loaded, f"a sweep loaded {loaded}"
+    sweep(cfg, ("mc-composite",))
+    assert "numpy" in sys.modules
+    sweep(cfg, ("mc-ln",))
+    heavy = loaded("scipy")
+    assert not heavy, f"a Monte-Carlo run loaded {heavy}"
     sr.avg_secrecy_rate_reference(sr.endpoints_for(cfg.network), 1e-9)
     assert "scipy.integrate" in sys.modules
 """)
 
 
-def test_sweeps_leave_quadpack_unloaded_until_a_reference_call():
+def test_sweeps_leave_quadpack_unloaded_until_a_reference_call(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(secrelay.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_CHILD],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_CHILD,
+                           str(tmp_path / "fig2.csv")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -257,8 +257,9 @@ def test_mc_composite_overflow_flags_its_rows():
 
 def test_mc_sweep_csv_digest(tmp_path):
     # Written by the estimators that sampled rate and outage in separate
-    # passes; the digest depends on numpy's Philox Generator streams and
-    # was recorded with numpy 2.4.6.
+    # passes; the digest depends on numpy's Philox Generator streams (numpy
+    # 2.4.6) and, through the mc-ln endpoint fits, on the standard-library
+    # psi and zeta(2, m) of lognormal._gamma_log_moments.
     spec = SweepSpec(base=small_run_config(rs_grid=(1.0, 2.0)),
                      metrics=("rate", "outage"),
                      methods=("mc-ln", "mc-composite"))
@@ -275,21 +276,24 @@ def sweep_digest(spec, tmp_path, workers=1):
 
 
 def test_fig2_analytic_csv_digest(tmp_path):
-    # The paper-fig2 rate and outage rows from the closed forms, recorded
-    # with numpy 2.4.6 and scipy 1.17.1.
+    # The paper-fig2 rate and outage rows from the closed forms, which run
+    # on the standard library alone: the digest depends on the platform's
+    # libm (math.erfc, exp, log1p) and on the lognormal psi and zeta(2, m).
     spec = SweepSpec(base=preset_run_config("paper-fig2").with_overrides(seed=11),
                      metrics=("rate", "outage"), methods=("analytic",))
     assert sweep_digest(spec, tmp_path) == (
-        "26f660603b66026fa17da9a684eee2dc1f73f97e2774106abe6ee276a32f0662")
+        "4133ac20fe448e1aaa4af0ed379c4caeb490536bde7d702cc223ad0e582d2d0c")
 
 
 def test_composite_eve_mc_csv_digest(tmp_path):
     # A composite eavesdropper on a reduced paper-fig2 grid: pins the order
     # in which the composite oracle draws every link and antenna from the
-    # Philox stream.  Recorded with numpy 2.4.6 and scipy 1.17.1.
+    # Philox stream.  It depends on numpy's Philox streams (numpy 2.4.6) and,
+    # through the mc-ln endpoint fits, on the standard-library psi and
+    # zeta(2, m) of lognormal._gamma_log_moments.
     base = replace(preset_run_config("paper-fig2"), power_grid_dbm=(10.0, 70.0),
                    delta_grid_db=(-80.0,), n_eve_grid=(2, 8), samples=1000, seed=11)
     spec = SweepSpec(base=base, metrics=("rate", "outage"),
                      methods=("mc-composite", "mc-ln"))
     assert sweep_digest(spec, tmp_path, workers=2) == (
-        "a35fea396c309d48bb81120b00001bb6d8b62b7a2b3fcce9b2eff8a66c86b165")
+        "ba05cc683784dba312ef83305fda97ba56ebc1e51b98ba5944585496b0725bd7")
