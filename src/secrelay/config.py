@@ -76,6 +76,8 @@ class RunConfig:
                 raise ConfigurationError(
                     f"rs_target grid entry {rs!r} must be positive")
         _check_samples(self.samples)
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
 
     def system(self, power_dbm: float, delta_db: float, n_eve: int) -> SystemConfig:
         """The network at one grid point."""

@@ -12,18 +12,26 @@ Two modes:
                      Differences from the analytic values measure the
                      log-normal approximation error.
 
-Every link either mode draws is a LogNormal or a CompositeLink, and one
-in-place sampler draws both kinds.  Streams use the counter-based Philox
-generator keyed directly by the caller's seed, and samples are reduced
-sequentially in fixed-size blocks, so results are bit-identical for a given
-(config, mode, n, seed) regardless of how many sweep workers run
-concurrently.  ``mc_secrecy_metrics`` is the one estimator: it reduces one
-sample set into the rate and every outage target, each an ``McEstimate`` of
-mean and standard error.
+``mc_grid_metrics`` estimates many grid points of one network from common
+random numbers.  Each link owns a bank of draws from its own counter-based
+Philox substream, ``Philox(key=seed).jumped(j)``, drawn once per call:
 
-Each call draws its blocks into buffers it allocates once, so a yielded
-block of rates is a view that the next block overwrites.  The buffers are
-local to the call, never shared between sweep worker threads.
+* ``ln_fit`` draws standard normals z for the relay (j = 1), Bob (2) and
+  Eve (3); a point takes exp(mu + sigma * z) with its fitted endpoints;
+* ``composite`` draws each link at 0 dBm transmit power and 0 dB
+  isolation -- ar (4), rr (5), ab (6), rb (7), and Eve's link once per
+  branch i (8 + i), two branches per antenna -- and a point scales them:
+  the relay SINR ar / rr by e^(-xi delta), Bob's ab + rb and a composite
+  Eve by e^(xi P).  Eve sums her first 2 N_E branches, so the N_E axis is
+  a prefix sum.
+
+So a point's estimates depend on its own values, the seed and n, never on
+the other points of the call nor on how many sweep workers run.  Each
+point's standard error is its own, but the points of one call are
+correlated.  ``mc_secrecy_metrics`` is the one-point call.  Banks are drawn
+in fixed-size blocks into buffers allocated once per call, never shared
+between sweep worker threads, and each point's arithmetic runs over
+cache-sized slices of a block.
 
 This is the package's one numpy module, and numpy is imported inside the
 functions that draw: importing the package loads the standard library only,
@@ -32,11 +40,12 @@ and the first Monte-Carlo call pays for numpy, once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Sequence, Union
 
-from .channel import SystemConfig, endpoints_for, link_budget
+from .channel import EveComposite, SystemConfig, endpoints_for, link_budget
 from .config import _check_samples
+from .errors import _EVALUATION_ERRORS
 from .lognormal import DB_TO_NAT, CompositeLink, LogNormal
 
 if TYPE_CHECKING:
@@ -45,16 +54,26 @@ if TYPE_CHECKING:
 __all__ = [
     "McEstimate",
     "sample_composite_snr",
+    "mc_grid_metrics",
     "mc_secrecy_metrics",
 ]
 
 _BLOCK = 1 << 17  # fixed reduction block keeps accumulation order canonical
+_SLICE = 1 << 13  # samples of a block that one point's arithmetic spans at a time
+_MODES = ("ln_fit", "composite")
+_LN_STREAMS = (1, 2, 3)  # relay, Bob, Eve
+_LINK_STREAMS = (4, 5, 6, 7)  # ar, rr, ab, rb
+_EVE_STREAM = 8  # Eve's branch i draws from substream 8 + i
 
 
 @dataclass(frozen=True)
 class McEstimate:
     mean: float
     std_error: float
+
+
+# one point's estimates, or the error that stopped it
+PointResult = Union[tuple[McEstimate, list[McEstimate]], Exception]
 
 
 def _draw(link: LogNormal | CompositeLink, rng: np.random.Generator,
@@ -95,60 +114,158 @@ def sample_composite_snr(link: CompositeLink, rng: np.random.Generator,
     return _draw(link, rng, np.empty(size), np.empty(size))
 
 
-def _iter_rate_blocks(cfg: SystemConfig, mode: str, n: int, seed: int):
-    """Yield per-block arrays of instantaneous secrecy rates (bits/s/Hz).
-
-    Both modes run one loop over the links they draw, in stream order: the
-    relay's links (divided), Bob's (added) and Eve's (added).  ``ln_fit``
-    draws one fitted endpoint for each; ``composite`` draws ar over rr,
-    ab plus rb, and Eve's per-antenna link 2 * N_E times.
-
-    Each block is drawn into buffers allocated once per call, so a yielded
-    block is a view that the next block overwrites: reduce it (or copy it)
-    before advancing the generator.  The buffers are local to the call, so
-    concurrent calls from sweep workers share nothing.
-    """
+def _substream(seed: int, j: int) -> np.random.Generator:
+    """Substream j of the seed's Philox key: one bank's own stream."""
     import numpy as np
+    key = int(seed) & (2 ** 128 - 1)
+    return np.random.Generator(np.random.Philox(key=key).jumped(j))
+
+
+def _gain(db: float) -> float:
+    """The power ratio e^(xi * db); inf where a float64 cannot hold it."""
+    try:
+        return math.exp(DB_TO_NAT * db)
+    except OverflowError:
+        return math.inf
+
+
+def _point_scalars(cfg: SystemConfig, mode: str) -> tuple:
+    """What one point multiplies the banks by; raises what stops the point.
+
+    ``ln_fit``: the fitted endpoints' (mu, sigma) for relay, Bob and Eve.
+    ``composite``: the relay's isolation gain e^(-xi delta), which may be inf
+    (the relay then never limits), the power gain e^(xi P) of Bob and of Eve
+    (1 for a direct Eve), and the number of branches Eve sums.
+    """
     if mode == "ln_fit":
         ep = endpoints_for(cfg)
-        plan, rows = ((ep.relay,), (ep.bob,), (ep.eve,)), 3
-    elif mode == "composite":
-        budget = link_budget(cfg)
-        plan = ((budget.ar, budget.rr), (budget.ab, budget.rb),
-                (budget.eve,) * (2 * cfg.n_eve))  # both sources, every antenna
-        rows = 5  # plus a row to draw further links into and a work row
+        return (ep.relay.mu, ep.relay.sigma, ep.bob.mu, ep.bob.sigma,
+                ep.eve.mu, ep.eve.sigma)
+    power = _gain(cfg.power_dbm)
+    if power == math.inf:  # as the analytic route's endpoint fit overflows
+        raise OverflowError(f"Monte-Carlo draws overflow: {cfg.power_dbm!r} dBm "
+                            "is past a float64 power ratio")
+    eve = power if isinstance(cfg.eve_spec, EveComposite) else 1.0
+    return _gain(-cfg.delta_db), power, eve, 2 * cfg.n_eve
+
+
+def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | None],
+                      mode: str, n: int, seed: int):
+    """Yield (i, rates): point i's instantaneous secrecy rates (bits/s/Hz)
+    on one slice of samples, slice by slice and, within a slice, point by
+    point; a point whose scalars are None is skipped.
+
+    Every block draws each bank once, from its own substream, for all the
+    points.  ``network`` sets what ``composite`` draws: its links at 0 dBm
+    and 0 dB isolation.  A yielded slice is a view that the next one
+    overwrites: reduce it (or copy it) before advancing.  The buffers are
+    local to the call, so concurrent calls from sweep workers share nothing.
+    """
+    import numpy as np
+    live = [i for i, s in enumerate(scalars) if s is not None]
+    if not live:
+        return
+    if mode == "ln_fit":
+        normals = [_substream(seed, j) for j in _LN_STREAMS]
+        sums = ()
     else:
-        raise ValueError(f"unknown Monte-Carlo mode {mode!r}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2 ** 128 - 1)))
-    bufs = np.empty((rows, min(_BLOCK, n)))
+        unit = link_budget(replace(network, power_dbm=0.0, delta_db=0.0))
+        links = list(zip((unit.ar, unit.rr, unit.ab, unit.rb),
+                         [_substream(seed, j) for j in _LINK_STREAMS]))
+        sums = sorted({scalars[i][3] for i in live})  # Eve's branch counts
+        branches = [_substream(seed, _EVE_STREAM + k) for k in range(sums[-1])]
+        eve_row = {i: 4 + sums.index(scalars[i][3]) for i in live}
+    bufs = np.empty((3 if mode == "ln_fit" else 4 + len(sums), min(_BLOCK, n)))
+    x, y = np.empty((2, min(_SLICE, n)))
     for done in range(0, n, _BLOCK):
         b = min(_BLOCK, n - done)
-        relay, bob, eve, *work = bufs[:, :b]  # contiguous rows
-        tmp, scratch = work or (None, None)  # ln_fit draws lone LogNormals
-        for out, combine, (first, *rest) in zip((relay, bob, eve),
-                                                (np.divide, np.add, np.add), plan):
-            _draw(first, rng, out, scratch)
-            for link in rest:
-                combine(out, _draw(link, rng, tmp, scratch), out=out)
-        # max(log2(1 + min(relay, bob)) - log2(1 + eve), 0), in place
-        main = np.minimum(relay, bob, out=relay)
-        main += 1.0
-        eve += 1.0
-        np.log2(main, out=main)
-        np.log2(eve, out=eve)
-        main -= eve
-        yield np.maximum(main, 0.0, out=main)
+        banks = bufs[:, :b]  # contiguous rows
+        if mode == "ln_fit":
+            for rng, row in zip(normals, banks):
+                rng.standard_normal(out=row)
+        else:
+            # relay = ar / rr and bob = ab + rb, with a draw row and a work row
+            relay, bob, tmp, scratch, *eve = banks
+            (ar, s_ar), (rr, s_rr), (ab, s_ab), (rb, s_rb) = links
+            _draw(ar, s_ar, relay, scratch)
+            relay /= _draw(rr, s_rr, tmp, scratch)
+            _draw(ab, s_ab, bob, scratch)
+            bob += _draw(rb, s_rb, tmp, scratch)
+            # Eve's prefix sums: each row continues the one before it
+            drawn = 0
+            for r, count in enumerate(sums):
+                if r:
+                    np.copyto(eve[r], eve[r - 1])
+                for k in range(drawn, count):
+                    if k:
+                        eve[r] += _draw(unit.eve, branches[k], tmp, scratch)
+                    else:
+                        _draw(unit.eve, branches[0], eve[r], scratch)
+                drawn = count
+        for lo in range(0, b, _SLICE):
+            w = min(_SLICE, b - lo)
+            part = banks[:, lo:lo + w]
+            rates, work = x[:w], y[:w]
+            for i in live:
+                if mode == "ln_fit":
+                    _ln_fit_rates(part, scalars[i], rates, work)
+                else:
+                    _composite_rates(part[0], part[1], part[eve_row[i]],
+                                     scalars[i], rates, work)
+                yield i, rates
 
 
-def mc_secrecy_metrics(cfg: SystemConfig, rs_targets: Sequence[float],
-                       mode: str, n: int, seed: int
-                       ) -> tuple[McEstimate, list[McEstimate]]:
-    """Empirical average secrecy rate and outage per target, one sample set.
+def _ln_fit_rates(z, scalars, rates, work):
+    """Secrecy rates from normal banks z = (relay, Bob, Eve), in place."""
+    import numpy as np
+    mu_r, sigma_r, mu_b, sigma_b, mu_e, sigma_e = scalars
+    np.multiply(z[0], sigma_r, out=rates)
+    rates += mu_r
+    np.multiply(z[1], sigma_b, out=work)
+    work += mu_b
+    # exp is increasing, so min(relay, bob) is taken on the exponents
+    np.minimum(rates, work, out=rates)
+    np.exp(rates, out=rates)
+    np.multiply(z[2], sigma_e, out=work)
+    work += mu_e
+    np.exp(work, out=work)
+    _secrecy(rates, work)
 
-    The n realisations are drawn once and reduced block by block into the
-    rate's sum and sum of squares and each target's ``rates < r`` count.
-    Sharing them across targets (common random numbers) makes the outage
-    estimates exactly nested: a higher target never reports lower outage.
+
+def _composite_rates(relay, bob, eve, scalars, rates, work):
+    """Secrecy rates from the 0 dBm banks and one point's gains, in place."""
+    import numpy as np
+    isolation, power, eve_power, _ = scalars
+    np.multiply(relay, isolation, out=rates)
+    np.multiply(bob, power, out=work)
+    np.minimum(rates, work, out=rates)
+    np.multiply(eve, eve_power, out=work)
+    _secrecy(rates, work)
+
+
+def _secrecy(main, eve):
+    """max(log2(1 + main) - log2(1 + eve), 0) into ``main``."""
+    import numpy as np
+    main += 1.0
+    eve += 1.0
+    np.log2(main, out=main)
+    np.log2(eve, out=eve)
+    main -= eve
+    np.maximum(main, 0.0, out=main)
+
+
+def mc_grid_metrics(points: Sequence[SystemConfig], rs_targets: Sequence[float],
+                    mode: str, n: int, seed: int) -> list[PointResult]:
+    """Empirical average secrecy rate and outage per target at each point.
+
+    The points must share one network apart from their power, delta and
+    N_E.  Each point's n realisations are reduced block by block into the
+    rate's sum and sum of squares and each target's ``rates < r`` count;
+    sharing them across targets makes a point's outage estimates exactly
+    nested: a higher target never reports lower outage.  A point whose
+    endpoint fit or power gain overflows, or whose rates do not sum to a
+    finite number, gets the error in place of its estimates; an invalid n,
+    target, mode or set of points raises.
     """
     import numpy as np
     n = _check_samples(n)
@@ -156,22 +273,57 @@ def mc_secrecy_metrics(cfg: SystemConfig, rs_targets: Sequence[float],
     for r in targets:
         if not (r > 0.0 and math.isfinite(r)):
             raise ValueError(f"rs_target must be positive, got {r!r}")
-    total = 0.0
-    total_sq = 0.0
-    counts = np.zeros(len(targets), dtype=np.int64)
+    if mode not in _MODES:
+        raise ValueError(f"unknown Monte-Carlo mode {mode!r}")
+    points = list(points)
+    if len({replace(p, power_dbm=0.0, delta_db=0.0, n_eve=1) for p in points}) > 1:
+        raise ValueError("Monte-Carlo grid points must share one network "
+                         "apart from power, delta and N_E")
+    results: list = [None] * len(points)
+    scalars: list = [None] * len(points)
+    for i, cfg in enumerate(points):
+        try:
+            scalars[i] = _point_scalars(cfg, mode)
+        except _EVALUATION_ERRORS as exc:
+            results[i] = exc
+    total = [0.0] * len(points)
+    total_sq = [0.0] * len(points)
+    counts = [[0] * len(targets) for _ in points]
     # overflow is reported below, not warned of; errstate is per thread
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for rates in _iter_rate_blocks(cfg, mode, n, seed):
-            total += float(rates.sum())
-            total_sq += float((rates * rates).sum())
-            for i, r in enumerate(targets):
-                counts[i] += int(np.count_nonzero(rates < r))
-    if not math.isfinite(total):  # overflowing draws, e.g. inf / inf in the relay SINR
-        raise OverflowError(
-            f"Monte-Carlo draws overflow: the secrecy rates sum to {total!r}")
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-    rate = McEstimate(mean=mean, std_error=math.sqrt(var / n))
-    return rate, [McEstimate(mean=float(p), std_error=math.sqrt(p * (1.0 - p) / n))
-                  for p in counts / n]
+        square = np.empty(min(_SLICE, n))
+        for i, rates in _iter_rate_slices(points[0] if points else None,
+                                          scalars, mode, n, seed):
+            total[i] += float(rates.sum())
+            total_sq[i] += float(np.multiply(rates, rates,
+                                             out=square[:len(rates)]).sum())
+            for t, r in enumerate(targets):
+                counts[i][t] += int(np.count_nonzero(rates < r))
+    for i in range(len(points)):
+        if results[i] is not None:
+            continue
+        if not math.isfinite(total[i]):  # e.g. inf - inf: main and Eve overflow
+            results[i] = OverflowError(
+                f"Monte-Carlo draws overflow: the secrecy rates sum to {total[i]!r}")
+            continue
+        mean = total[i] / n
+        var = max(total_sq[i] / n - mean * mean, 0.0) * n / (n - 1)
+        results[i] = (McEstimate(mean=mean, std_error=math.sqrt(var / n)),
+                      [McEstimate(mean=p, std_error=math.sqrt(p * (1.0 - p) / n))
+                       for p in (c / n for c in counts[i])])
+    return results
 
+
+def mc_secrecy_metrics(cfg: SystemConfig, rs_targets: Sequence[float],
+                       mode: str, n: int, seed: int
+                       ) -> tuple[McEstimate, list[McEstimate]]:
+    """Empirical average secrecy rate and outage per target at one point.
+
+    The one-point call of ``mc_grid_metrics``, so a sweep row reproduces
+    from its own (power, delta, N_E, seed, samples); raises the error that
+    stops the point.
+    """
+    (result,) = mc_grid_metrics([cfg], rs_targets, mode, n, seed)
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -1,23 +1,29 @@
 """Experiment sweeps over (power, self-interference, antennas, target rate).
 
-Grid points may be evaluated by any number of worker threads; every
-Monte-Carlo point owns a counter-based stream derived from the base seed and
-the point's position in the sorted grid, and rows are emitted in sorted key
-order, so the output file is byte-identical regardless of parallelism.  A
-point's rows share one sample set (Monte-Carlo) or one endpoint fit (analytic).
+Any number of worker threads may share the work: each analytic grid point is
+one task, and each Monte-Carlo method one task that estimates all the points
+from common random numbers (``mc_grid_metrics``).  Rows are emitted in sorted
+key order, so the output file is byte-identical regardless of parallelism.
+A Monte-Carlo row's ``seed`` column holds the base seed: its value depends
+only on its own (power, delta, N_E), the seed and the sample count, so adding
+or removing grid values leaves every other row unchanged, and a one-point
+sweep rebuilds any row.  Each row's standard error is valid on its own, but
+the Monte-Carlo rows of one sweep are correlated.  A point's rows share one
+sample set (Monte-Carlo) or one endpoint fit (analytic).
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .config import _MAX_ROWS, RunConfig
 from .errors import _EVALUATION_ERRORS, ConfigurationError
 from .channel import EveComposite, SystemConfig, endpoints_for
 from .metrics import avg_secrecy_rate, secrecy_outage
-from .montecarlo import mc_secrecy_metrics
+from .montecarlo import mc_grid_metrics
 
 __all__ = ["SweepSpec", "SweepRow", "run_sweep", "preset_run_config",
            "CSV_HEADER", "PRESET_NAMES"]
@@ -28,7 +34,6 @@ CSV_HEADER = ("power_dbm,delta_db,n_eve,rs_target,metric,method,"
 METRICS = ("rate", "outage")
 METHODS = ("analytic", "mc-ln", "mc-composite")
 _MODE_OF = {"mc-ln": "ln_fit", "mc-composite": "composite"}
-_SEED_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio step decorrelates point streams
 MAX_WORKERS = 64  # the pool starts up to this many OS threads
 
 
@@ -107,46 +112,59 @@ class SweepRow:
         ])
 
 
-def _point_rows(spec: SweepSpec, power: float, delta: float, n_eve: int,
-                method: str, point_seed: int) -> list[SweepRow]:
-    base = spec.base
-    cfg = base.system(power, delta, n_eve)
+def _row_keys(spec: SweepSpec) -> list[tuple[str, Optional[float]]]:
+    """(metric, rs_target) of each row a grid point writes, in order."""
     keys = [("rate", None)] if "rate" in spec.metrics else []
     if "outage" in spec.metrics:
-        keys += [("outage", rs) for rs in base.rs_grid]
+        keys += [("outage", rs) for rs in spec.base.rs_grid]
+    return keys
 
-    def row(metric, rs, value=None, std_error=None, n_samples=None, seed=None,
-            status="ok"):
-        return SweepRow(power, delta, n_eve, rs, metric, method,
-                        value, std_error, n_samples, seed, status)
 
-    def flag_all(exc):
-        return [row(*key, status=_err(exc)) for key in keys]
+def _flagged(spec: SweepSpec, point: tuple[float, float, int], method: str,
+             exc: Exception) -> list[SweepRow]:
+    """Every row of a point that ``exc`` stopped, naming it in the status."""
+    return [SweepRow(*point, rs, metric, method, None, None, None, None, _err(exc))
+            for metric, rs in _row_keys(spec)]
 
-    if method == "analytic":
-        try:
-            ep = endpoints_for(cfg)
-        except _EVALUATION_ERRORS as exc:
-            return flag_all(exc)
-        rows = []
-        for metric, rs in keys:
-            try:
-                res = (avg_secrecy_rate(ep) if rs is None
-                       else secrecy_outage(ep, rs))
-                rows.append(row(metric, rs, res.value))
-            except _EVALUATION_ERRORS as exc:
-                rows.append(row(metric, rs, status=_err(exc)))
-        return rows
 
-    targets = base.rs_grid if "outage" in spec.metrics else ()
+def _analytic_rows(spec: SweepSpec, power: float, delta: float,
+                   n_eve: int) -> list[SweepRow]:
     try:
-        rate, outages = mc_secrecy_metrics(cfg, targets, _MODE_OF[method],
-                                           base.samples, point_seed)
+        ep = endpoints_for(spec.base.system(power, delta, n_eve))
     except _EVALUATION_ERRORS as exc:
-        return flag_all(exc)
-    ests = ([rate] if "rate" in spec.metrics else []) + outages
-    return [row(*key, est.mean, est.std_error, base.samples, point_seed)
-            for key, est in zip(keys, ests)]
+        return _flagged(spec, (power, delta, n_eve), "analytic", exc)
+    rows = []
+    for metric, rs in _row_keys(spec):
+        value, status = None, "ok"
+        try:
+            value = (avg_secrecy_rate(ep) if rs is None
+                     else secrecy_outage(ep, rs)).value
+        except _EVALUATION_ERRORS as exc:
+            status = _err(exc)
+        rows.append(SweepRow(power, delta, n_eve, rs, metric, "analytic", value,
+                             None, None, None, status))
+    return rows
+
+
+def _mc_rows(spec: SweepSpec, points: Sequence[tuple[float, float, int]],
+             method: str) -> list[SweepRow]:
+    """Every grid point of one Monte-Carlo method, from one set of banks."""
+    base = spec.base
+    keys = _row_keys(spec)
+    targets = base.rs_grid if "outage" in spec.metrics else ()
+    results = mc_grid_metrics([base.system(*point) for point in points], targets,
+                              _MODE_OF[method], base.samples, base.seed)
+    rows = []
+    for point, result in zip(points, results):
+        if isinstance(result, Exception):
+            rows += _flagged(spec, point, method, result)
+            continue
+        rate, outages = result
+        ests = ([rate] if "rate" in spec.metrics else []) + outages
+        rows += [SweepRow(*point, rs, metric, method, est.mean, est.std_error,
+                          base.samples, base.seed, "ok")
+                 for (metric, rs), est in zip(keys, ests)]
+    return rows
 
 
 def _err(exc: Exception) -> str:
@@ -156,29 +174,28 @@ def _err(exc: Exception) -> str:
 def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every grid point; rows come back sorted by their keys.
 
-    ``workers`` threads (1 to MAX_WORKERS) share the points; it is checked
-    before any thread starts.
+    Each analytic point is one task, and each Monte-Carlo method one task
+    over all the points.  ``workers`` threads (1 to MAX_WORKERS) share the
+    tasks; it is checked before any thread starts.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ConfigurationError(
             f"workers must be in [1, {MAX_WORKERS}], got {workers!r}")
-    points = [(power, delta, n_eve, method)
+    points = [(power, delta, n_eve)
               for power in sorted(spec.base.power_grid_dbm)
               for delta in sorted(spec.base.delta_grid_db)
-              for n_eve in sorted(spec.base.n_eve_grid)
-              for method in sorted(spec.methods)]
-    seeds = [(spec.base.seed + (i + 1) * _SEED_STRIDE) % (2 ** 64)
-             for i in range(len(points))]
-
-    def work(args):
-        (power, delta, n_eve, method), seed = args
-        return _point_rows(spec, power, delta, n_eve, method, seed)
-
+              for n_eve in sorted(spec.base.n_eve_grid)]
+    tasks = []
+    for method in sorted(spec.methods):
+        if method == "analytic":
+            tasks += [partial(_analytic_rows, spec, *point) for point in points]
+        else:
+            tasks.append(partial(_mc_rows, spec, points, method))
     if workers == 1:
-        chunks = [work(a) for a in zip(points, seeds)]
+        chunks = [task() for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(work, zip(points, seeds)))
+            chunks = list(pool.map(lambda task: task(), tasks))
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=SweepRow.sort_key)
     return rows

@@ -121,12 +121,16 @@ def _check_monotonicity(cfg: RunConfig, shared) -> Outcome:
 def _check_endpoint_invariants(cfg: RunConfig, shared) -> Outcome:
     base = cfg.network
     ep = endpoints_for(base)
-    # probe the better-isolated side (delta_db may not rise above 0 dB); a
-    # bare 5 dB step rounds away at |delta_db| >= 1e17, a doubling does not
-    step = max(5.0, -base.delta_db)
-    better_si = endpoints_for(replace(base, delta_db=base.delta_db - step))
-    ok = (better_si.relay.mu > ep.relay.mu
-          and better_si.bob == ep.bob and better_si.eve == ep.eve)
+    # probe the better-isolated side (delta_db may not rise above 0 dB),
+    # where the relay mean rises; a bare 5 dB step rounds away at |delta_db|
+    # >= 1e17, a doubling does not.  Where the doubling overflows, probe
+    # half the isolation instead, where the relay mean falls.
+    probe = base.delta_db - max(5.0, -base.delta_db)
+    rise = math.isfinite(probe)
+    moved = endpoints_for(replace(base, delta_db=probe if rise
+                                  else base.delta_db / 2.0))
+    ok = ((moved.relay.mu > ep.relay.mu if rise else moved.relay.mu < ep.relay.mu)
+          and moved.bob == ep.bob and moved.eve == ep.eve)
     more_antennas = endpoints_for(replace(base, n_eve=base.n_eve * 2))
     k1_ratio = cumulants(more_antennas.eve).k1 / cumulants(ep.eve).k1
     ok = ok and abs(k1_ratio - 2.0) < 1e-9

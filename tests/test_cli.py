@@ -312,9 +312,11 @@ def test_validate_in_a_cold_process_loads_quadpack_itself(tmp_path):
     assert out.decode().splitlines()[-1] == "7/7 checks passed"
 
 
-@pytest.mark.parametrize("delta", ["-1e17", "-1e6", "-1e300"])
+@pytest.mark.parametrize("delta", ["-1e17", "-1e6", "-1e300", "-1e308",
+                                   "-1.7976931348623157e308"])
 def test_validate_passes_at_a_vanishing_self_interference(tmp_path, delta):
-    # the isolation probe must move delta_db where a 5 dB step rounds away,
+    # the isolation probe must move delta_db where a 5 dB step rounds away
+    # and where doubling it overflows (the last two),
     # the rate reference must not stretch to the relay's far mean, the
     # estimators' windows must not overflow on it, and the overflowing relay
     # draws must print no warning

@@ -143,6 +143,23 @@ def test_sample_count_checked_at_construction():
         RunConfig().with_overrides(samples=500)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "7"], ids=["float", "bool", "str"])
+def test_seed_must_be_an_integer(bad):
+    # the seed is the Philox key and the CSV's seed column, verbatim; a
+    # config file rejects `seed = 1.5` too
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        RunConfig(seed=bad)
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        RunConfig().with_overrides(seed=bad)
+    with pytest.raises(ConfigParseError, match="expected an integer"):
+        parse_config_text("seed = 1.5\n")
+
+
+def test_integer_seeds_accepted():
+    assert RunConfig(seed=np.int64(5)).seed == 5
+    assert RunConfig(seed=-3).seed == -3  # a config file takes any integer
+
+
 def test_bad_power_sweep():
     with pytest.raises(ConfigParseError):
         parse_config_text("power_dbm = 10:5:5\n")

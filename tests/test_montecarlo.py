@@ -2,6 +2,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from secrelay import (CompositeLink, ConfigurationError, EveComposite,
                       mc_secrecy_metrics, preset_run_config,
                       sample_composite_snr, secrecy_outage_reference)
 from secrelay import montecarlo
+from secrelay.montecarlo import mc_grid_metrics
 from secrelay.lognormal import DB_TO_NAT
 
 XI = DB_TO_NAT
@@ -158,22 +160,35 @@ class TestValidation:
         assert est.mean >= 0.0
 
 
-def two_pass_reference(cfg, targets, mode, n, seed):
-    """Rate and outages reduced in two separate passes over the blocks."""
-    total = total_sq = 0.0
-    for rates in montecarlo._iter_rate_blocks(cfg, mode, n, seed):
-        total += float(rates.sum())
-        total_sq += float((rates * rates).sum())
-    counts = [0] * len(targets)
-    for rates in montecarlo._iter_rate_blocks(cfg, mode, n, seed):
-        for i, r in enumerate(targets):
-            counts[i] += int(np.count_nonzero(rates < r))
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-    rate = McEstimate(mean, math.sqrt(var / n))
-    outages = [McEstimate(float(c / n), math.sqrt(c / n * (1.0 - c / n) / n))
-               for c in counts]
-    return rate, outages
+def grid_points(eve):
+    """Three points of one network that differ in power, delta and N_E."""
+    cfg = config_with_eve(eve)
+    return [replace(cfg, power_dbm=30.0, delta_db=-90.0, n_eve=1),
+            cfg,
+            replace(cfg, power_dbm=55.0, delta_db=-70.0, n_eve=3)]
+
+
+def two_pass_reference(points, targets, mode, n, seed):
+    """Each point's rate and outages, reduced in two separate passes."""
+    scalars = [montecarlo._point_scalars(cfg, mode) for cfg in points]
+    total = [0.0] * len(points)
+    total_sq = [0.0] * len(points)
+    for i, rates in montecarlo._iter_rate_slices(points[0], scalars, mode, n, seed):
+        total[i] += float(rates.sum())
+        total_sq[i] += float((rates * rates).sum())
+    counts = [[0] * len(targets) for _ in points]
+    for i, rates in montecarlo._iter_rate_slices(points[0], scalars, mode, n, seed):
+        for t, r in enumerate(targets):
+            counts[i][t] += int(np.count_nonzero(rates < r))
+    out = []
+    for i in range(len(points)):
+        mean = total[i] / n
+        var = max(total_sq[i] / n - mean * mean, 0.0) * n / (n - 1)
+        rate = McEstimate(mean, math.sqrt(var / n))
+        outages = [McEstimate(c / n, math.sqrt(c / n * (1.0 - c / n) / n))
+                   for c in counts[i]]
+        out.append((rate, outages))
+    return out
 
 
 def allocating_composite(link, rng, b):
@@ -183,30 +198,45 @@ def allocating_composite(link, rng, b):
     return g * np.exp(XI * db)
 
 
-def allocating_blocks(cfg, mode, n, seed):
-    """The per-block secrecy rates from allocating formulas on a twin stream."""
-    rng = rng_of(seed)
-    block = montecarlo._BLOCK
-    for done in range(0, n, block):
-        b = min(block, n - done)
-        if mode == "ln_fit":
+def allocating_rates(points, mode, n, seed):
+    """Each point's secrecy rates from allocating formulas on twin substreams."""
+    def stream(j):
+        return np.random.Generator(np.random.Philox(key=seed).jumped(j))
+
+    def draw(link, rng, b):
+        if isinstance(link, LogNormal):
+            return np.exp(link.mu + link.sigma * rng.standard_normal(b))
+        return allocating_composite(link, rng, b)
+
+    def blocks(fill):
+        # a substream fills every block in turn, as the reducer draws them
+        return np.concatenate([fill(min(montecarlo._BLOCK, n - done))
+                               for done in range(0, n, montecarlo._BLOCK)])
+
+    if mode == "ln_fit":
+        z = [blocks(stream(j).standard_normal) for j in (1, 2, 3)]
+        for cfg in points:
             ep = endpoints_for(cfg)
-            z = rng.standard_normal((3, b))
-            main = np.minimum(np.exp(ep.relay.mu + ep.relay.sigma * z[0]),
-                              np.exp(ep.bob.mu + ep.bob.sigma * z[1]))
+            # exp is increasing, so the min may be taken on the exponents
+            main = np.exp(np.minimum(ep.relay.mu + ep.relay.sigma * z[0],
+                                     ep.bob.mu + ep.bob.sigma * z[1]))
             eve = np.exp(ep.eve.mu + ep.eve.sigma * z[2])
-        else:
-            budget = link_budget(cfg)
-            g_ar, g_rr, g_ab, g_rb = (allocating_composite(link, rng, b) for link
-                                      in (budget.ar, budget.rr, budget.ab, budget.rb))
-            main = np.minimum(g_ar / g_rr, g_ab + g_rb)
-            eve = np.zeros(b)
-            for _ in range(2 * cfg.n_eve):
-                if isinstance(budget.eve, LogNormal):
-                    eve += np.exp(budget.eve.mu
-                                  + budget.eve.sigma * rng.standard_normal(b))
-                else:
-                    eve += allocating_composite(budget.eve, rng, b)
+            yield np.maximum(np.log2(1.0 + main) - np.log2(1.0 + eve), 0.0)
+        return
+    # every link at 0 dBm and 0 dB isolation; Eve's branch i on substream 8 + i
+    unit = link_budget(replace(points[0], power_dbm=0.0, delta_db=0.0))
+    ar, rr, ab, rb = (blocks(partial(draw, link, stream(j))) for link, j in
+                      zip((unit.ar, unit.rr, unit.ab, unit.rb), (4, 5, 6, 7)))
+    branches = [blocks(partial(draw, unit.eve, stream(8 + i)))
+                for i in range(2 * max(cfg.n_eve for cfg in points))]
+    for cfg in points:
+        power = math.exp(XI * cfg.power_dbm)
+        relay = ar / rr * math.exp(XI * -cfg.delta_db)
+        bob = (ab + rb) * power
+        eve = sum(branches[:2 * cfg.n_eve])
+        if isinstance(cfg.eve_spec, EveComposite):
+            eve = eve * power
+        main = np.minimum(relay, bob)
         yield np.maximum(np.log2(1.0 + main) - np.log2(1.0 + eve), 0.0)
 
 
@@ -220,34 +250,72 @@ def config_with_eve(eve):
 class TestSinglePassReducer:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        # several blocks per run, so the accumulation order is exercised
+        # several blocks per run and several slices per block, so the
+        # accumulation order and the partial slice are exercised
         monkeypatch.setattr(montecarlo, "_BLOCK", 1024)
+        monkeypatch.setattr(montecarlo, "_SLICE", 384)
 
     @pytest.mark.parametrize("mode", ["ln_fit", "composite"])
     @pytest.mark.parametrize("eve", ["direct", "composite"])
     @pytest.mark.parametrize("targets", [(), (2.0,), (0.5, 2.0, 4.0)])
-    def test_bit_identical_to_public_functions(self, mode, eve, targets):
-        cfg = config_with_eve(eve)
+    def test_one_pass_equals_two_passes(self, mode, eve, targets):
+        points = grid_points(eve)
         n, seed = 4500, 17
-        rate, outages = mc_secrecy_metrics(cfg, targets, mode, n, seed)
-        assert len(outages) == len(targets)
-        assert (rate, outages) == two_pass_reference(cfg, targets, mode, n, seed)
+        got = mc_grid_metrics(points, targets, mode, n, seed)
+        assert [len(outages) for _, outages in got] == [len(targets)] * 3
+        assert got == two_pass_reference(points, targets, mode, n, seed)
         # the rate does not depend on the targets, nor one target on another
-        assert rate == mc_secrecy_metrics(cfg, (), mode, n, seed)[0]
-        assert outages == [mc_secrecy_metrics(cfg, (r,), mode, n, seed)[1][0]
-                           for r in targets]
+        rates = [rate for rate, _ in mc_grid_metrics(points, (), mode, n, seed)]
+        assert [rate for rate, _ in got] == rates
+        for t, r in enumerate(targets):
+            alone = mc_grid_metrics(points, (r,), mode, n, seed)
+            assert [outages[t] for _, outages in got] == [o[0] for _, o in alone]
 
     @pytest.mark.parametrize("mode", ["ln_fit", "composite"])
     @pytest.mark.parametrize("eve", ["direct", "composite"])
-    def test_blocks_bit_identical_to_allocating_formulas(self, mode, eve):
-        cfg = config_with_eve(eve)
+    def test_slices_bit_identical_to_allocating_formulas(self, mode, eve):
+        points = grid_points(eve)
         n, seed = 4500, 17  # four full blocks and a partial one
-        # a yielded block is a view the next block overwrites, so copy it
-        got = [rates.copy()
-               for rates in montecarlo._iter_rate_blocks(cfg, mode, n, seed)]
-        want = list(allocating_blocks(cfg, mode, n, seed))
-        assert [len(rates) for rates in got] == [1024] * 4 + [404]
-        assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+        scalars = [montecarlo._point_scalars(cfg, mode) for cfg in points]
+        got = [[] for _ in points]
+        # a yielded slice is a view the next slice overwrites, so copy it
+        for i, rates in montecarlo._iter_rate_slices(points[0], scalars, mode,
+                                                     n, seed):
+            got[i].append(rates.copy())
+        assert [len(r) for r in got[0]] == [384, 384, 256] * 4 + [384, 20]
+        want = list(allocating_rates(points, mode, n, seed))
+        assert [np.concatenate(r).tobytes() for r in got] == [
+            r.tobytes() for r in want]
+
+
+class TestGridCall:
+    @pytest.mark.parametrize("mode", ["ln_fit", "composite"])
+    @pytest.mark.parametrize("eve", ["direct", "composite"])
+    def test_each_point_equals_its_one_point_call(self, mode, eve):
+        points = grid_points(eve)
+        got = mc_grid_metrics(points, (2.0, 4.0), mode, 3000, 5)
+        assert got == [mc_secrecy_metrics(cfg, (2.0, 4.0), mode, 3000, 5)
+                       for cfg in points]
+        # the order of the points does not matter either
+        assert mc_grid_metrics(points[::-1], (2.0, 4.0), mode, 3000, 5) == got[::-1]
+
+    @pytest.mark.parametrize("mode, power, cause", [
+        ("ln_fit", 2000.0, "cumulants of LogNormal("),
+        ("composite", 3500.0, "Monte-Carlo draws overflow")])
+    def test_a_failing_point_leaves_the_others(self, mode, power, cause):
+        cfg = SystemConfig()
+        ok, bad = mc_grid_metrics([cfg, replace(cfg, power_dbm=power)], (2.0,),
+                                  mode, 2000, 3)
+        assert ok == mc_secrecy_metrics(cfg, (2.0,), mode, 2000, 3)
+        assert isinstance(bad, OverflowError) and str(bad).startswith(cause)
+
+    def test_points_of_different_networks_rejected(self):
+        with pytest.raises(ValueError, match="share one network"):
+            mc_grid_metrics([SystemConfig(), SystemConfig(nakagami_m=3.0)], (),
+                            "composite", 2000, 1)
+
+    def test_no_points_no_results(self):
+        assert mc_grid_metrics([], (2.0,), "composite", 2000, 1) == []
 
 
 @pytest.mark.parametrize("mode, rows", [("ln_fit", 4.5), ("composite", 6.5)])

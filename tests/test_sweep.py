@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from secrelay import (ConfigurationError, RunConfig, SweepSpec, SystemConfig,
-                      montecarlo, run_sweep, sweep)
+from secrelay import (ConfigurationError, EveComposite, RunConfig, SweepSpec,
+                      SystemConfig, montecarlo, run_sweep, sweep)
 from secrelay.sweep import CSV_HEADER, preset_run_config, sweep_rows
 
 
@@ -194,14 +194,85 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def test_mc_point_draws_its_samples_once(monkeypatch):
-    calls = counting(monkeypatch, montecarlo, "_iter_rate_blocks")
-    spec = SweepSpec(base=small_run_config(rs_grid=(1.0, 2.0)),
-                     metrics=("rate", "outage"),
+class RecordingStream:
+    """A substream that logs each bank fill as (substream, draw, size)."""
+
+    def __init__(self, rng, j, log):
+        self.rng, self.j, self.log = rng, j, log
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def fill(*args, out):
+            self.log.append((self.j, name, len(out)))
+            return draw(*args, out=out)
+
+        return fill
+
+
+def test_each_link_bank_is_drawn_once_per_block(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1024)
+    log = []
+    substream = montecarlo._substream
+    monkeypatch.setattr(montecarlo, "_substream", lambda seed, j: RecordingStream(
+        substream(seed, j), j, log))
+    base = small_run_config(rs_grid=(1.0, 2.0), n_eve_grid=(1, 3),
+                            network=SystemConfig(eve_spec=EveComposite(-40.0, 5.0)))
+    spec = SweepSpec(base=base, metrics=("rate", "outage"),
                      methods=("mc-ln", "mc-composite"))
     rows = sweep_rows(spec)
-    assert len(rows) == 6 * 2 * 3
-    assert len(calls) == 6 * 2  # one sample set per (grid point, method)
+    assert len(rows) == 12 * 2 * 3  # 12 points, 2 methods, 3 rows each
+    want = []
+    for size in (1024, 976):  # the blocks of 2000 samples
+        # mc-ln: relay, Bob and Eve normals
+        want += [(j, "standard_normal", size) for j in (1, 2, 3)]
+        # mc-composite: ar, rr, ab, rb and Eve's 2 * 3 branches, each a
+        # Gamma and a shadowing draw
+        want += [(j, draw, size) for j in range(4, 14)
+                 for draw in ("standard_gamma", "standard_normal")]
+    assert sorted(log) == sorted(want)
+
+
+MC_GRID = dict(power_grid_dbm=(10.0, 40.0, 70.0), delta_grid_db=(-90.0, -80.0),
+               n_eve_grid=(2, 4), samples=1000, seed=11)
+
+
+def mc_csv(base, metrics=("rate", "outage"), methods=("mc-composite", "mc-ln")):
+    """Each Monte-Carlo row's CSV line, by its key."""
+    rows = sweep_rows(SweepSpec(base=base, metrics=metrics, methods=methods))
+    return {r.sort_key(): r.to_csv() for r in rows}
+
+
+@pytest.mark.parametrize("axis, value", [("power_grid_dbm", 25.0),
+                                         ("delta_grid_db", -70.0),
+                                         ("n_eve_grid", 1), ("n_eve_grid", 8)])
+def test_mc_rows_do_not_depend_on_the_other_grid_values(axis, value):
+    # a composite eavesdropper, so her prefix sums move with the N_E grid
+    base = replace(preset_run_config("paper-fig2"), **MC_GRID)
+    rows = mc_csv(base)
+    grown = mc_csv(replace(base, **{axis: getattr(base, axis) + (value,)}))
+    assert len(grown) > len(rows)
+    assert {key: grown[key] for key in rows} == rows
+    for drop in range(len(getattr(base, axis))):
+        kept = tuple(v for i, v in enumerate(getattr(base, axis)) if i != drop)
+        shrunk = mc_csv(replace(base, **{axis: kept}))
+        assert 0 < len(shrunk) < len(rows)
+        assert shrunk == {key: rows[key] for key in shrunk}
+
+
+def test_a_one_point_sweep_rebuilds_each_mc_row_from_its_csv_line():
+    base = replace(preset_run_config("paper-fig2"), **MC_GRID)
+    lines = mc_csv(base).values()
+    assert len(lines) == 12 * 2 * 3
+    for line in lines:
+        power, delta, n_eve, rs, metric, method, _, _, samples, seed, status = (
+            line.split(","))
+        assert status == "ok"
+        one = replace(base, power_grid_dbm=(float(power),),
+                      delta_grid_db=(float(delta),), n_eve_grid=(int(n_eve),),
+                      rs_grid=(float(rs),) if rs else base.rs_grid,
+                      samples=int(samples), seed=int(seed))
+        assert list(mc_csv(one, (metric,), (method,)).values()) == [line]
 
 
 def test_analytic_point_fits_endpoints_once(monkeypatch):
@@ -256,17 +327,18 @@ def test_mc_composite_overflow_flags_its_rows():
 
 
 def test_mc_sweep_csv_digest(tmp_path):
-    # Written by the estimators that sampled rate and outage in separate
-    # passes; the digest depends on numpy's Philox Generator streams (numpy
-    # 2.4.6) and, through the mc-ln endpoint fits, on the standard-library
-    # psi and zeta(2, m) of lognormal._gamma_log_moments.
+    # Both Monte-Carlo methods on common random numbers: one bank per link
+    # and Philox substream, scaled per grid point.  The digest depends on
+    # numpy's Philox Generator streams (numpy 2.4.6) and, through the mc-ln
+    # endpoint fits, on the standard-library psi and zeta(2, m) of
+    # lognormal._gamma_log_moments.
     spec = SweepSpec(base=small_run_config(rs_grid=(1.0, 2.0)),
                      metrics=("rate", "outage"),
                      methods=("mc-ln", "mc-composite"))
     path = tmp_path / "mc.csv"
     run_sweep(spec, str(path), workers=2)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "d3fe16b00139f7c2d6916076ca3afed2665dd2f81236f36940331ffe92534151")
+        "5a951089052fe2523b6beb911f77257cd993f88af3d91b53fe1a4a781c93f64b")
 
 
 def sweep_digest(spec, tmp_path, workers=1):
@@ -286,9 +358,9 @@ def test_fig2_analytic_csv_digest(tmp_path):
 
 
 def test_composite_eve_mc_csv_digest(tmp_path):
-    # A composite eavesdropper on a reduced paper-fig2 grid: pins the order
-    # in which the composite oracle draws every link and antenna from the
-    # Philox stream.  It depends on numpy's Philox streams (numpy 2.4.6) and,
+    # A composite eavesdropper on a reduced paper-fig2 grid: pins which
+    # Philox substream each link and each of Eve's branches draws from, and
+    # her prefix sums over the N_E grid.  It depends on numpy's Philox streams (numpy 2.4.6) and,
     # through the mc-ln endpoint fits, on the standard-library psi and
     # zeta(2, m) of lognormal._gamma_log_moments.
     base = replace(preset_run_config("paper-fig2"), power_grid_dbm=(10.0, 70.0),
@@ -296,4 +368,4 @@ def test_composite_eve_mc_csv_digest(tmp_path):
     spec = SweepSpec(base=base, metrics=("rate", "outage"),
                      methods=("mc-composite", "mc-ln"))
     assert sweep_digest(spec, tmp_path, workers=2) == (
-        "ba05cc683784dba312ef83305fda97ba56ebc1e51b98ba5944585496b0725bd7")
+        "b70cc058158334eb0e341e073347b174d79887e6168784a6a4c2391bb68c24f4")
