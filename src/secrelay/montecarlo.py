@@ -33,6 +33,16 @@ in fixed-size blocks into buffers allocated once per call, never shared
 between sweep worker threads, and each point's arithmetic runs over
 cache-sized slices of a block.
 
+The secrecy rate is max(log2(1 + min(relay, Bob)) - log2(1 + Eve), 0), and
+at one power the main side varies with delta alone and Eve's side with N_E
+alone.  So, per slice, the points that share Bob's side (his fitted
+endpoint, or the power gain) share capacity rows: each distinct main side
+and each distinct Eve side is formed once, and a point costs one
+subtraction and one clip.  Only one power's rows are held at a time,
+(distinct delta + distinct N_E) slices of float64; the grouping decides
+what is shared, never a value, so a point's bytes are those of its
+one-point call.
+
 This is the package's one numpy module, and numpy is imported inside the
 functions that draw: importing the package loads the standard library only,
 and the first Monte-Carlo call pays for numpy, once.
@@ -152,12 +162,15 @@ def _point_scalars(cfg: SystemConfig, mode: str) -> tuple:
 def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | None],
                       mode: str, n: int, seed: int):
     """Yield (i, rates): point i's instantaneous secrecy rates (bits/s/Hz)
-    on one slice of samples, slice by slice and, within a slice, point by
-    point; a point whose scalars are None is skipped.
+    on one slice of samples, slice by slice and, within a slice, one Bob
+    side (one power) at a time; a point whose scalars are None is skipped.
 
     Every block draws each bank once, from its own substream, for all the
     points.  ``network`` sets what ``composite`` draws: its links at 0 dBm
-    and 0 dB isolation.  A yielded slice is a view that the next one
+    and 0 dB isolation.  Within a slice, the points that share Bob's side
+    share capacity rows: each distinct main side log2(1 + min(relay, Bob))
+    and each distinct Eve side log2(1 + Eve) is formed once, and a point is
+    their clipped difference.  A yielded slice is a view that the next one
     overwrites: reduce it (or copy it) before advancing.  The buffers are
     local to the call, so concurrent calls from sweep workers share nothing.
     """
@@ -168,15 +181,29 @@ def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | None],
     if mode == "ln_fit":
         normals = [_substream(seed, j) for j in _LN_STREAMS]
         sums = ()
+        # (Bob's side, main side, Eve side) of each point
+        keys = {i: (scalars[i][2:4], scalars[i][:4], scalars[i][4:]) for i in live}
     else:
         unit = link_budget(replace(network, power_dbm=0.0, delta_db=0.0))
         links = list(zip((unit.ar, unit.rr, unit.ab, unit.rb),
                          [_substream(seed, j) for j in _LINK_STREAMS]))
         sums = sorted({scalars[i][3] for i in live})  # Eve's branch counts
         branches = [_substream(seed, _EVE_STREAM + k) for k in range(sums[-1])]
-        eve_row = {i: 4 + sums.index(scalars[i][3]) for i in live}
+        # Eve's side is her power gain and the bank row of her branch sum
+        keys = {i: (scalars[i][1], scalars[i][:2],
+                    (scalars[i][2], 4 + sums.index(scalars[i][3]))) for i in live}
+    # per Bob side: its distinct main and Eve sides, each numbered by its
+    # row, and each point's (i, main row, Eve row)
+    groups: dict = {}
+    for i in live:
+        bob, main, eve = keys[i]
+        mains, eves, members = groups.setdefault(bob, ({}, {}, []))
+        members.append((i, mains.setdefault(main, len(mains)),
+                        eves.setdefault(eve, len(eves))))
     bufs = np.empty((3 if mode == "ln_fit" else 4 + len(sums), min(_BLOCK, n)))
     x, y = np.empty((2, min(_SLICE, n)))
+    rows = np.empty((max(len(m) + len(e) for m, e, _ in groups.values()),
+                     min(_SLICE, n)))
     for done in range(0, n, _BLOCK):
         b = min(_BLOCK, n - done)
         banks = bufs[:, :b]  # contiguous rows
@@ -206,52 +233,61 @@ def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | None],
             w = min(_SLICE, b - lo)
             part = banks[:, lo:lo + w]
             rates, work = x[:w], y[:w]
-            for i in live:
-                if mode == "ln_fit":
-                    _ln_fit_rates(part, scalars[i], rates, work)
-                else:
-                    _composite_rates(part[0], part[1], part[eve_row[i]],
-                                     scalars[i], rates, work)
-                yield i, rates
+            for mains, eves, members in groups.values():
+                main_rows = rows[:len(mains), :w]
+                eve_rows = rows[len(mains):len(mains) + len(eves), :w]
+                for key, r in mains.items():
+                    _main_capacity(mode, part, key, main_rows[r], work)
+                for key, r in eves.items():
+                    _eve_capacity(mode, part, key, eve_rows[r])
+                for i, m, e in members:
+                    np.subtract(main_rows[m], eve_rows[e], out=rates)
+                    np.maximum(rates, 0.0, out=rates)
+                    yield i, rates
 
 
-def _ln_fit_rates(z, scalars, rates, work):
-    """Secrecy rates from normal banks z = (relay, Bob, Eve), in place."""
+def _main_capacity(mode, part, key, out, work):
+    """log2(1 + min(relay, Bob)) of one main side into ``out``, in place.
+
+    ``ln_fit``: key = (mu_r, sigma_r, mu_b, sigma_b) on the normal banks;
+    ``composite``: key = (isolation, power) on the 0 dBm relay and Bob banks.
+    """
     import numpy as np
-    mu_r, sigma_r, mu_b, sigma_b, mu_e, sigma_e = scalars
-    np.multiply(z[0], sigma_r, out=rates)
-    rates += mu_r
-    np.multiply(z[1], sigma_b, out=work)
-    work += mu_b
-    # exp is increasing, so min(relay, bob) is taken on the exponents
-    np.minimum(rates, work, out=rates)
-    np.exp(rates, out=rates)
-    np.multiply(z[2], sigma_e, out=work)
-    work += mu_e
-    np.exp(work, out=work)
-    _secrecy(rates, work)
+    if mode == "ln_fit":
+        mu_r, sigma_r, mu_b, sigma_b = key
+        np.multiply(part[0], sigma_r, out=out)
+        out += mu_r
+        np.multiply(part[1], sigma_b, out=work)
+        work += mu_b
+        # exp is increasing, so min(relay, bob) is taken on the exponents
+        np.minimum(out, work, out=out)
+        np.exp(out, out=out)
+    else:
+        isolation, power = key
+        np.multiply(part[0], isolation, out=out)
+        np.multiply(part[1], power, out=work)
+        np.minimum(out, work, out=out)
+    out += 1.0
+    np.log2(out, out=out)
 
 
-def _composite_rates(relay, bob, eve, scalars, rates, work):
-    """Secrecy rates from the 0 dBm banks and one point's gains, in place."""
+def _eve_capacity(mode, part, key, out):
+    """log2(1 + Eve) of one Eve side into ``out``, in place.
+
+    ``ln_fit``: key = (mu_e, sigma_e) on Eve's normal bank; ``composite``:
+    key = (power gain, bank row of her branch sum).
+    """
     import numpy as np
-    isolation, power, eve_power, _ = scalars
-    np.multiply(relay, isolation, out=rates)
-    np.multiply(bob, power, out=work)
-    np.minimum(rates, work, out=rates)
-    np.multiply(eve, eve_power, out=work)
-    _secrecy(rates, work)
-
-
-def _secrecy(main, eve):
-    """max(log2(1 + main) - log2(1 + eve), 0) into ``main``."""
-    import numpy as np
-    main += 1.0
-    eve += 1.0
-    np.log2(main, out=main)
-    np.log2(eve, out=eve)
-    main -= eve
-    np.maximum(main, 0.0, out=main)
+    if mode == "ln_fit":
+        mu_e, sigma_e = key
+        np.multiply(part[2], sigma_e, out=out)
+        out += mu_e
+        np.exp(out, out=out)
+    else:
+        power, row = key
+        np.multiply(part[row], power, out=out)
+    out += 1.0
+    np.log2(out, out=out)
 
 
 def mc_grid_metrics(points: Sequence[SystemConfig], rs_targets: Sequence[float],
@@ -292,13 +328,14 @@ def mc_grid_metrics(points: Sequence[SystemConfig], rs_targets: Sequence[float],
     # overflow is reported below, not warned of; errstate is per thread
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         square = np.empty(min(_SLICE, n))
+        below = np.empty(min(_SLICE, n), dtype=bool)
         for i, rates in _iter_rate_slices(points[0] if points else None,
                                           scalars, mode, n, seed):
+            w = len(rates)
             total[i] += float(rates.sum())
-            total_sq[i] += float(np.multiply(rates, rates,
-                                             out=square[:len(rates)]).sum())
+            total_sq[i] += float(np.multiply(rates, rates, out=square[:w]).sum())
             for t, r in enumerate(targets):
-                counts[i][t] += int(np.count_nonzero(rates < r))
+                counts[i][t] += int(np.count_nonzero(np.less(rates, r, out=below[:w])))
     for i in range(len(points)):
         if results[i] is not None:
             continue

@@ -168,6 +168,15 @@ def grid_points(eve):
             replace(cfg, power_dbm=55.0, delta_db=-70.0, n_eve=3)]
 
 
+def product_grid(eve, powers=(30.0, 55.0), deltas=(-90.0, -70.0),
+                 n_eves=(1, 3)):
+    """Every (power, delta, N_E) of the given values, on one network, so
+    the points of one power share their main-side and Eve-side rows."""
+    cfg = config_with_eve(eve)
+    return [replace(cfg, power_dbm=p, delta_db=d, n_eve=k)
+            for p in powers for d in deltas for k in n_eves]
+
+
 def two_pass_reference(points, targets, mode, n, seed):
     """Each point's rate and outages, reduced in two separate passes."""
     scalars = [montecarlo._point_scalars(cfg, mode) for cfg in points]
@@ -274,30 +283,60 @@ class TestSinglePassReducer:
     @pytest.mark.parametrize("mode", ["ln_fit", "composite"])
     @pytest.mark.parametrize("eve", ["direct", "composite"])
     def test_slices_bit_identical_to_allocating_formulas(self, mode, eve):
-        points = grid_points(eve)
         n, seed = 4500, 17  # four full blocks and a partial one
-        scalars = [montecarlo._point_scalars(cfg, mode) for cfg in points]
-        got = [[] for _ in points]
-        # a yielded slice is a view the next slice overwrites, so copy it
-        for i, rates in montecarlo._iter_rate_slices(points[0], scalars, mode,
-                                                     n, seed):
-            got[i].append(rates.copy())
-        assert [len(r) for r in got[0]] == [384, 384, 256] * 4 + [384, 20]
-        want = list(allocating_rates(points, mode, n, seed))
-        assert [np.concatenate(r).tobytes() for r in got] == [
-            r.tobytes() for r in want]
+        # three points that share no row, and a product grid whose points
+        # of one power share their main-side and Eve-side rows
+        for points in (grid_points(eve), product_grid(eve)):
+            scalars = [montecarlo._point_scalars(cfg, mode) for cfg in points]
+            got = [[] for _ in points]
+            # a yielded slice is a view the next slice overwrites, so copy it
+            for i, rates in montecarlo._iter_rate_slices(points[0], scalars,
+                                                         mode, n, seed):
+                got[i].append(rates.copy())
+            assert [len(r) for r in got[0]] == [384, 384, 256] * 4 + [384, 20]
+            want = list(allocating_rates(points, mode, n, seed))
+            assert [np.concatenate(r).tobytes() for r in got] == [
+                r.tobytes() for r in want]
+
+    @pytest.mark.parametrize("mode", ["ln_fit", "composite"])
+    @pytest.mark.parametrize("eve", ["direct", "composite"])
+    def test_each_power_shares_its_capacity_rows(self, mode, eve, monkeypatch):
+        # 2 P x 3 delta x 3 N_E: per slice and power, 3 main-side rows and
+        # 3 Eve-side rows, not one of each per point
+        points = product_grid(eve, deltas=(-90.0, -80.0, -70.0), n_eves=(1, 2, 3))
+        calls = {"main": 0, "eve": 0}
+
+        def counted(side, fn):
+            def wrapper(*args):
+                calls[side] += 1
+                return fn(*args)
+            return wrapper
+
+        want = mc_grid_metrics(points, (2.0,), mode, 4500, 17)
+        monkeypatch.setattr(montecarlo, "_main_capacity",
+                            counted("main", montecarlo._main_capacity))
+        monkeypatch.setattr(montecarlo, "_eve_capacity",
+                            counted("eve", montecarlo._eve_capacity))
+        assert mc_grid_metrics(points, (2.0,), mode, 4500, 17) == want
+        slices = 4 * 3 + 2  # four full blocks of three slices, then two
+        assert calls == {"main": slices * 2 * 3, "eve": slices * 2 * 3}
 
 
 class TestGridCall:
     @pytest.mark.parametrize("mode", ["ln_fit", "composite"])
     @pytest.mark.parametrize("eve", ["direct", "composite"])
-    def test_each_point_equals_its_one_point_call(self, mode, eve):
-        points = grid_points(eve)
-        got = mc_grid_metrics(points, (2.0, 4.0), mode, 3000, 5)
-        assert got == [mc_secrecy_metrics(cfg, (2.0, 4.0), mode, 3000, 5)
-                       for cfg in points]
-        # the order of the points does not matter either
-        assert mc_grid_metrics(points[::-1], (2.0, 4.0), mode, 3000, 5) == got[::-1]
+    def test_each_point_equals_its_one_point_call(self, mode, eve, monkeypatch):
+        # several blocks and slices, as in TestSinglePassReducer
+        monkeypatch.setattr(montecarlo, "_BLOCK", 1024)
+        monkeypatch.setattr(montecarlo, "_SLICE", 384)
+        # a one-point call shares no row, so shared rows must change no bit
+        for points in (grid_points(eve), product_grid(eve)):
+            got = mc_grid_metrics(points, (2.0, 4.0), mode, 3000, 5)
+            assert got == [mc_secrecy_metrics(cfg, (2.0, 4.0), mode, 3000, 5)
+                           for cfg in points]
+            # the order of the points does not matter either
+            assert mc_grid_metrics(points[::-1], (2.0, 4.0), mode, 3000,
+                                   5) == got[::-1]
 
     @pytest.mark.parametrize("mode, power, cause", [
         ("ln_fit", 2000.0, "cumulants of LogNormal("),
@@ -328,6 +367,27 @@ def test_one_call_stays_within_its_block_rows(mode, rows):
     tracemalloc.start()
     try:
         mc_secrecy_metrics(cfg, (2.0, 4.0), mode, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows * n * 8
+
+
+@pytest.mark.parametrize("mode, rows", [("ln_fit", 4.5), ("composite", 8.5)])
+def test_a_paper_grid_call_stays_within_its_block_rows(mode, rows):
+    # the 126 paper-fig2 points in one call add one power's shared capacity
+    # rows, (3 delta + 3 N_E) slices, and composite two more Eve bank rows
+    # (N_E = 2, 4, 8); holding every power's rows at once (84 slices, about
+    # 6.9 block rows) would break either bound
+    run = preset_run_config("paper-fig2")
+    points = [run.system(p, d, k) for p in run.power_grid_dbm
+              for d in run.delta_grid_db for k in run.n_eve_grid]
+    assert len(points) == 126
+    n = 100_000
+    mc_grid_metrics(points, (2.0, 4.0), mode, 1000, 1)  # imports, fit caches
+    tracemalloc.start()
+    try:
+        mc_grid_metrics(points, (2.0, 4.0), mode, n, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
