@@ -15,26 +15,32 @@ Gauss-Laguerre (rate) and Gauss-Hermite (outage) forms converge slowly where
 the integrand's mass sits below their nodes and miss the acceptance gates at
 K = 24; tests/paper_forms.py keeps them to pin that envelope.
 
-The references integrate in the same y and v domains, adaptively
-(QUADPACK), with breakpoints at the endpoint means (mapped to v for the
-outage), at 0 and at the outage threshold's floor kink.  The rate reference
+The references integrate in the same y and v domains, adaptively, with
+breakpoints at the endpoint means (mapped to v for the outage), at 0, at
+the outage threshold's floor kink and, for the outage, where the normal
+weight of v has fallen by e^-4.5, e^-24.5 and e^-98.  The rate reference
 integrates the closed erfc product, which holds no cancelling difference,
 so it meets its relative tolerance on vanishing rates too.  Both references
 accept a relative tolerance in [1e-12, 1e-4], and one that cannot meet it
 raises AccuracyError.
 
-The estimators loop over their nodes with ``math.erfc``, ``exp`` and
-``log1p``, so the analytic route needs neither numpy nor scipy.  QUADPACK
-(``scipy.integrate``, which pulls in numpy, ``scipy.optimize``, ``linalg``
-and ``sparse``) is imported on the first reference call, not with the
-package: no sweep integrates adaptively.
+Their integrator, ``adaptive_integrate``, ports QUADPACK (Piessens et al.,
+1983): the qk21 21-point Gauss-Kronrod rule and its error estimate, qagpe's
+breakpoints, crude-interval rule, bisection of the largest error and
+round-off tests, and qagi's map of an infinite upper limit.  Wynn's epsilon
+extrapolation is left out, because the integrands are smooth.
+
+The estimators and the references loop with ``math.erfc``, ``exp`` and
+``log1p``, so neither route needs numpy or scipy.
 """
 from __future__ import annotations
 
 import functools
+import heapq
 import logging
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -77,6 +83,26 @@ _REL_TOL_MIN = 1e-12
 _REL_TOL_MAX = 1e-4
 # absolute floor so integrals that are numerically zero still converge
 _ABS_FLOOR = 1e-300
+# where the outage reference's normal weight phi(v) has fallen by 1,
+# e^-4.5, e^-24.5 and e^-98: its bisection starts from these
+_PHI_BREAKS = (0.0, -3.0, 3.0, -7.0, 7.0, -14.0, 14.0)
+# subintervals the adaptive integrator may use
+_LIMIT = 400
+_EPS = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+# QUADPACK's 21-point Kronrod nodes on [0, 1], outermost first, the centre
+# last; the odd ones (counting from 0) are the 10-point Gauss nodes
+_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+        0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+        0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+        0.14887433898163122, 0.0)
+_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+        0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+        0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+        0.14773910490133849, 0.1494455540029169)
+# the Gauss weights of _XGK[1], _XGK[3], ..., _XGK[9]
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+       0.26926671930999635, 0.29552422471475287)
 
 
 @dataclass(frozen=True)
@@ -93,27 +119,133 @@ def _check_order(order: int) -> None:
             f"quadrature order must be in [1, {MAX_QUADRATURE_ORDER}], got {order}")
 
 
+def _qk21(f: Callable[[float], float], a: float,
+          b: float) -> tuple[float, float, float, float]:
+    """QUADPACK's qk21 on [a, b]: the 21-point Kronrod estimate, its error,
+    and the integrals of |f| and of |f - mean| (resabs, resasc).
+
+    The error is resasc * min(1, (200 |K - G| / resasc)^1.5), G the embedded
+    10-point Gauss estimate, and no less than 50 eps resabs.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = f(centr)
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    fv1 = [0.0] * 10
+    fv2 = [0.0] * 10
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first
+        absc = hlgth * _XGK[j]
+        f1 = fv1[j] = f(centr - absc)
+        f2 = fv2[j] = f(centr + absc)
+        if j % 2:
+            resg += _WG[j // 2] * (f1 + f2)
+        resk += _WGK[j] * (f1 + f2)
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+    reskh = 0.5 * resk
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc += _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    dhlgth = abs(hlgth)
+    resabs *= dhlgth
+    resasc *= dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        ratio = 200.0 * abserr / resasc
+        abserr = resasc * (1.0 if ratio >= 1.0 else ratio ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPS):
+        abserr = max(50.0 * _EPS * resabs, abserr)
+    return resk * hlgth, abserr, resabs, resasc
+
+
 def adaptive_integrate(f: Callable[[float], float], a: float, b: float,
                        rel_tol: float, points: Sequence[float] = ()) -> MetricResult:
-    """Adaptive Gauss-Kronrod quadrature (QUADPACK) of f over [a, b].
+    """Globally adaptive 21-point Gauss-Kronrod quadrature of f over [a, b].
 
-    b may be math.inf when there are no breakpoints; breakpoints outside
-    (a, b) are dropped.  Returns the estimate with its estimated relative
-    error; raises AccuracyError (carrying the best estimate) if the
-    tolerance cannot be met.
+    A port of QUADPACK's qagpe (Piessens et al., 1983) on its qk21 rule:
+    the breakpoints inside (a, b) split the range into initial intervals;
+    one whose error equals its resasc (too crude to trust) carries the total
+    error, so it is split first; then the interval with the largest error is
+    bisected until the errors sum to at most rel_tol |integral|.  b may be
+    math.inf when there are no breakpoints: qagi's substitution
+    x = a + (1 - t) / t maps it onto t in (0, 1].  Reversed finite limits
+    give the negated integral.  Wynn's epsilon extrapolation is left out:
+    the integrands here are smooth, so plain bisection converges.
+
+    Returns the estimate with its estimated relative error.  Raises
+    AccuracyError (carrying the best estimate) where qagpe flags the
+    result: 400 subintervals used, round-off detected, or an interval
+    bisected to within about 100 float spacings of its midpoint.
     """
     if not (_REL_TOL_MIN <= rel_tol <= _REL_TOL_MAX):
         raise ValueError(
             f"rel_tol must lie in [{_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}], got {rel_tol!r}")
     if not math.isfinite(a):
         raise ValueError(f"lower limit must be finite, got {a!r}")
-    from scipy import integrate  # QUADPACK: loaded on the first reference call
-    out = integrate.quad(f, a, b, epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=400,
-                         points=points or None, full_output=1)
-    value, abserr = out[0], out[1]
-    rel_err = abs(abserr) / max(abs(value), _ABS_FLOOR) if value != 0.0 else 0.0
-    if len(out) > 3:  # quadpack appended a convergence complaint
-        raise AccuracyError("adaptive integration did not converge",
+    if math.isnan(b) or b == -math.inf:
+        raise ValueError(f"upper limit must be finite or +inf, got {b!r}")
+    sign = 1.0
+    if b == math.inf:
+        if points:
+            raise ValueError("breakpoints cannot be used with an infinite limit")
+        g, lower = f, a
+
+        def f(t: float) -> float:
+            return g(lower + (1.0 - t) / t) / (t * t)
+
+        a, b = 0.0, 1.0
+    elif b < a:
+        a, b, sign = b, a, -1.0
+    edges = [a, *sorted({p for p in points if a < p < b}), b]
+
+    parts = [(left, right, *_qk21(f, left, right))
+             for left, right in zip(edges, edges[1:])]
+    total = sum(part[2] for part in parts)
+    abserr = sum(part[3] for part in parts)
+    resabs = sum(part[4] for part in parts)
+    # the intervals as (-error, left, right, area), the largest error on top
+    # of the heap; one too crude to trust (its error is its resasc) carries
+    # the total error, so it is split first
+    heap = [(-(abserr if err == resasc != 0.0 else err), left, right, area)
+            for left, right, area, err, _, resasc in parts]
+    errbnd = max(_ABS_FLOOR, rel_tol * abs(total))
+    # a first pass within the bound stands, with its own error
+    errsum = abserr if abserr <= errbnd else -sum(item[0] for item in heap)
+    heapq.heapify(heap)
+    cause = None
+    if errbnd < abserr <= 100.0 * _EPS * resabs:
+        cause = "round-off error detected"
+    iroff1 = iroff3 = 0
+    while cause is None and errsum > errbnd:
+        neg_errmax, left, right, area = heapq.heappop(heap)
+        errmax = -neg_errmax
+        mid = 0.5 * (left + right)
+        area1, err1, _, resasc1 = _qk21(f, left, mid)
+        area2, err2, _, resasc2 = _qk21(f, mid, right)
+        heapq.heappush(heap, (-err1, left, mid, area1))
+        heapq.heappush(heap, (-err2, mid, right, area2))
+        area12 = area1 + area2
+        erro12 = err1 + err2
+        errsum += erro12 - errmax
+        total += area12 - area
+        errbnd = max(_ABS_FLOOR, rel_tol * abs(total))
+        if resasc1 != err1 and resasc2 != err2:
+            if abs(area - area12) <= 1e-5 * abs(area12) and erro12 >= 0.99 * errmax:
+                iroff1 += 1
+            if len(heap) > 10 and erro12 > errmax:
+                iroff3 += 1
+        if iroff1 >= 10 or iroff3 >= 20:
+            cause = "round-off error detected"
+        elif len(heap) == _LIMIT:
+            cause = f"{_LIMIT} subintervals used"
+        elif (max(abs(left), abs(right))
+              <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _UFLOW)):
+            cause = f"the integrand is bad near {mid!r}"
+    value = sign * math.fsum(item[3] for item in heap)
+    rel_err = abs(errsum) / max(abs(value), _ABS_FLOOR) if value != 0.0 else 0.0
+    if cause:
+        raise AccuracyError(f"adaptive integration did not converge: {cause}",
                             best_estimate=value, rel_error=rel_err)
     return MetricResult(value, error_estimate=rel_err)
 
@@ -257,9 +389,9 @@ def avg_secrecy_rate_reference(ep: Endpoints,
     # each factor scaled by its own sigma
     ce, cb, cr = (1.0 / (_SQRT2 * x.sigma) for x in (e, b, r))
 
-    def f(y: float) -> float:
-        return (math.erfc((me - y) * ce) * math.erfc((y - mb) * cb)
-                * math.erfc((y - mr) * cr)) / (8.0 * (1.0 + math.exp(-y)))
+    def f(y: float, erfc=math.erfc, exp=math.exp) -> float:
+        return (erfc((me - y) * ce) * erfc((y - mb) * cb)
+                * erfc((y - mr) * cr)) / (8.0 * (1.0 + exp(-y)))
 
     reach = 12.0 * _SQRT2
     lo = me - reach * e.sigma
@@ -367,8 +499,9 @@ def secrecy_outage_reference(ep: Endpoints, rs_target: float,
 
     The integral runs over the eavesdropper's standard-normal v, z = exp(mu_e
     + sigma_e v), on [-40, 40], beyond which phi(v) underflows, with
-    breakpoints at 0, at the threshold's floor kink and where the log
-    threshold crosses mu_bob and mu_relay.
+    breakpoints at the threshold's floor kink, where the log threshold
+    crosses mu_bob and mu_relay, and at 0, +-3, +-7 and +-14, where phi(v)
+    has fallen by 1, e^-4.5, e^-24.5 and e^-98.
     """
     _require_random(ep, "secrecy_outage_reference")
     floor, offset = _log_threshold(rs_target, ep.eve.mu)
@@ -376,14 +509,14 @@ def secrecy_outage_reference(ep: Endpoints, rs_target: float,
     mb, cb = ep.bob.mu, 1.0 / (_SQRT2 * ep.bob.sigma)
     mr, cr = ep.relay.mu, 1.0 / (_SQRT2 * ep.relay.sigma)
 
-    def f(v: float) -> float:
+    def f(v: float, erfc=math.erfc, exp=math.exp, log1p=math.log1p) -> float:
         x = offset + se * v
-        lt = (x + math.log1p(math.exp(floor - x)) if x > floor
-              else floor + math.log1p(math.exp(x - floor)))
-        survival = math.erfc((lt - mb) * cb) * math.erfc((lt - mr) * cr)
-        return (1.0 - 0.25 * survival) * math.exp(-0.5 * v * v) / _SQRT_2PI
+        lt = (x + log1p(exp(floor - x)) if x > floor
+              else floor + log1p(exp(x - floor)))
+        survival = erfc((lt - mb) * cb) * erfc((lt - mr) * cr)
+        return (1.0 - 0.25 * survival) * exp(-0.5 * v * v) / _SQRT_2PI
 
     kinks = tuple((t - offset) / se for t in (floor, mb, mr))
-    est = adaptive_integrate(f, -40.0, 40.0, rel_tol, kinks + (0.0,))
+    est = adaptive_integrate(f, -40.0, 40.0, rel_tol, kinks + _PHI_BREAKS)
     return MetricResult(_clamp_unit(est.value, "secrecy_outage_reference"),
                         est.error_estimate)

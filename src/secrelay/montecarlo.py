@@ -169,8 +169,9 @@ def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | None],
     points.  ``network`` sets what ``composite`` draws: its links at 0 dBm
     and 0 dB isolation.  Within a slice, the points that share Bob's side
     share capacity rows: each distinct main side log2(1 + min(relay, Bob))
-    and each distinct Eve side log2(1 + Eve) is formed once, and a point is
-    their clipped difference.  A yielded slice is a view that the next one
+    and each distinct Eve side log2(1 + Eve) is formed once (a direct Eve's,
+    which no power changes, once for all the powers), and a point is their
+    clipped difference.  A yielded slice is a view that the next one
     overwrites: reduce it (or copy it) before advancing.  The buffers are
     local to the call, so concurrent calls from sweep workers share nothing.
     """
@@ -200,6 +201,10 @@ def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | None],
         mains, eves, members = groups.setdefault(bob, ({}, {}, []))
         members.append((i, mains.setdefault(main, len(mains)),
                         eves.setdefault(eve, len(eves))))
+    # a direct Eve's side does not depend on the power: when every power
+    # has the same Eve sides, their rows are formed once per slice
+    eve_sides = [eves for _, eves, _ in groups.values()]
+    shared_eves = all(eves == eve_sides[0] for eves in eve_sides)
     bufs = np.empty((3 if mode == "ln_fit" else 4 + len(sums), min(_BLOCK, n)))
     x, y = np.empty((2, min(_SLICE, n)))
     rows = np.empty((max(len(m) + len(e) for m, e, _ in groups.values()),
@@ -233,13 +238,14 @@ def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | None],
             w = min(_SLICE, b - lo)
             part = banks[:, lo:lo + w]
             rates, work = x[:w], y[:w]
-            for mains, eves, members in groups.values():
-                main_rows = rows[:len(mains), :w]
-                eve_rows = rows[len(mains):len(mains) + len(eves), :w]
+            for g, (mains, eves, members) in enumerate(groups.values()):
+                eve_rows = rows[:len(eves), :w]
+                main_rows = rows[len(eves):len(eves) + len(mains), :w]
+                if g == 0 or not shared_eves:
+                    for key, r in eves.items():
+                        _eve_capacity(mode, part, key, eve_rows[r])
                 for key, r in mains.items():
                     _main_capacity(mode, part, key, main_rows[r], work)
-                for key, r in eves.items():
-                    _eve_capacity(mode, part, key, eve_rows[r])
                 for i, m, e in members:
                     np.subtract(main_rows[m], eve_rows[e], out=rates)
                     np.maximum(rates, 0.0, out=rates)

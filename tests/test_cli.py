@@ -302,8 +302,9 @@ def test_overflowing_mc_composite_sweep_flags_rows_without_warnings(tmp_path):
     assert stdout.decode() == f"wrote 2 rows to {out} (1 flagged)\n"
 
 
-def test_validate_in_a_cold_process_loads_quadpack_itself(tmp_path):
-    # the reference integrator imports QUADPACK on its first call
+def test_validate_runs_in_a_cold_process(tmp_path):
+    # a fresh interpreter: the references, the estimators and the
+    # Monte-Carlo checks load what they need themselves
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(FAST_VALIDATE_CONFIG)
     with _spawn(["validate", "--config", str(cfg)]) as proc:

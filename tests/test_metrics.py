@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paper_forms import cdf_form_rate, paper_outage, paper_rate
+from test_acceptance import RS_GRID, grid_endpoints
 from secrelay import (ConfigurationError, Endpoints, LogNormal, MetricResult,
                       SystemConfig, avg_secrecy_rate, avg_secrecy_rate_reference,
                       endpoints_for, metrics, min_snr_cdf, preset_run_config,
@@ -412,9 +413,68 @@ class TestReferenceOnFig2:
         assert ref.value == pytest.approx(avg_secrecy_rate(ep, 128).value, rel=1e-8)
 
     def test_integrand_calls_per_evaluation(self, fig2_references):
-        # QUADPACK is deterministic, so the mean repeats exactly (343 with
-        # the y / v domains and their breakpoints); a change that adds
-        # evaluations back fails here
+        # the integrator is deterministic, so the mean repeats exactly: 245
+        # (272 per rate, 231 per outage; 317 when the outage had no
+        # breakpoints in phi's tails); a change that adds evaluations back
+        # fails here
         calls = fig2_references[2]
         assert len(calls) == 378
-        assert sum(calls) / len(calls) <= 400
+        assert sum(calls) / len(calls) <= 260
+
+
+def c08_box_points(n):
+    """n random points of the c08 box, with a target rate each."""
+    rng = np.random.default_rng(7)
+    for _ in range(n):
+        mr, mb, me = rng.uniform(-3.0, 3.0, 3)
+        sr, sb, se = rng.uniform(0.4, 2.2, 3)
+        yield make_ep(mr, sr, mb, sb, me, se), float(rng.uniform(0.1, 4.0))
+
+
+class TestQuadpackOracle:
+    """The references' integrator against scipy's QUADPACK, an independent
+    implementation, on the same integrands, limits and breakpoints: the
+    references at 1e-11, QUADPACK at 1e-12."""
+
+    @pytest.fixture
+    def oracle(self, monkeypatch):
+        """Run the references, then compare each integral with QUADPACK's."""
+        from scipy import integrate
+        own = metrics.adaptive_integrate
+        seen = []
+
+        def recording(f, a, b, rel_tol, points=()):
+            est = own(f, a, b, rel_tol, points)
+            seen.append((f, a, b, points, est.value))
+            return est
+
+        def compare(evaluate, rel=0.0, abs_=0.0):
+            seen.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(metrics, "adaptive_integrate", recording)
+                evaluate()
+            assert seen
+            for f, a, b, points, value in seen:
+                want, _, _, *complaint = integrate.quad(
+                    f, a, b, epsabs=0.0, epsrel=1e-12, limit=400,
+                    points=points, full_output=1)
+                assert not complaint, complaint
+                assert value == pytest.approx(want, rel=rel, abs=abs_)
+
+        return compare
+
+    def test_c01_rates(self, oracle):
+        oracle(lambda: [avg_secrecy_rate_reference(ep, 1e-11)
+                        for _, ep in grid_endpoints()], rel=1e-10)
+
+    def test_c02_outages(self, oracle):
+        oracle(lambda: [secrecy_outage_reference(ep, rs, 1e-11)
+                        for _, ep in grid_endpoints() for rs in RS_GRID],
+               abs_=1e-12)
+
+    def test_c08_box(self, oracle):
+        points = list(c08_box_points(200))
+        oracle(lambda: [avg_secrecy_rate_reference(ep, 1e-11)
+                        for ep, _ in points], rel=1e-10)
+        oracle(lambda: [secrecy_outage_reference(ep, rs, 1e-11)
+                        for ep, rs in points], abs_=1e-12)

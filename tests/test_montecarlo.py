@@ -302,7 +302,8 @@ class TestSinglePassReducer:
     @pytest.mark.parametrize("eve", ["direct", "composite"])
     def test_each_power_shares_its_capacity_rows(self, mode, eve, monkeypatch):
         # 2 P x 3 delta x 3 N_E: per slice and power, 3 main-side rows and
-        # 3 Eve-side rows, not one of each per point
+        # 3 Eve-side rows, not one of each per point; a direct Eve's rows do
+        # not depend on the power, so both powers share them
         points = product_grid(eve, deltas=(-90.0, -80.0, -70.0), n_eves=(1, 2, 3))
         calls = {"main": 0, "eve": 0}
 
@@ -319,7 +320,8 @@ class TestSinglePassReducer:
                             counted("eve", montecarlo._eve_capacity))
         assert mc_grid_metrics(points, (2.0,), mode, 4500, 17) == want
         slices = 4 * 3 + 2  # four full blocks of three slices, then two
-        assert calls == {"main": slices * 2 * 3, "eve": slices * 2 * 3}
+        eve_rows = slices * 3 if eve == "direct" else slices * 2 * 3
+        assert calls == {"main": slices * 2 * 3, "eve": eve_rows}
 
 
 class TestGridCall:

@@ -208,11 +208,31 @@ class TestAdaptiveIntegrate:
             adaptive_integrate(spiky, 0.0, 1.0, 1e-12)
         assert math.isfinite(err.value.best_estimate)
 
+    @pytest.mark.parametrize("b", [math.nan, -math.inf])
+    def test_upper_limit_nan_or_minus_inf_rejected(self, b):
+        # rather than a quiet 0 (nan) or a nan integral (-inf)
+        with pytest.raises(ValueError, match="upper limit"):
+            adaptive_integrate(math.exp, 0.0, b, 1e-10)
+
+    def test_reversed_limits_negate_the_integral(self):
+        est = adaptive_integrate(math.sin, math.pi, 0.0, 1e-12)
+        assert est.value == pytest.approx(-2.0, rel=1e-12)
+        assert est.error_estimate <= 1e-12
+        # breakpoints between the limits are used the same way round
+        fwd = adaptive_integrate(math.exp, -1.0, 2.0, 1e-12, (0.0, 1.0, 5.0))
+        back = adaptive_integrate(math.exp, 2.0, -1.0, 1e-12, (0.0, 1.0, 5.0))
+        assert back.value == -fwd.value
+        assert fwd.value == pytest.approx(math.e ** 2 - 1.0 / math.e, rel=1e-12)
+
+    def test_breakpoints_with_an_infinite_limit_rejected(self):
+        with pytest.raises(ValueError, match="breakpoints"):
+            adaptive_integrate(lambda x: math.exp(-x), 0.0, math.inf, 1e-10, (1.0,))
+
 
 # run in a fresh interpreter, whose sys.modules no other test has touched:
-# the package, parsing, the CLI and an analytic sweep load neither numpy nor
-# scipy, Monte-Carlo sweeps load numpy alone, and a reference call adds
-# QUADPACK
+# the package, parsing, the CLI, an analytic sweep and the adaptive
+# references load neither numpy nor scipy, validate and Monte-Carlo sweeps
+# load numpy alone, and nothing loads scipy
 IMPORT_GRAPH_CHILD = textwrap.dedent("""
     import sys
     import secrelay as sr
@@ -238,17 +258,27 @@ IMPORT_GRAPH_CHILD = textwrap.dedent("""
     heavy = loaded("numpy", "scipy")
     assert not heavy, f"an analytic run loaded {heavy}"
 
-    sweep(cfg, ("mc-composite",))
+    ep = sr.endpoints_for(cfg.network)
+    sr.avg_secrecy_rate_reference(ep, 1e-9)
+    sr.secrecy_outage_reference(ep, 2.0, 1e-10)
+    heavy = loaded("numpy", "scipy")
+    assert not heavy, f"a reference call loaded {heavy}"
+
+    checks = sr.run_validation(
+        sr.parse_config_text("power_dbm = 40\\nsamples = 20000\\n"))
+    assert all(c.passed for c in checks), checks
     assert "numpy" in sys.modules
+    heavy = loaded("scipy")
+    assert not heavy, f"validate loaded {heavy}"
+
+    sweep(cfg, ("mc-composite",))
     sweep(cfg, ("mc-ln",))
     heavy = loaded("scipy")
     assert not heavy, f"a Monte-Carlo run loaded {heavy}"
-    sr.avg_secrecy_rate_reference(sr.endpoints_for(cfg.network), 1e-9)
-    assert "scipy.integrate" in sys.modules
 """)
 
 
-def test_sweeps_leave_quadpack_unloaded_until_a_reference_call(tmp_path):
+def test_no_route_loads_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(secrelay.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_CHILD,
                            str(tmp_path / "fig2.csv")],
