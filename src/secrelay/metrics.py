@@ -28,7 +28,10 @@ Their integrator, ``adaptive_integrate``, ports QUADPACK (Piessens et al.,
 1983): the qk21 21-point Gauss-Kronrod rule and its error estimate, qagpe's
 breakpoints, crude-interval rule, bisection of the largest error and
 round-off tests, and qagi's map of an infinite upper limit.  Wynn's epsilon
-extrapolation is left out, because the integrands are smooth.
+extrapolation is left out, because the integrands are smooth.  Its
+integrand takes all 21 nodes of a panel in one call and returns their
+values, so the loop over the nodes runs inside the integrand, and qk21's
+sums are unrolled in QUADPACK's order, so they round as its loop does.
 
 The estimators and the references loop with ``math.erfc``, ``exp`` and
 ``log1p``, so neither route needs numpy or scipy.
@@ -86,23 +89,29 @@ _ABS_FLOOR = 1e-300
 # where the outage reference's normal weight phi(v) has fallen by 1,
 # e^-4.5, e^-24.5 and e^-98: its bisection starts from these
 _PHI_BREAKS = (0.0, -3.0, 3.0, -7.0, 7.0, -14.0, 14.0)
+# Phi(-14), the normal mass above v = 14
+_PHI_TAIL_14 = 0.5 * math.erfc(14.0 / _SQRT2)
 # subintervals the adaptive integrator may use
 _LIMIT = 400
 _EPS = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 # QUADPACK's 21-point Kronrod nodes on [0, 1], outermost first, the centre
-# last; the odd ones (counting from 0) are the 10-point Gauss nodes
-_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
-        0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
-        0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
-        0.14887433898163122, 0.0)
-_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
-        0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
-        0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
-        0.14773910490133849, 0.1494455540029169)
-# the Gauss weights of _XGK[1], _XGK[3], ..., _XGK[9]
-_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
-       0.26926671930999635, 0.29552422471475287)
+# 0 being the 21st; the odd ones are the 10-point Gauss nodes
+(_X0, _X1, _X2, _X3, _X4, _X5, _X6, _X7, _X8,
+ _X9) = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+         0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+         0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+         0.14887433898163122)
+# their Kronrod weights, the centre's last
+(_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7, _K8, _K9,
+ _K10) = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+          0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+          0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+          0.14773910490133849, 0.1494455540029169)
+# the Gauss weights of _X1, _X3, ..., _X9
+_G0, _G1, _G2, _G3, _G4 = (0.06667134430868814, 0.1494513491505806,
+                           0.21908636251598204, 0.26926671930999635,
+                           0.29552422471475287)
 
 
 @dataclass(frozen=True)
@@ -119,34 +128,47 @@ def _check_order(order: int) -> None:
             f"quadrature order must be in [1, {MAX_QUADRATURE_ORDER}], got {order}")
 
 
-def _qk21(f: Callable[[float], float], a: float,
+def _qk21(f: Callable[[list[float]], Sequence[float]], a: float,
           b: float) -> tuple[float, float, float, float]:
     """QUADPACK's qk21 on [a, b]: the 21-point Kronrod estimate, its error,
     and the integrals of |f| and of |f - mean| (resabs, resasc).
 
-    The error is resasc * min(1, (200 |K - G| / resasc)^1.5), G the embedded
-    10-point Gauss estimate, and no less than 50 eps resabs.
+    f takes the panel's 21 nodes at once.  The error is resasc * min(1,
+    (200 |K - G| / resasc)^1.5), G the embedded 10-point Gauss estimate, and
+    no less than 50 eps resabs.  The sums are unrolled term by term in the
+    order of qk21's loops, so they round as QUADPACK's do.
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    fc = f(centr)
-    resg = 0.0
-    resk = _WGK[10] * fc
-    resabs = abs(resk)
-    fv1 = [0.0] * 10
-    fv2 = [0.0] * 10
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first
-        absc = hlgth * _XGK[j]
-        f1 = fv1[j] = f(centr - absc)
-        f2 = fv2[j] = f(centr + absc)
-        if j % 2:
-            resg += _WG[j // 2] * (f1 + f2)
-        resk += _WGK[j] * (f1 + f2)
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-    reskh = 0.5 * resk
-    resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc += _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    (l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, fc,
+     r9, r8, r7, r6, r5, r4, r3, r2, r1, r0) = f([
+         centr - hlgth * _X0, centr - hlgth * _X1, centr - hlgth * _X2,
+         centr - hlgth * _X3, centr - hlgth * _X4, centr - hlgth * _X5,
+         centr - hlgth * _X6, centr - hlgth * _X7, centr - hlgth * _X8,
+         centr - hlgth * _X9, centr, centr + hlgth * _X9, centr + hlgth * _X8,
+         centr + hlgth * _X7, centr + hlgth * _X6, centr + hlgth * _X5,
+         centr + hlgth * _X4, centr + hlgth * _X3, centr + hlgth * _X2,
+         centr + hlgth * _X1, centr + hlgth * _X0])
+    resk = (_K10 * fc + _K1 * (l1 + r1) + _K3 * (l3 + r3) + _K5 * (l5 + r5)
+            + _K7 * (l7 + r7) + _K9 * (l9 + r9) + _K0 * (l0 + r0) + _K2 * (l2 + r2)
+            + _K4 * (l4 + r4) + _K6 * (l6 + r6) + _K8 * (l8 + r8))
+    if not math.isfinite(resk):
+        raise ValueError(f"the integrand is not finite on [{a!r}, {b!r}]: "
+                         f"its Kronrod sum is {resk!r}")
+    resg = (_G0 * (l1 + r1) + _G1 * (l3 + r3) + _G2 * (l5 + r5) + _G3 * (l7 + r7)
+            + _G4 * (l9 + r9))
+    resabs = (_K10 * abs(fc) + _K1 * (abs(l1) + abs(r1)) + _K3 * (abs(l3) + abs(r3))
+              + _K5 * (abs(l5) + abs(r5)) + _K7 * (abs(l7) + abs(r7))
+              + _K9 * (abs(l9) + abs(r9)) + _K0 * (abs(l0) + abs(r0))
+              + _K2 * (abs(l2) + abs(r2)) + _K4 * (abs(l4) + abs(r4))
+              + _K6 * (abs(l6) + abs(r6)) + _K8 * (abs(l8) + abs(r8)))
+    h = 0.5 * resk  # QUADPACK's reskh, the mean of f on the panel
+    resasc = (_K10 * abs(fc - h) + _K0 * (abs(l0 - h) + abs(r0 - h))
+              + _K1 * (abs(l1 - h) + abs(r1 - h)) + _K2 * (abs(l2 - h) + abs(r2 - h))
+              + _K3 * (abs(l3 - h) + abs(r3 - h)) + _K4 * (abs(l4 - h) + abs(r4 - h))
+              + _K5 * (abs(l5 - h) + abs(r5 - h)) + _K6 * (abs(l6 - h) + abs(r6 - h))
+              + _K7 * (abs(l7 - h) + abs(r7 - h)) + _K8 * (abs(l8 - h) + abs(r8 - h))
+              + _K9 * (abs(l9 - h) + abs(r9 - h)))
     dhlgth = abs(hlgth)
     resabs *= dhlgth
     resasc *= dhlgth
@@ -159,9 +181,15 @@ def _qk21(f: Callable[[float], float], a: float,
     return resk * hlgth, abserr, resabs, resasc
 
 
-def adaptive_integrate(f: Callable[[float], float], a: float, b: float,
-                       rel_tol: float, points: Sequence[float] = ()) -> MetricResult:
+def adaptive_integrate(f: Callable[[list[float]], Sequence[float]], a: float,
+                       b: float, rel_tol: float,
+                       points: Sequence[float] = ()) -> MetricResult:
     """Globally adaptive 21-point Gauss-Kronrod quadrature of f over [a, b].
+
+    f is called once per panel: it takes the panel's 21 nodes as a list in
+    ascending order and returns their 21 values in the same order, so the
+    loop over the nodes runs inside the integrand.  A scalar g goes in as
+    ``lambda xs: [g(x) for x in xs]``.
 
     A port of QUADPACK's qagpe (Piessens et al., 1983) on its qk21 rule:
     the breakpoints inside (a, b) split the range into initial intervals;
@@ -176,7 +204,9 @@ def adaptive_integrate(f: Callable[[float], float], a: float, b: float,
     Returns the estimate with its estimated relative error.  Raises
     AccuracyError (carrying the best estimate) where qagpe flags the
     result: 400 subintervals used, round-off detected, or an interval
-    bisected to within about 100 float spacings of its midpoint.
+    bisected to within about 100 float spacings of its midpoint.  Raises
+    ValueError, naming the value, where a panel's Kronrod sum is nan or
+    infinite, which any nan or infinite value of f makes it.
     """
     if not (_REL_TOL_MIN <= rel_tol <= _REL_TOL_MAX):
         raise ValueError(
@@ -191,8 +221,10 @@ def adaptive_integrate(f: Callable[[float], float], a: float, b: float,
             raise ValueError("breakpoints cannot be used with an infinite limit")
         g, lower = f, a
 
-        def f(t: float) -> float:
-            return g(lower + (1.0 - t) / t) / (t * t)
+        def f(ts: list[float]) -> list[float]:
+            # x falls as t rises, so g gets the mapped nodes reversed
+            values = g([lower + (1.0 - t) / t for t in reversed(ts)])
+            return [v / (t * t) for v, t in zip(reversed(values), ts)]
 
         a, b = 0.0, 1.0
     elif b < a:
@@ -381,7 +413,11 @@ def avg_secrecy_rate_reference(ep: Endpoints,
     relay's, which a far-off mean cannot widen.  A window narrower than the
     larger reach at its edges (eve far above bob or the relay) leaves mass
     past them; it then reaches 12 sqrt(2) of the widest sigma beyond the
-    lowest mean and eve's.  Breakpoints sit at the three means and at 0.
+    lowest mean and eve's.  The window starts no lower than m - 745, m the
+    lowest of bob's mean, the relay's and 0: the integrand is below e^y, so
+    the mass it leaves out is at most e^(m - 745), against a rate of order
+    e^m.  Breakpoints sit at the three means and at 0.  Below y = -709,
+    where exp(-y) would overflow, the logistic factor is taken as e^y.
     """
     _require_random(ep, "avg_secrecy_rate_reference")
     e, b, r = ep.eve, ep.bob, ep.relay
@@ -389,9 +425,18 @@ def avg_secrecy_rate_reference(ep: Endpoints,
     # each factor scaled by its own sigma
     ce, cb, cr = (1.0 / (_SQRT2 * x.sigma) for x in (e, b, r))
 
-    def f(y: float, erfc=math.erfc, exp=math.exp) -> float:
-        return (erfc((me - y) * ce) * erfc((y - mb) * cb)
-                * erfc((y - mr) * cr)) / (8.0 * (1.0 + exp(-y)))
+    def f(ys: list[float], erfc=math.erfc, exp=math.exp) -> list[float]:
+        if ys[0] < -709.0:  # the nodes ascend; exp(-y) overflows below -709.78
+            return [far_left(y) for y in ys]
+        return [erfc((me - y) * ce) * erfc((y - mb) * cb) * erfc((y - mr) * cr)
+                / (8.0 * (1.0 + exp(-y))) for y in ys]
+
+    def far_left(y: float) -> float:
+        if y >= -709.0:
+            return f([y])[0]
+        # the logistic factor e^y / (1 + e^y) rounds to e^y here
+        return (math.erfc((me - y) * ce) * math.erfc((y - mb) * cb)
+                * math.erfc((y - mr) * cr) * math.exp(y) / 8.0)
 
     reach = 12.0 * _SQRT2
     lo = me - reach * e.sigma
@@ -400,6 +445,10 @@ def avg_secrecy_rate_reference(ep: Endpoints,
     if hi - lo < reach * max(e.sigma, upper_sigma):
         widest = reach * max(e.sigma, b.sigma, r.sigma)
         lo, hi = min(means) - widest, me + widest
+    # the integrand is below e^y, so little mass lies 745 below m, the lowest
+    # of bob's mean, the relay's and 0; a window reaching further would
+    # space its first panel's nodes past the mass near m
+    lo = max(lo, min(mb, mr, 0.0) - 745.0)
     est = adaptive_integrate(f, lo, hi, rel_tol, means + (0.0,))
     return MetricResult(est.value / _LN2, est.error_estimate)
 
@@ -498,10 +547,17 @@ def secrecy_outage_reference(ep: Endpoints, rs_target: float,
     """Secrecy outage by adaptive integration of F_min(2^rs (1+z) - 1) f_eve(z).
 
     The integral runs over the eavesdropper's standard-normal v, z = exp(mu_e
-    + sigma_e v), on [-40, 40], beyond which phi(v) underflows, with
-    breakpoints at the threshold's floor kink, where the log threshold
-    crosses mu_bob and mu_relay, and at 0, +-3, +-7 and +-14, where phi(v)
-    has fallen by 1, e^-4.5, e^-24.5 and e^-98.
+    + sigma_e v), with breakpoints at the threshold's floor kink, where the
+    log threshold crosses mu_bob and mu_relay, and at 0, +-3, +-7 and +-14,
+    where phi(v) has fallen by 1, e^-4.5, e^-24.5 and e^-98.
+
+    It starts at v = -14: F_min(t(v)) never falls as v rises, so the mass
+    below -14 is at most Phi(-14) / (1 - Phi(-14)) ~ 8e-45 of the total.  It
+    ends at v = 14 when the mass above, at most Phi(-14) since the
+    integrand is below phi(v), is at most 1e-20 of a lower bound on the
+    outage, F_min(t0) / 2 >= max(F_bob(t0), F_relay(t0)) / 2 with t0 =
+    max(floor, offset) <= t(v) for v >= 0; otherwise it ends at 40, beyond
+    which phi(v) underflows.
     """
     _require_random(ep, "secrecy_outage_reference")
     floor, offset = _log_threshold(rs_target, ep.eve.mu)
@@ -509,14 +565,21 @@ def secrecy_outage_reference(ep: Endpoints, rs_target: float,
     mb, cb = ep.bob.mu, 1.0 / (_SQRT2 * ep.bob.sigma)
     mr, cr = ep.relay.mu, 1.0 / (_SQRT2 * ep.relay.sigma)
 
-    def f(v: float, erfc=math.erfc, exp=math.exp, log1p=math.log1p) -> float:
-        x = offset + se * v
-        lt = (x + log1p(exp(floor - x)) if x > floor
-              else floor + log1p(exp(x - floor)))
-        survival = erfc((lt - mb) * cb) * erfc((lt - mr) * cr)
-        return (1.0 - 0.25 * survival) * exp(-0.5 * v * v) / _SQRT_2PI
+    def f(vs: list[float], erfc=math.erfc, exp=math.exp,
+          log1p=math.log1p) -> list[float]:
+        values = []
+        for v in vs:
+            x = offset + se * v
+            lt = (x + log1p(exp(floor - x)) if x > floor
+                  else floor + log1p(exp(x - floor)))
+            survival = erfc((lt - mb) * cb) * erfc((lt - mr) * cr)
+            values.append((1.0 - 0.25 * survival) * exp(-0.5 * v * v) / _SQRT_2PI)
+        return values
 
     kinks = tuple((t - offset) / se for t in (floor, mb, mr))
-    est = adaptive_integrate(f, -40.0, 40.0, rel_tol, kinks + _PHI_BREAKS)
+    t0 = max(floor, offset)  # t(v) >= t0 for v >= 0
+    lower_bound = 0.25 * max(math.erfc((mb - t0) * cb), math.erfc((mr - t0) * cr))
+    hi = 14.0 if _PHI_TAIL_14 <= 1e-20 * lower_bound else 40.0
+    est = adaptive_integrate(f, -14.0, hi, rel_tol, kinks + _PHI_BREAKS)
     return MetricResult(_clamp_unit(est.value, "secrecy_outage_reference"),
                         est.error_estimate)

@@ -12,6 +12,9 @@ and weight tables are numpy's, behind the package's quadrature-order check.
 cdf_form_rate keeps the rate integrand as the paper writes it, built from
 the CDF routines; the package's reference integrates the algebraically equal
 closed erfc product, and the tests assert the two agree.
+
+per_panel adapts a scalar integrand to adaptive_integrate, which evaluates
+the 21 nodes of a panel in one call.
 """
 import functools
 import math
@@ -24,6 +27,11 @@ from secrelay.metrics import _check_order, adaptive_integrate, min_snr_cdf
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
+
+
+def per_panel(g):
+    """The integrand adaptive_integrate takes for the scalar function g."""
+    return lambda xs: [g(x) for x in xs]
 
 
 class QuadratureRule(NamedTuple):
@@ -100,6 +108,6 @@ def cdf_form_rate(ep, rel_tol):
 
     means = (ep.eve.mu, ep.bob.mu, ep.relay.mu)
     reach = 12.0 * _SQRT2 * max(ep.eve.sigma, ep.bob.sigma, ep.relay.sigma)
-    est = adaptive_integrate(f, min(means) - reach, max(means) + reach,
+    est = adaptive_integrate(per_panel(f), min(means) - reach, max(means) + reach,
                              rel_tol, means + (0.0,))
     return est.value / _LN2

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from paper_forms import cdf_form_rate
+from paper_forms import cdf_form_rate, per_panel
 from secrelay import (Endpoints, LogNormal, RunConfig, SweepSpec,
                       SystemConfig, avg_secrecy_rate,
                       avg_secrecy_rate_reference, cumulants, endpoints_for,
@@ -122,7 +122,8 @@ def test_c03_integrand_equivalence():
                         * math.erfc((-mb + lz) / (sqrt2 * se))
                         * math.erfc((-mr + lz) / (sqrt2 * sr))) / (8.0 * (1.0 + z))
 
-            wrong = adaptive_integrate(misprinted, 0.0, math.inf, 1e-10).value / math.log(2.0)
+            wrong = adaptive_integrate(per_panel(misprinted), 0.0, math.inf,
+                                       1e-10).value / math.log(2.0)
             assert abs(wrong - a) / abs(a) > 1e-6
             checked_misprint = True
     passed = worst <= 1e-10

@@ -7,6 +7,7 @@ rule converges exponentially in the order.  The paper's Gauss-Laguerre rate
 form (paper_forms.paper_rate) converges slowly, and its measured envelope is
 pinned as such.
 """
+import hashlib
 import math
 from dataclasses import fields, replace
 
@@ -25,6 +26,8 @@ SANITY_EP = endpoints_for(SystemConfig())
 # adaptive reference at 1e-10, cross-checked against a 1e8-sample MC run
 SANITY_RATE_REF = 0.0953595148240607
 SANITY_OUTAGE_RS2_REF = 0.9831468752899254
+# sha256 of the repr of the 126 paper-fig2 reference rates and 252 outages
+FIG2_REFERENCE_SHA256 = "dfc7ac36afd02ca0a8b8a060d17dfe452273d242ffa11afc66a4eb894b698e97"
 
 
 def make_ep(mr, sr, mb, sb, me, se):
@@ -137,6 +140,18 @@ class TestAvgSecrecyRate:
             Endpoints(relay=LogNormal(mu, 3.0), bob=bob, eve=eve), 1e-9).value
             for mu in (1e3, 1e6))
         assert far == near
+
+    @pytest.mark.parametrize("mu_e", [-800.0, -1e6])
+    def test_reference_ignores_a_vanishing_eavesdropper(self, mu_e):
+        # 17 nats below eve's mean exp(-y) overflows from mu_e = -693 on,
+        # and a window reaching 1e6 nats down would put no node near the
+        # mass just below 0; no mass lies that far out, so the rate is the
+        # one at mu_e = -600
+        ref = {mu: avg_secrecy_rate_reference(
+                   make_ep(2.0, 1.0, 3.0, 1.0, mu, 1.0), 1e-9).value
+               for mu in (-600.0, mu_e)}
+        assert ref[mu_e] == pytest.approx(ref[-600.0], rel=1e-9)
+        assert ref[mu_e] == pytest.approx(2.889, rel=1e-3)
 
     @pytest.mark.parametrize("ep", [
         # eve 44 nats above bob: the edge window is empty, and her narrow
@@ -367,16 +382,16 @@ class TestEstimatorMonotonicity:
 @pytest.fixture(scope="module")
 def fig2_references():
     """Every reference evaluation on the paper-fig2 grid, with the integrand
-    calls each one made (counted through the binding metrics calls)."""
+    nodes each one evaluated (counted through the binding metrics calls)."""
     calls = []
     integrate = metrics.adaptive_integrate
 
     def counting(f, *args, **kwargs):
         calls.append(0)
 
-        def counted(x):
-            calls[-1] += 1
-            return f(x)
+        def counted(xs):
+            calls[-1] += len(xs)
+            return f(xs)
 
         return integrate(counted, *args, **kwargs)
 
@@ -413,13 +428,22 @@ class TestReferenceOnFig2:
         assert ref.value == pytest.approx(avg_secrecy_rate(ep, 128).value, rel=1e-8)
 
     def test_integrand_calls_per_evaluation(self, fig2_references):
-        # the integrator is deterministic, so the mean repeats exactly: 245
-        # (272 per rate, 231 per outage; 317 when the outage had no
-        # breakpoints in phi's tails); a change that adds evaluations back
-        # fails here
+        # the integrator is deterministic, so the mean repeats exactly: 214
+        # nodes (272 per rate, 185 per outage; 245 when the outage ran over
+        # [-40, 40], 317 when it had no breakpoints in phi's tails); a
+        # change that adds evaluations back fails here
         calls = fig2_references[2]
         assert len(calls) == 378
-        assert sum(calls) / len(calls) <= 260
+        assert sum(calls) / len(calls) <= 220
+
+    def test_values_repeat_bit_for_bit(self, fig2_references):
+        # the digest of every value's repr, as the integrator gave them
+        # while it called its integrand once per node and the outage ran
+        # over [-40, 40]
+        rates, outages, _ = fig2_references
+        values = [r.value for _, r in rates.values()] + [o.value for o in outages.values()]
+        digest = hashlib.sha256(repr(values).encode()).hexdigest()
+        assert digest == FIG2_REFERENCE_SHA256
 
 
 def c08_box_points(n):
@@ -456,8 +480,8 @@ class TestQuadpackOracle:
             assert seen
             for f, a, b, points, value in seen:
                 want, _, _, *complaint = integrate.quad(
-                    f, a, b, epsabs=0.0, epsrel=1e-12, limit=400,
-                    points=points, full_output=1)
+                    lambda x: f((x,))[0], a, b, epsabs=0.0, epsrel=1e-12,
+                    limit=400, points=points, full_output=1)
                 assert not complaint, complaint
                 assert value == pytest.approx(want, rel=rel, abs=abs_)
 
@@ -478,3 +502,50 @@ class TestQuadpackOracle:
                         for ep, _ in points], rel=1e-10)
         oracle(lambda: [secrecy_outage_reference(ep, rs, 1e-11)
                         for ep, rs in points], abs_=1e-12)
+
+
+class TestOutageRange:
+    """The outage reference integrates over [-14, 14], or [-14, 40] when the
+    mass above 14 might matter: each outage integral is the same, to the
+    bit, as the one over [-40, 40] with the same breakpoints."""
+
+    @staticmethod
+    def full_range_agrees(evaluate):
+        """The upper limits the outages in evaluate() used."""
+        own = metrics.adaptive_integrate
+        seen = []
+
+        def recording(f, a, b, rel_tol, points=()):
+            est = own(f, a, b, rel_tol, points)
+            seen.append((f, a, b, rel_tol, points, est.value))
+            return est
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "adaptive_integrate", recording)
+            evaluate()
+        assert seen and all(a == -14.0 for _, a, *_ in seen)
+        for f, _, _, rel_tol, points, value in seen:
+            assert own(f, -40.0, 40.0, rel_tol, points).value == value
+        return {b for _, _, b, *_ in seen}
+
+    def test_c02_and_fig2_grids(self):
+        cfg = preset_run_config("paper-fig2")
+        fig2 = [endpoints_for(cfg.system(p, d, n)) for p in cfg.power_grid_dbm
+                for d in cfg.delta_grid_db for n in cfg.n_eve_grid]
+        assert self.full_range_agrees(lambda: (
+            [secrecy_outage_reference(ep, rs) for _, ep in grid_endpoints()
+             for rs in RS_GRID],
+            [secrecy_outage_reference(ep, rs) for ep in fig2 for rs in cfg.rs_grid])) == {14.0}
+
+    def test_c08_box(self):
+        points = list(c08_box_points(1500))
+        assert self.full_range_agrees(lambda: [secrecy_outage_reference(ep, rs)
+                                               for ep, rs in points]) == {14.0}
+
+    def test_a_loose_lower_bound_keeps_the_range_to_40(self):
+        # bob and the relay 12 nats up: at v = 0 they bound the outage below
+        # by about 3e-30, so the range runs on to 40; the outages are 4.1e-7
+        # and 2.8e-4
+        assert self.full_range_agrees(lambda: [
+            secrecy_outage_reference(make_ep(12.0, 1.0, 12.0, 1.0, 0.0, se), 1.0)
+            for se in (2.0, 3.0)]) == {40.0}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import secrelay
-from paper_forms import gauss_hermite_rule, gauss_laguerre_rule
+from paper_forms import gauss_hermite_rule, gauss_laguerre_rule, per_panel
 from secrelay import (AccuracyError, ConfigurationError, MetricResult,
                       adaptive_integrate)
 
@@ -176,28 +176,29 @@ def test_every_order_passes_validate_rule_checks():
 
 class TestAdaptiveIntegrate:
     def test_exponential(self):
-        est = adaptive_integrate(lambda x: math.exp(-x), 0.0, math.inf, 1e-10)
+        est = adaptive_integrate(per_panel(lambda x: math.exp(-x)), 0.0, math.inf, 1e-10)
         assert isinstance(est, MetricResult)
         assert est.value == pytest.approx(1.0, rel=1e-10)
         assert est.error_estimate <= 1e-10
 
     def test_lorentzian_tail(self):
-        est = adaptive_integrate(lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf, 1e-10)
+        est = adaptive_integrate(per_panel(lambda x: 1.0 / (1.0 + x * x)), 0.0, math.inf,
+                                 1e-10)
         assert est.value == pytest.approx(math.pi / 2, rel=1e-10)
 
     def test_finite_interval(self):
-        est = adaptive_integrate(math.sin, 0.0, math.pi, 1e-12)
+        est = adaptive_integrate(per_panel(math.sin), 0.0, math.pi, 1e-12)
         assert est.value == pytest.approx(2.0, rel=1e-12)
 
     def test_shifted_lower_limit(self):
-        est = adaptive_integrate(lambda x: math.exp(-x), 2.0, math.inf, 1e-10)
+        est = adaptive_integrate(per_panel(lambda x: math.exp(-x)), 2.0, math.inf, 1e-10)
         assert est.value == pytest.approx(math.exp(-2.0), rel=1e-9)
 
     def test_tolerance_domain(self):
         with pytest.raises(ValueError):
-            adaptive_integrate(math.exp, 0.0, 1.0, 1e-2)
+            adaptive_integrate(per_panel(math.exp), 0.0, 1.0, 1e-2)
         with pytest.raises(ValueError):
-            adaptive_integrate(math.exp, 0.0, 1.0, 1e-13)
+            adaptive_integrate(per_panel(math.exp), 0.0, 1.0, 1e-13)
 
     def test_nonconvergence_carries_best_estimate(self):
         # integrable but nastily oscillatory-singular; very tight tolerance
@@ -205,28 +206,50 @@ class TestAdaptiveIntegrate:
             return math.sin(1.0 / (x + 1e-12)) / math.sqrt(x + 1e-12)
 
         with pytest.raises(AccuracyError) as err:
-            adaptive_integrate(spiky, 0.0, 1.0, 1e-12)
+            adaptive_integrate(per_panel(spiky), 0.0, 1.0, 1e-12)
         assert math.isfinite(err.value.best_estimate)
 
     @pytest.mark.parametrize("b", [math.nan, -math.inf])
     def test_upper_limit_nan_or_minus_inf_rejected(self, b):
         # rather than a quiet 0 (nan) or a nan integral (-inf)
         with pytest.raises(ValueError, match="upper limit"):
-            adaptive_integrate(math.exp, 0.0, b, 1e-10)
+            adaptive_integrate(per_panel(math.exp), 0.0, b, 1e-10)
 
     def test_reversed_limits_negate_the_integral(self):
-        est = adaptive_integrate(math.sin, math.pi, 0.0, 1e-12)
+        est = adaptive_integrate(per_panel(math.sin), math.pi, 0.0, 1e-12)
         assert est.value == pytest.approx(-2.0, rel=1e-12)
         assert est.error_estimate <= 1e-12
         # breakpoints between the limits are used the same way round
-        fwd = adaptive_integrate(math.exp, -1.0, 2.0, 1e-12, (0.0, 1.0, 5.0))
-        back = adaptive_integrate(math.exp, 2.0, -1.0, 1e-12, (0.0, 1.0, 5.0))
+        exp = per_panel(math.exp)
+        fwd = adaptive_integrate(exp, -1.0, 2.0, 1e-12, (0.0, 1.0, 5.0))
+        back = adaptive_integrate(exp, 2.0, -1.0, 1e-12, (0.0, 1.0, 5.0))
         assert back.value == -fwd.value
         assert fwd.value == pytest.approx(math.e ** 2 - 1.0 / math.e, rel=1e-12)
 
     def test_breakpoints_with_an_infinite_limit_rejected(self):
         with pytest.raises(ValueError, match="breakpoints"):
-            adaptive_integrate(lambda x: math.exp(-x), 0.0, math.inf, 1e-10, (1.0,))
+            adaptive_integrate(per_panel(lambda x: math.exp(-x)), 0.0, math.inf, 1e-10,
+                               (1.0,))
+
+    @pytest.mark.parametrize("b", [1.0, math.inf])
+    def test_one_call_per_panel_with_ascending_nodes(self, b):
+        panels = []
+
+        def f(xs):
+            panels.append(xs)
+            return [math.exp(-x) for x in xs]
+
+        est = adaptive_integrate(f, 0.0, b, 1e-10)
+        assert est.value == pytest.approx(1.0 - math.exp(-b), rel=1e-10)
+        assert panels and all(len(xs) == 21 for xs in panels)
+        assert all(list(xs) == sorted(set(xs)) for xs in panels)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_integrand_raises(self, bad):
+        # rather than a quiet MetricResult(nan, nan) or MetricResult(inf, nan)
+        f = per_panel(lambda x: bad if x == 0.5 else 1.0)  # 0.5: the first centre
+        with pytest.raises(ValueError, match=f"not finite.*{bad!r}"):
+            adaptive_integrate(f, 0.0, 1.0, 1e-10)
 
 
 # run in a fresh interpreter, whose sys.modules no other test has touched:
