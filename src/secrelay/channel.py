@@ -5,15 +5,18 @@ the direct and relayed signals (a fitted log-normal sum), and the
 eavesdropper maximal-ratio-combines both sources over all antennas: at one
 transmit power both reach each antenna over the same link, so she sums
 2 * N_E branches of it (cumulant folding).  Noise is fixed at unit variance, so transmit power in dBm is read
-relative to a 0 dB noise floor.
+relative to a 0 dB noise floor.  The points of a sweep grid are fitted in
+one call that fits each distinct link once; ``endpoints_for`` is its
+one-point call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import lognormal as ln
-from .errors import ConfigurationError
+from .errors import _EVALUATION_ERRORS, ConfigurationError
 from .lognormal import CompositeLink, LogNormal
 
 __all__ = [
@@ -126,40 +129,86 @@ def link_budget(cfg: SystemConfig) -> LinkBudget:
     a LogNormal passes through, a composite spec becomes a CompositeLink at
     the transmit power.
     """
-    d_ar = cfg.relay_fraction * cfg.d_ab_m
-    d_rb = (1.0 - cfg.relay_fraction) * cfg.d_ab_m
-    nu = cfg.path_loss_exponent
+    return _budget_at(cfg, cfg.power_dbm, cfg.delta_db)
+
+
+def _budget_at(network: SystemConfig, power: float, delta: float) -> LinkBudget:
+    """``link_budget`` of ``network`` at the given power and delta, which
+    the caller has range-checked, without building that network."""
+    d_ar = network.relay_fraction * network.d_ab_m
+    d_rb = (1.0 - network.relay_fraction) * network.d_ab_m
+    nu = network.path_loss_exponent
 
     def legit(gain_db: float) -> CompositeLink:
-        return CompositeLink(cfg.nakagami_m, cfg.power_dbm + gain_db, cfg.shadow_sd_db)
+        return CompositeLink(network.nakagami_m, power + gain_db, network.shadow_sd_db)
 
     ar = legit(path_gain_db(d_ar, nu))
     rb = legit(path_gain_db(d_rb, nu))
-    ab = legit(path_gain_db(cfg.d_ab_m, nu))
+    ab = legit(path_gain_db(network.d_ab_m, nu))
     # self-interference sees the relay's own power through the attenuation
     # factor only, no distance term
-    rr = legit(cfg.delta_db)
+    rr = legit(delta)
 
-    eve = cfg.eve_spec
+    eve = network.eve_spec
     if isinstance(eve, EveComposite):
-        eve = CompositeLink(cfg.nakagami_m, cfg.power_dbm + eve.gain_db,
-                            eve.shadow_sd_db)
+        eve = CompositeLink(network.nakagami_m, power + eve.gain_db, eve.shadow_sd_db)
     return LinkBudget(ar, rr, ab, rb, eve)
+
+
+def _grid_endpoints(network: SystemConfig,
+                    points: Sequence[tuple[float, float, int]]
+                    ) -> list[Endpoints | Exception]:
+    """The endpoints at each (power, delta, N_E) point of ``network``.
+
+    Relay: exact ratio of the desired link over the self-interference link.
+    Bob: fitted sum of the direct and relayed links.  Eve: cumulants of the
+    per-antenna link, scaled by the 2 * N_E branches she combines, refitted
+    to a single log-normal.
+
+    Each distinct link is fitted once: per power the ar, ab, rb and Eve
+    per-antenna fits and Bob's sum, per (power, delta) the self-interference
+    fit and the relay ratio, and per (power, N_E) Eve's fold.  Each fit makes
+    the one-point call's budget and ``lognormal`` calls with the same
+    arguments, so every endpoint and every error is bit-identical to fitting
+    the point alone.  The points' values must lie in the ranges SystemConfig
+    checks.  A point whose fit raises gets the error in place of its
+    endpoints; an error is not kept, so each point it stops raises it afresh.
+    """
+    # the fits each point shares; a fit is never falsy, so
+    # ``get(key) or setdefault(key, fit)`` fits only on a miss
+    budgets, ars, relays, bobs, eve_links, eves = {}, {}, {}, {}, {}, {}
+    out: list = []
+    for power, delta, n_eve in points:
+        at, eve_at = (power, delta), (power, n_eve)
+        try:
+            budget = budgets.get(at) or budgets.setdefault(
+                at, _budget_at(network, power, delta))
+            ar = ars.get(power) or ars.setdefault(power, ln.from_composite(budget.ar))
+            relay = relays.get(at) or relays.setdefault(
+                at, ln.ratio(ar, ln.from_composite(budget.rr)))
+            bob = bobs.get(power) or bobs.setdefault(power, ln.sum_lognormals(
+                [ln.from_composite(budget.ab), ln.from_composite(budget.rb)]))
+            eve = eves.get(eve_at)
+            if eve is None:
+                link = eve_links.get(power) or eve_links.setdefault(
+                    power, budget.eve if isinstance(budget.eve, LogNormal)
+                    else ln.from_composite(budget.eve))
+                eve = eves[eve_at] = ln.from_cumulants(
+                    ln.cumulants(link).scaled(2 * n_eve))
+        except _EVALUATION_ERRORS as exc:
+            out.append(exc)
+        else:
+            out.append(Endpoints(relay=relay, bob=bob, eve=eve))
+    return out
 
 
 def endpoints_for(cfg: SystemConfig) -> Endpoints:
     """Fit every link of the budget and fold the fits into the endpoints.
 
-    Relay: exact ratio of the desired link over the self-interference link.
-    Bob: fitted sum of the direct and relayed links.
-    Eve: cumulants of the per-antenna link, scaled by the 2 * N_E branches
-    she combines, refitted to a single log-normal.
+    The one-point call of the grid fitter ``_grid_endpoints``: raises the
+    error that stops the point.
     """
-    budget = link_budget(cfg)
-    relay = ln.ratio(ln.from_composite(budget.ar), ln.from_composite(budget.rr))
-    bob = ln.sum_lognormals([ln.from_composite(budget.ab),
-                             ln.from_composite(budget.rb)])
-    eve = (budget.eve if isinstance(budget.eve, LogNormal)
-           else ln.from_composite(budget.eve))
-    eve = ln.from_cumulants(ln.cumulants(eve).scaled(2 * cfg.n_eve))
-    return Endpoints(relay=relay, bob=bob, eve=eve)
+    (ep,) = _grid_endpoints(cfg, [(cfg.power_dbm, cfg.delta_db, cfg.n_eve)])
+    if isinstance(ep, Exception):
+        raise ep
+    return ep

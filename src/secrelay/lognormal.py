@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -31,6 +32,7 @@ DB_TO_NAT = math.log(10.0) / 10.0
 
 _SQRT2 = math.sqrt(2.0)
 _EXP_ARG_MAX = 709.0  # exp() overflows just above this
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -134,13 +136,26 @@ def from_composite(link: CompositeLink) -> LogNormal:
 
 
 def cumulants(rv: LogNormal) -> Cumulants:
-    """Linear-scale mean and variance of a log-normal SNR."""
+    """Linear-scale mean and variance of a log-normal SNR.
+
+    Raises where they overflow, or where a spread log-normal's scale
+    e^(2 mu + sigma^2) and so its variance underflow below the smallest
+    normal float.
+    """
     s2 = rv.sigma * rv.sigma
     if rv.mu + 0.5 * s2 > _EXP_ARG_MAX or 2.0 * rv.mu + 2.0 * s2 > _EXP_ARG_MAX:
         raise OverflowError(
             f"cumulants of LogNormal(mu={rv.mu!r}, sigma={rv.sigma!r}) overflow")
     k1 = math.exp(rv.mu + 0.5 * s2)
-    k2 = math.expm1(s2) * math.exp(2.0 * rv.mu + s2)
+    scale = math.exp(2.0 * rv.mu + s2)
+    k2 = math.expm1(s2) * scale
+    if k2 < _FLOAT_MIN and scale < _FLOAT_MIN and rv.sigma > 0.0:
+        # the SNR's scale underflowed, and a subnormal variance has lost its
+        # digits (a zero one its spread); a vanishing spread at a normal
+        # scale is the point mass it nearly is
+        raise ValueError(
+            f"cumulants of LogNormal(mu={rv.mu!r}, sigma={rv.sigma!r}) underflow: "
+            f"the variance {k2!r} is below the smallest normal float")
     return Cumulants(k1, k2)
 
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import logging
 import math
 import numbers
 import sys
@@ -59,8 +58,6 @@ __all__ = [
     "secrecy_outage",
     "secrecy_outage_reference",
 ]
-
-logger = logging.getLogger(__name__)
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -455,12 +452,19 @@ def avg_secrecy_rate_reference(ep: Endpoints,
 
 def _clamp_unit(value: float, what: str) -> float:
     if -1e-12 < value < 0.0:
-        logger.debug("%s rounded %.3e up to 0", what, value)
+        _debug("%s rounded %.3e up to 0", what, value)
         return 0.0
     if 1.0 < value < 1.0 + 1e-12:
-        logger.debug("%s rounded %.3e down to 1", what, value)
+        _debug("%s rounded %.3e down to 1", what, value)
         return 1.0
     return value
+
+
+def _debug(*args) -> None:
+    # logging is imported here, on the rare rounding, so that importing the
+    # package does not load it
+    import logging
+    logging.getLogger(__name__).debug(*args)
 
 
 def _log_threshold(rs_target: float, eve_mu: float) -> tuple[float, float]:

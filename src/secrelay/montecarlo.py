@@ -53,9 +53,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence, Union
 
-from .channel import EveComposite, SystemConfig, endpoints_for, link_budget
+from .channel import EveComposite, SystemConfig, _grid_endpoints, link_budget
+from .channel import endpoints_for  # noqa: F401 -- the benchmark's tracer wraps it here
 from .config import _check_samples
-from .errors import _EVALUATION_ERRORS
 from .lognormal import DB_TO_NAT, CompositeLink, LogNormal
 
 if TYPE_CHECKING:
@@ -139,31 +139,39 @@ def _gain(db: float) -> float:
         return math.inf
 
 
-def _point_scalars(cfg: SystemConfig, mode: str) -> tuple:
-    """What one point multiplies the banks by; raises what stops the point.
+def _point_scalars(points: Sequence[SystemConfig], mode: str) -> list:
+    """What each point multiplies the banks by, or the error that stops it.
 
-    ``ln_fit``: the fitted endpoints' (mu, sigma) for relay, Bob and Eve.
+    ``ln_fit``: the fitted endpoints' (mu, sigma) for relay, Bob and Eve,
+    from one grid fit, so each distinct link is fitted once.
     ``composite``: the relay's isolation gain e^(-xi delta), which may be inf
     (the relay then never limits), the power gain e^(xi P) of Bob and of Eve
     (1 for a direct Eve), and the number of branches Eve sums.
     """
     if mode == "ln_fit":
-        ep = endpoints_for(cfg)
-        return (ep.relay.mu, ep.relay.sigma, ep.bob.mu, ep.bob.sigma,
-                ep.eve.mu, ep.eve.sigma)
-    power = _gain(cfg.power_dbm)
-    if power == math.inf:  # as the analytic route's endpoint fit overflows
-        raise OverflowError(f"Monte-Carlo draws overflow: {cfg.power_dbm!r} dBm "
-                            "is past a float64 power ratio")
-    eve = power if isinstance(cfg.eve_spec, EveComposite) else 1.0
-    return _gain(-cfg.delta_db), power, eve, 2 * cfg.n_eve
+        fits = (_grid_endpoints(points[0], [(p.power_dbm, p.delta_db, p.n_eve)
+                                            for p in points]) if points else [])
+        return [ep if isinstance(ep, Exception) else
+                (ep.relay.mu, ep.relay.sigma, ep.bob.mu, ep.bob.sigma,
+                 ep.eve.mu, ep.eve.sigma) for ep in fits]
+    out: list = []
+    for cfg in points:
+        power = _gain(cfg.power_dbm)
+        if power == math.inf:  # as the analytic route's endpoint fit overflows
+            out.append(OverflowError(f"Monte-Carlo draws overflow: {cfg.power_dbm!r} "
+                                     "dBm is past a float64 power ratio"))
+            continue
+        eve = power if isinstance(cfg.eve_spec, EveComposite) else 1.0
+        out.append((_gain(-cfg.delta_db), power, eve, 2 * cfg.n_eve))
+    return out
 
 
-def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | None],
+def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | Exception],
                       mode: str, n: int, seed: int):
     """Yield (i, rates): point i's instantaneous secrecy rates (bits/s/Hz)
     on one slice of samples, slice by slice and, within a slice, one Bob
-    side (one power) at a time; a point whose scalars are None is skipped.
+    side (one power) at a time; a point whose scalars are an error is
+    skipped.
 
     Every block draws each bank once, from its own substream, for all the
     points.  ``network`` sets what ``composite`` draws: its links at 0 dBm
@@ -176,7 +184,7 @@ def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | None],
     local to the call, so concurrent calls from sweep workers share nothing.
     """
     import numpy as np
-    live = [i for i, s in enumerate(scalars) if s is not None]
+    live = [i for i, s in enumerate(scalars) if not isinstance(s, Exception)]
     if not live:
         return
     if mode == "ln_fit":
@@ -321,13 +329,8 @@ def mc_grid_metrics(points: Sequence[SystemConfig], rs_targets: Sequence[float],
     if len({replace(p, power_dbm=0.0, delta_db=0.0, n_eve=1) for p in points}) > 1:
         raise ValueError("Monte-Carlo grid points must share one network "
                          "apart from power, delta and N_E")
-    results: list = [None] * len(points)
-    scalars: list = [None] * len(points)
-    for i, cfg in enumerate(points):
-        try:
-            scalars[i] = _point_scalars(cfg, mode)
-        except _EVALUATION_ERRORS as exc:
-            results[i] = exc
+    scalars = _point_scalars(points, mode)
+    results = [s if isinstance(s, Exception) else None for s in scalars]
     total = [0.0] * len(points)
     total_sq = [0.0] * len(points)
     counts = [[0] * len(targets) for _ in points]

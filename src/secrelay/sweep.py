@@ -9,19 +9,21 @@ only on its own (power, delta, N_E), the seed and the sample count, so adding
 or removing grid values leaves every other row unchanged, and a one-point
 sweep rebuilds any row.  Each row's standard error is valid on its own, but
 the Monte-Carlo rows of one sweep are correlated.  A point's rows share one
-sample set (Monte-Carlo) or one endpoint fit (analytic).
+sample set (Monte-Carlo) or its endpoints (analytic).  The analytic and
+``mc-ln`` endpoints come from one grid fit, which fits each distinct link
+once; every endpoint is bit-identical to the point's own ``endpoints_for``.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
 from .config import _MAX_ROWS, RunConfig
 from .errors import _EVALUATION_ERRORS, ConfigurationError
-from .channel import EveComposite, SystemConfig, endpoints_for
+from .channel import Endpoints, EveComposite, SystemConfig, _grid_endpoints
+from .channel import endpoints_for  # noqa: F401 -- the benchmark's tracer wraps it here
 from .metrics import avg_secrecy_rate, secrecy_outage
 from .montecarlo import mc_grid_metrics
 
@@ -127,12 +129,11 @@ def _flagged(spec: SweepSpec, point: tuple[float, float, int], method: str,
             for metric, rs in _row_keys(spec)]
 
 
-def _analytic_rows(spec: SweepSpec, power: float, delta: float,
-                   n_eve: int) -> list[SweepRow]:
-    try:
-        ep = endpoints_for(spec.base.system(power, delta, n_eve))
-    except _EVALUATION_ERRORS as exc:
-        return _flagged(spec, (power, delta, n_eve), "analytic", exc)
+def _analytic_rows(spec: SweepSpec, point: tuple[float, float, int],
+                   ep: Endpoints | Exception) -> list[SweepRow]:
+    """A point's rows from its endpoints, or flagged by the error of its fit."""
+    if isinstance(ep, Exception):
+        return _flagged(spec, point, "analytic", ep)
     rows = []
     for metric, rs in _row_keys(spec):
         value, status = None, "ok"
@@ -141,7 +142,7 @@ def _analytic_rows(spec: SweepSpec, power: float, delta: float,
                      else secrecy_outage(ep, rs)).value
         except _EVALUATION_ERRORS as exc:
             status = _err(exc)
-        rows.append(SweepRow(power, delta, n_eve, rs, metric, "analytic", value,
+        rows.append(SweepRow(*point, rs, metric, "analytic", value,
                              None, None, None, status))
     return rows
 
@@ -174,9 +175,11 @@ def _err(exc: Exception) -> str:
 def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every grid point; rows come back sorted by their keys.
 
-    Each analytic point is one task, and each Monte-Carlo method one task
-    over all the points.  ``workers`` threads (1 to MAX_WORKERS) share the
-    tasks; it is checked before any thread starts.
+    The analytic endpoints are fitted first, in one grid call; then each
+    analytic point is one task, and each Monte-Carlo method one task over
+    all the points.  ``workers`` threads (1 to MAX_WORKERS) share the tasks;
+    it is checked before any thread starts, and the thread pool is loaded
+    only for more than one.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ConfigurationError(
@@ -188,12 +191,15 @@ def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     tasks = []
     for method in sorted(spec.methods):
         if method == "analytic":
-            tasks += [partial(_analytic_rows, spec, *point) for point in points]
+            fits = _grid_endpoints(spec.base.network, points)
+            tasks += [partial(_analytic_rows, spec, point, ep)
+                      for point, ep in zip(points, fits)]
         else:
             tasks.append(partial(_mc_rows, spec, points, method))
     if workers == 1:
         chunks = [task() for task in tasks]
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(lambda task: task(), tasks))
     rows = [r for chunk in chunks for r in chunk]

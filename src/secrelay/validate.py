@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .channel import endpoints_for
+from .channel import _grid_endpoints, endpoints_for
 from .config import RunConfig
 from .errors import _EVALUATION_ERRORS
 from .lognormal import LogNormal, cumulants
@@ -58,13 +58,16 @@ class CheckResult:
 
 
 def _probe_endpoints(cfg: RunConfig):
-    """A few operating points spread over the config's grids."""
-    probes = []
+    """A few operating points spread over the config's grids, fitted in one
+    grid call; raises the error of the first probe that has one."""
     powers = cfg.power_grid_dbm
     deltas = cfg.delta_grid_db
-    for power in {powers[0], powers[-1]}:
-        for delta in {deltas[0], deltas[-1]}:
-            probes.append(endpoints_for(cfg.system(power, delta, cfg.n_eve_grid[0])))
+    probes = _grid_endpoints(cfg.network, [
+        (power, delta, cfg.n_eve_grid[0])
+        for power in {powers[0], powers[-1]} for delta in {deltas[0], deltas[-1]}])
+    for ep in probes:
+        if isinstance(ep, Exception):
+            raise ep
     return probes
 
 

@@ -4,12 +4,19 @@ from dataclasses import replace
 
 import pytest
 
-from secrelay import (ConfigurationError, EveComposite, LogNormal,
-                      SystemConfig, cumulants, endpoints_for, from_composite,
-                      from_cumulants, link_budget, ratio, sum_lognormals)
+from secrelay import (ConfigurationError, EveComposite, LogNormal, RunConfig,
+                      SystemConfig, channel, cumulants, endpoints_for,
+                      from_composite, from_cumulants, link_budget,
+                      preset_run_config, ratio, sum_lognormals)
 from secrelay.lognormal import DB_TO_NAT
 
 XI = DB_TO_NAT
+# a grid whose points reach the endpoint fits' edges: the fit overflows at
+# 2000 and 3000 dBm, the relay is all but free of self-interference at
+# delta = -1e300 dB, and Eve folds 2e6 branches
+EDGE_POWERS = (10.0, 300.0, 1500.0, 2000.0, 3000.0)
+EDGE_DELTAS = (-1e300, -80.0, 0.0)
+EDGE_N_EVES = (1, 2, 1_000_000)
 
 
 def test_geometry_path_gains():
@@ -174,3 +181,44 @@ def test_eve_direct_requires_no_budget():
     ep2 = endpoints_for(SystemConfig(power_dbm=50.0))
     assert ep1.eve == ep2.eve  # direct spec is power-independent
     assert ep2.bob.mu > ep1.bob.mu
+
+
+def one_point_fit(cfg):
+    """The endpoints of one point, or the type and message of its error."""
+    try:
+        return repr(endpoints_for(cfg))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def grid_fit(network, points):
+    return [(type(ep), str(ep)) if isinstance(ep, Exception) else repr(ep)
+            for ep in channel._grid_endpoints(network, points)]
+
+
+def test_grid_fit_equals_one_point_fits_on_fig2():
+    cfg = preset_run_config("paper-fig2")
+    points = [(p, d, n) for p in cfg.power_grid_dbm for d in cfg.delta_grid_db
+              for n in cfg.n_eve_grid]
+    # repr tells every bit of a float apart, the sign of a zero included
+    assert grid_fit(cfg.network, points) == [
+        one_point_fit(cfg.system(*point)) for point in points]
+
+
+@pytest.mark.parametrize("eve", [EveComposite(-40.0, 5.0), LogNormal(0.21, 0.76)],
+                         ids=["composite-eve", "direct-eve"])
+def test_grid_fit_equals_one_point_fits_at_the_edges(eve):
+    cfg = RunConfig(power_grid_dbm=EDGE_POWERS, delta_grid_db=EDGE_DELTAS,
+                    n_eve_grid=EDGE_N_EVES, rs_grid=(0.5, 2.0),
+                    network=SystemConfig(eve_spec=eve))
+    points = [(p, d, n) for p in EDGE_POWERS for d in EDGE_DELTAS
+              for n in EDGE_N_EVES]
+    got = grid_fit(cfg.network, points)
+    assert got == [one_point_fit(cfg.system(*point)) for point in points]
+    # every point past 1500 dBm fails alike, with the error it fails with alone
+    failed = [fit for fit in got if isinstance(fit, tuple)]
+    assert len(failed) == 2 * 9
+    assert {kind for kind, _ in failed} == {OverflowError}
+    # the points of one grid need not come in grid order, nor start at the
+    # network's own point
+    assert grid_fit(cfg.network, points[::-1]) == got[::-1]

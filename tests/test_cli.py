@@ -242,7 +242,15 @@ def test_validate_zero_spread_estimates_are_still_judged(tmp_path, capsys,
       ("FAIL", "min-cdf-identity"),
       ("FAIL", "estimator-monotonicity"), ("FAIL", "endpoint-invariants"),
       ("FAIL", "mc-ln-rate-agreement"), ("FAIL", "mc-ln-outage-agreement")]),
-], ids=["outage-reference-fails", "overflowing-power"])
+    # so weak an eavesdropper that her fold's variance underflows: every
+    # check names the underflow, not a degenerate Eve it would fit
+    (FAST_VALIDATE_CONFIG + "eve_mu = -600\n", "underflow",
+     [("FAIL", "rate-quadrature-agreement"),
+      ("FAIL", "outage-quadrature-agreement"),
+      ("FAIL", "min-cdf-identity"),
+      ("FAIL", "estimator-monotonicity"), ("FAIL", "endpoint-invariants"),
+      ("FAIL", "mc-ln-rate-agreement"), ("FAIL", "mc-ln-outage-agreement")]),
+], ids=["outage-reference-fails", "overflowing-power", "underflowing-eve"])
 def test_validate_reports_evaluation_errors_as_fail_lines(tmp_path, capsys, text,
                                                           cause, report):
     # a check that cannot be evaluated fails; the others still run

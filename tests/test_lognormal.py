@@ -1,5 +1,6 @@
 """Log-normal algebra: composite fits, cumulant matching, sums, ratios."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +88,23 @@ class TestCumulants:
     def test_overflow_is_a_range_error(self):
         with pytest.raises(OverflowError):
             cumulants(LogNormal(500.0, 25.0))
+
+    @pytest.mark.parametrize("mu", [-370.0, -380.0, -600.0])
+    def test_underflowing_variance_is_named(self, mu):
+        # a subnormal (-370) or zero (-380, -600) variance would fold Eve to a
+        # sigma that is quietly wrong or 0
+        with pytest.raises(ValueError, match=r"underflow: the variance .* below "
+                                             r"the smallest normal float"):
+            cumulants(LogNormal(mu, 1.0))
+
+    def test_normal_variance_keeps_its_bits(self):
+        c = cumulants(LogNormal(-354.0, 1.0))
+        assert c.k2 >= sys.float_info.min
+        assert from_cumulants(c.scaled(4)) == LogNormal(-352.2923926486345,
+                                                        0.5978076776930759)
+
+    def test_vanishing_spread_at_a_normal_scale_is_a_point_mass(self):
+        assert cumulants(LogNormal(0.0, 7e-190)) == Cumulants(1.0, 0.0)
 
     def test_matches_sample_moments(self):
         rng = np.random.default_rng(99)

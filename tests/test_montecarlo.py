@@ -179,7 +179,7 @@ def product_grid(eve, powers=(30.0, 55.0), deltas=(-90.0, -70.0),
 
 def two_pass_reference(points, targets, mode, n, seed):
     """Each point's rate and outages, reduced in two separate passes."""
-    scalars = [montecarlo._point_scalars(cfg, mode) for cfg in points]
+    scalars = montecarlo._point_scalars(points, mode)
     total = [0.0] * len(points)
     total_sq = [0.0] * len(points)
     for i, rates in montecarlo._iter_rate_slices(points[0], scalars, mode, n, seed):
@@ -287,7 +287,7 @@ class TestSinglePassReducer:
         # three points that share no row, and a product grid whose points
         # of one power share their main-side and Eve-side rows
         for points in (grid_points(eve), product_grid(eve)):
-            scalars = [montecarlo._point_scalars(cfg, mode) for cfg in points]
+            scalars = montecarlo._point_scalars(points, mode)
             got = [[] for _ in points]
             # a yielded slice is a view the next slice overwrites, so copy it
             for i, rates in montecarlo._iter_rate_slices(points[0], scalars,

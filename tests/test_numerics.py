@@ -255,7 +255,9 @@ class TestAdaptiveIntegrate:
 # run in a fresh interpreter, whose sys.modules no other test has touched:
 # the package, parsing, the CLI, an analytic sweep and the adaptive
 # references load neither numpy nor scipy, validate and Monte-Carlo sweeps
-# load numpy alone, and nothing loads scipy
+# load numpy alone, and nothing loads scipy; the thread pool's
+# concurrent.futures loads only for a sweep with more than one worker, and
+# logging only for an estimator's debug message
 IMPORT_GRAPH_CHILD = textwrap.dedent("""
     import sys
     import secrelay as sr
@@ -280,6 +282,8 @@ IMPORT_GRAPH_CHILD = textwrap.dedent("""
         assert len(fh.readlines()) == 1 + 126
     heavy = loaded("numpy", "scipy")
     assert not heavy, f"an analytic run loaded {heavy}"
+    unused = loaded("concurrent", "logging")
+    assert not unused, f"a one-worker analytic run loaded {unused}"
 
     ep = sr.endpoints_for(cfg.network)
     sr.avg_secrecy_rate_reference(ep, 1e-9)

@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from secrelay import (ConfigurationError, EveComposite, RunConfig, SweepSpec,
-                      SystemConfig, montecarlo, run_sweep, sweep)
+from secrelay import (ConfigurationError, EveComposite, LogNormal, RunConfig,
+                      SweepSpec, SystemConfig, lognormal, montecarlo, run_sweep,
+                      sweep)
 from secrelay.sweep import CSV_HEADER, preset_run_config, sweep_rows
+from test_channel import EDGE_DELTAS, EDGE_N_EVES, EDGE_POWERS
 
 
 def small_run_config(**kw):
@@ -275,27 +277,48 @@ def test_a_one_point_sweep_rebuilds_each_mc_row_from_its_csv_line():
         assert list(mc_csv(one, (metric,), (method,)).values()) == [line]
 
 
-def test_analytic_point_fits_endpoints_once(monkeypatch):
-    calls = counting(monkeypatch, sweep, "endpoints_for")
-    spec = SweepSpec(base=small_run_config(rs_grid=(1.0, 2.0)),
-                     metrics=("rate", "outage"), methods=("analytic",))
-    rows = sweep_rows(spec)
-    assert len(rows) == 6 * 3
+@pytest.mark.parametrize("method", ["analytic", "mc-ln"])
+def test_a_sweep_fits_each_distinct_link_once(monkeypatch, method):
+    # paper-fig2 has 126 points but 14 powers, 42 (P, delta) and 42 (P, N_E)
+    # pairs: per power the ar, ab, rb and Eve fits and Bob's sum, per
+    # (P, delta) the rr fit, per (P, N_E) Eve's fold; a fit per point would
+    # make 630 link fits, 126 sums and 126 folds
+    calls = {name: counting(monkeypatch, owner, name) for owner, name in (
+        (lognormal, "from_composite"), (lognormal, "sum_lognormals"),
+        (lognormal.Cumulants, "scaled"))}
+    base = preset_run_config("paper-fig2").with_overrides(samples=1000)
+    rows = sweep_rows(SweepSpec(base=base, metrics=("rate", "outage"),
+                                methods=(method,)))
+    assert len(rows) == 126 * 3
     assert all(r.status == "ok" for r in rows)
-    assert len(calls) == 6
+    assert {name: len(c) for name, c in calls.items()} == {
+        "from_composite": 14 * 4 + 42, "sum_lognormals": 14, "scaled": 42}
 
 
 def test_endpoint_failure_flags_every_row(monkeypatch):
-    def broken(cfg):
+    def broken(link):
         raise ValueError("no fit, for\nthis point")
 
-    monkeypatch.setattr(sweep, "endpoints_for", broken)
+    monkeypatch.setattr(lognormal, "from_composite", broken)
     spec = SweepSpec(base=small_run_config(rs_grid=(1.0, 2.0)),
                      metrics=("rate", "outage"), methods=("analytic",))
     rows = sweep_rows(spec)
     assert len(rows) == 6 * 3
     assert {r.status for r in rows} == {"error: no fit; for this point"}
     assert all(r.value is None for r in rows)
+
+
+@pytest.mark.parametrize("method", ["analytic", "mc-ln"])
+def test_underflowing_eve_fold_flags_its_rows(method):
+    # a direct Eve at -370 nats: her fold's variance is subnormal, which
+    # used to give a sigma 6.3e-4 too low with no flag
+    base = small_run_config(network=SystemConfig(eve_spec=LogNormal(-370.0, 1.0)))
+    rows = sweep_rows(SweepSpec(base=base, metrics=("rate", "outage"),
+                                methods=(method,)))
+    assert len(rows) == 6 * 2
+    assert {r.status for r in rows} == {
+        "error: cumulants of LogNormal(mu=-370.0; sigma=1.0) underflow: the "
+        "variance 1.95e-321 is below the smallest normal float"}
 
 
 def test_mc_fit_overflow_flags_rate_and_outage_rows():
@@ -355,6 +378,30 @@ def test_fig2_analytic_csv_digest(tmp_path):
                      metrics=("rate", "outage"), methods=("analytic",))
     assert sweep_digest(spec, tmp_path) == (
         "4133ac20fe448e1aaa4af0ed379c4caeb490536bde7d702cc223ad0e582d2d0c")
+
+
+@pytest.mark.parametrize("eve, digest", [
+    (EveComposite(-40.0, 5.0),
+     "3cd5725e542bd9d211dd79a04201d89c40f38f92590bb6bd130b425638c988f8"),
+    (LogNormal(0.21, 0.76),
+     "89147c99132158bfe07995081909c6c2153e3558b4c924db9d86b1ddedbe6ffb"),
+], ids=["composite-eve", "direct-eve"])
+def test_edge_grid_csv_digest(tmp_path, eve, digest):
+    # Analytic and mc-ln rows on a grid that reaches the fits' edges: the
+    # endpoint fit overflows at 2000 and 3000 dBm (108 flagged rows), the
+    # relay is all but free of self-interference at delta = -1e300 dB, and
+    # Eve folds 2e6 branches.  The digests were recorded when every point
+    # was fitted on its own, so they pin that the grid fit shares links
+    # without moving a bit or an error message.
+    base = RunConfig(power_grid_dbm=EDGE_POWERS, delta_grid_db=EDGE_DELTAS,
+                     n_eve_grid=EDGE_N_EVES, rs_grid=(0.5, 2.0),
+                     network=SystemConfig(eve_spec=eve), samples=1000, seed=11)
+    spec = SweepSpec(base=base, metrics=("rate", "outage"),
+                     methods=("analytic", "mc-ln"))
+    path = tmp_path / "edge.csv"
+    rows = run_sweep(spec, str(path))
+    assert sum(r.status != "ok" for r in rows) == 108
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_composite_eve_mc_csv_digest(tmp_path):
