@@ -31,6 +31,15 @@ def _check_samples(n: int) -> int:
     return int(n)
 
 
+def _check_seed(seed: int) -> int:
+    """A Monte-Carlo base seed as a Python int, one 128-bit Philox key each."""
+    if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
+            or not -2 ** 127 <= int(seed) < 2 ** 127):
+        raise ConfigurationError(
+            f"seed must be an integer in [-2**127, 2**127), got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Experiment settings: one network plus the sweep grids over it.
@@ -76,8 +85,7 @@ class RunConfig:
                 raise ConfigurationError(
                     f"rs_target grid entry {rs!r} must be positive")
         _check_samples(self.samples)
-        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
-            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
     def system(self, power_dbm: float, delta_db: float, n_eve: int) -> SystemConfig:
         """The network at one grid point."""

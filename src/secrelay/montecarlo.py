@@ -12,9 +12,9 @@ Two modes:
                      Differences from the analytic values measure the
                      log-normal approximation error.
 
-``mc_grid_metrics`` estimates many grid points of one network from common
-random numbers.  Each link owns a bank of draws from its own counter-based
-Philox substream, ``Philox(key=seed).jumped(j)``, drawn once per call:
+``mc_grid_metrics`` estimates (power, delta, N_E) points of one network from
+common random numbers.  Each link owns a bank of draws from its own Philox
+substream, ``Philox(key=seed).jumped(j)``, drawn once per call:
 
 * ``ln_fit`` draws standard normals z for the relay (j = 1), Bob (2) and
   Eve (3); a point takes exp(mu + sigma * z) with its fitted endpoints;
@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 from .channel import EveComposite, SystemConfig, _grid_endpoints, link_budget
 from .channel import endpoints_for  # noqa: F401 -- the benchmark's tracer wraps it here
-from .config import _check_samples
+from .config import _check_samples, _check_seed
 from .lognormal import DB_TO_NAT, CompositeLink, LogNormal
 
 if TYPE_CHECKING:
@@ -64,7 +64,6 @@ if TYPE_CHECKING:
 __all__ = [
     "McEstimate",
     "sample_composite_snr",
-    "mc_grid_metrics",
     "mc_secrecy_metrics",
 ]
 
@@ -127,7 +126,7 @@ def sample_composite_snr(link: CompositeLink, rng: np.random.Generator,
 def _substream(seed: int, j: int) -> np.random.Generator:
     """Substream j of the seed's Philox key: one bank's own stream."""
     import numpy as np
-    key = int(seed) & (2 ** 128 - 1)
+    key = int(seed) & (2 ** 128 - 1)  # one key per seed in [-2**127, 2**127)
     return np.random.Generator(np.random.Philox(key=key).jumped(j))
 
 
@@ -139,7 +138,8 @@ def _gain(db: float) -> float:
         return math.inf
 
 
-def _point_scalars(points: Sequence[SystemConfig], mode: str) -> list:
+def _point_scalars(network: SystemConfig,
+                   points: Sequence[tuple[float, float, int]], mode: str) -> list:
     """What each point multiplies the banks by, or the error that stops it.
 
     ``ln_fit``: the fitted endpoints' (mu, sigma) for relay, Bob and Eve,
@@ -149,20 +149,19 @@ def _point_scalars(points: Sequence[SystemConfig], mode: str) -> list:
     (1 for a direct Eve), and the number of branches Eve sums.
     """
     if mode == "ln_fit":
-        fits = (_grid_endpoints(points[0], [(p.power_dbm, p.delta_db, p.n_eve)
-                                            for p in points]) if points else [])
         return [ep if isinstance(ep, Exception) else
                 (ep.relay.mu, ep.relay.sigma, ep.bob.mu, ep.bob.sigma,
-                 ep.eve.mu, ep.eve.sigma) for ep in fits]
+                 ep.eve.mu, ep.eve.sigma)
+                for ep in _grid_endpoints(network, points)]
+    eve = isinstance(network.eve_spec, EveComposite)
     out: list = []
-    for cfg in points:
-        power = _gain(cfg.power_dbm)
+    for power_dbm, delta_db, n_eve in points:
+        power = _gain(power_dbm)
         if power == math.inf:  # as the analytic route's endpoint fit overflows
-            out.append(OverflowError(f"Monte-Carlo draws overflow: {cfg.power_dbm!r} "
+            out.append(OverflowError(f"Monte-Carlo draws overflow: {power_dbm!r} "
                                      "dBm is past a float64 power ratio"))
             continue
-        eve = power if isinstance(cfg.eve_spec, EveComposite) else 1.0
-        out.append((_gain(-cfg.delta_db), power, eve, 2 * cfg.n_eve))
+        out.append((_gain(-delta_db), power, power if eve else 1.0, 2 * n_eve))
     return out
 
 
@@ -304,48 +303,45 @@ def _eve_capacity(mode, part, key, out):
     np.log2(out, out=out)
 
 
-def mc_grid_metrics(points: Sequence[SystemConfig], rs_targets: Sequence[float],
-                    mode: str, n: int, seed: int) -> list[PointResult]:
+def mc_grid_metrics(network: SystemConfig, points: Sequence[tuple[float, float, int]],
+                    rs_targets: Sequence[float], mode: str, n: int, seed: int
+                    ) -> list[PointResult]:
     """Empirical average secrecy rate and outage per target at each point.
 
-    The points must share one network apart from their power, delta and
-    N_E.  Each point's n realisations are reduced block by block into the
-    rate's sum and sum of squares and each target's ``rates < r`` count;
-    sharing them across targets makes a point's outage estimates exactly
-    nested: a higher target never reports lower outage.  A point whose
-    endpoint fit or power gain overflows, or whose rates do not sum to a
-    finite number, gets the error in place of its estimates; an invalid n,
-    target, mode or set of points raises.
+    The points are (power, delta, N_E) of ``network``, in the ranges that
+    SystemConfig checks, as for ``channel._grid_endpoints``.  Each point's n
+    realisations are reduced block by block into the rate's sum and sum of
+    squares and each target's ``rates < r`` count; sharing them across
+    targets makes a point's outage estimates exactly nested: a higher target
+    never reports lower outage.  A point whose endpoint fit or power gain
+    overflows, or whose rates do not sum to a finite number, gets the error
+    in place of its estimates; an invalid n, seed, target or mode raises.
     """
     import numpy as np
     n = _check_samples(n)
+    seed = _check_seed(seed)
     targets = [float(r) for r in rs_targets]
     for r in targets:
         if not (r > 0.0 and math.isfinite(r)):
             raise ValueError(f"rs_target must be positive, got {r!r}")
     if mode not in _MODES:
         raise ValueError(f"unknown Monte-Carlo mode {mode!r}")
-    points = list(points)
-    if len({replace(p, power_dbm=0.0, delta_db=0.0, n_eve=1) for p in points}) > 1:
-        raise ValueError("Monte-Carlo grid points must share one network "
-                         "apart from power, delta and N_E")
-    scalars = _point_scalars(points, mode)
+    scalars = _point_scalars(network, points, mode)
     results = [s if isinstance(s, Exception) else None for s in scalars]
-    total = [0.0] * len(points)
-    total_sq = [0.0] * len(points)
-    counts = [[0] * len(targets) for _ in points]
+    total = [0.0] * len(scalars)
+    total_sq = [0.0] * len(scalars)
+    counts = [[0] * len(targets) for _ in scalars]
     # overflow is reported below, not warned of; errstate is per thread
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         square = np.empty(min(_SLICE, n))
         below = np.empty(min(_SLICE, n), dtype=bool)
-        for i, rates in _iter_rate_slices(points[0] if points else None,
-                                          scalars, mode, n, seed):
+        for i, rates in _iter_rate_slices(network, scalars, mode, n, seed):
             w = len(rates)
             total[i] += float(rates.sum())
             total_sq[i] += float(np.multiply(rates, rates, out=square[:w]).sum())
             for t, r in enumerate(targets):
                 counts[i][t] += int(np.count_nonzero(np.less(rates, r, out=below[:w])))
-    for i in range(len(points)):
+    for i in range(len(scalars)):
         if results[i] is not None:
             continue
         if not math.isfinite(total[i]):  # e.g. inf - inf: main and Eve overflow
@@ -369,7 +365,8 @@ def mc_secrecy_metrics(cfg: SystemConfig, rs_targets: Sequence[float],
     from its own (power, delta, N_E, seed, samples); raises the error that
     stops the point.
     """
-    (result,) = mc_grid_metrics([cfg], rs_targets, mode, n, seed)
+    (result,) = mc_grid_metrics(cfg, [(cfg.power_dbm, cfg.delta_db, cfg.n_eve)],
+                                rs_targets, mode, n, seed)
     if isinstance(result, Exception):
         raise result
     return result

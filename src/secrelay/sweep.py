@@ -1,17 +1,17 @@
 """Experiment sweeps over (power, self-interference, antennas, target rate).
 
-Any number of worker threads may share the work: each analytic grid point is
-one task, and each Monte-Carlo method one task that estimates all the points
-from common random numbers (``mc_grid_metrics``).  Rows are emitted in sorted
-key order, so the output file is byte-identical regardless of parallelism.
-A Monte-Carlo row's ``seed`` column holds the base seed: its value depends
-only on its own (power, delta, N_E), the seed and the sample count, so adding
-or removing grid values leaves every other row unchanged, and a one-point
-sweep rebuilds any row.  Each row's standard error is valid on its own, but
-the Monte-Carlo rows of one sweep are correlated.  A point's rows share one
-sample set (Monte-Carlo) or its endpoints (analytic).  The analytic and
-``mc-ln`` endpoints come from one grid fit, which fits each distinct link
-once; every endpoint is bit-identical to the point's own ``endpoints_for``.
+Any number of worker threads may share the work: each method is one task,
+one grid call on the base network and its (power, delta, N_E) points (the
+analytic fit ``channel._grid_endpoints``, or ``mc_grid_metrics``).  Rows are
+emitted in sorted key order, so the output is byte-identical regardless of
+parallelism.  A Monte-Carlo row's ``seed`` column holds the base seed: its
+value depends only on its own (power, delta, N_E), the seed and the sample
+count, so adding or removing grid values leaves every other row unchanged,
+and a one-point sweep rebuilds any row.  Each row's standard error is valid
+on its own, but the Monte-Carlo rows of one sweep are correlated.  A point's
+rows share one sample set (Monte-Carlo) or its endpoints (analytic).  The
+analytic and ``mc-ln`` grid fits fit each distinct link once; every
+endpoint is bit-identical to the point's own ``endpoints_for``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .config import _MAX_ROWS, RunConfig
 from .errors import _EVALUATION_ERRORS, ConfigurationError
-from .channel import Endpoints, EveComposite, SystemConfig, _grid_endpoints
+from .channel import EveComposite, SystemConfig, _grid_endpoints
 from .channel import endpoints_for  # noqa: F401 -- the benchmark's tracer wraps it here
 from .metrics import avg_secrecy_rate, secrecy_outage
 from .montecarlo import mc_grid_metrics
@@ -63,14 +63,9 @@ class SweepSpec:
                 f"(limit {_MAX_ROWS})")
 
     def point_count(self) -> int:
-        n = (len(self.base.power_grid_dbm) * len(self.base.delta_grid_db)
-             * len(self.base.n_eve_grid) * len(self.methods))
-        per_point = 0
-        if "rate" in self.metrics:
-            per_point += 1
-        if "outage" in self.metrics:
-            per_point += len(self.base.rs_grid)
-        return n * per_point
+        return (len(self.base.power_grid_dbm) * len(self.base.delta_grid_db)
+                * len(self.base.n_eve_grid) * len(self.methods)
+                * len(_row_keys(self)))
 
 
 @dataclass(frozen=True)
@@ -129,21 +124,23 @@ def _flagged(spec: SweepSpec, point: tuple[float, float, int], method: str,
             for metric, rs in _row_keys(spec)]
 
 
-def _analytic_rows(spec: SweepSpec, point: tuple[float, float, int],
-                   ep: Endpoints | Exception) -> list[SweepRow]:
-    """A point's rows from its endpoints, or flagged by the error of its fit."""
-    if isinstance(ep, Exception):
-        return _flagged(spec, point, "analytic", ep)
+def _analytic_rows(spec: SweepSpec,
+                   points: Sequence[tuple[float, float, int]]) -> list[SweepRow]:
+    """Every grid point's analytic rows, from one grid fit."""
     rows = []
-    for metric, rs in _row_keys(spec):
-        value, status = None, "ok"
-        try:
-            value = (avg_secrecy_rate(ep) if rs is None
-                     else secrecy_outage(ep, rs)).value
-        except _EVALUATION_ERRORS as exc:
-            status = _err(exc)
-        rows.append(SweepRow(*point, rs, metric, "analytic", value,
-                             None, None, None, status))
+    for point, ep in zip(points, _grid_endpoints(spec.base.network, points)):
+        if isinstance(ep, Exception):
+            rows += _flagged(spec, point, "analytic", ep)
+            continue
+        for metric, rs in _row_keys(spec):
+            value, status = None, "ok"
+            try:
+                value = (avg_secrecy_rate(ep) if rs is None
+                         else secrecy_outage(ep, rs)).value
+            except _EVALUATION_ERRORS as exc:
+                status = _err(exc)
+            rows.append(SweepRow(*point, rs, metric, "analytic", value,
+                                 None, None, None, status))
     return rows
 
 
@@ -153,8 +150,8 @@ def _mc_rows(spec: SweepSpec, points: Sequence[tuple[float, float, int]],
     base = spec.base
     keys = _row_keys(spec)
     targets = base.rs_grid if "outage" in spec.metrics else ()
-    results = mc_grid_metrics([base.system(*point) for point in points], targets,
-                              _MODE_OF[method], base.samples, base.seed)
+    results = mc_grid_metrics(base.network, points, targets, _MODE_OF[method],
+                              base.samples, base.seed)
     rows = []
     for point, result in zip(points, results):
         if isinstance(result, Exception):
@@ -175,11 +172,9 @@ def _err(exc: Exception) -> str:
 def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every grid point; rows come back sorted by their keys.
 
-    The analytic endpoints are fitted first, in one grid call; then each
-    analytic point is one task, and each Monte-Carlo method one task over
-    all the points.  ``workers`` threads (1 to MAX_WORKERS) share the tasks;
-    it is checked before any thread starts, and the thread pool is loaded
-    only for more than one.
+    Each method is one task over all the points.  ``workers`` threads (1 to
+    MAX_WORKERS) share the tasks; it is checked before any thread starts,
+    and the thread pool is loaded only for more than one.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ConfigurationError(
@@ -188,14 +183,9 @@ def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
               for power in sorted(spec.base.power_grid_dbm)
               for delta in sorted(spec.base.delta_grid_db)
               for n_eve in sorted(spec.base.n_eve_grid)]
-    tasks = []
-    for method in sorted(spec.methods):
-        if method == "analytic":
-            fits = _grid_endpoints(spec.base.network, points)
-            tasks += [partial(_analytic_rows, spec, point, ep)
-                      for point, ep in zip(points, fits)]
-        else:
-            tasks.append(partial(_mc_rows, spec, points, method))
+    tasks = [partial(_analytic_rows, spec, points) if method == "analytic"
+             else partial(_mc_rows, spec, points, method)
+             for method in sorted(spec.methods)]
     if workers == 1:
         chunks = [task() for task in tasks]
     else:

@@ -57,6 +57,10 @@ class CheckResult:
         return out
 
 
+def _base_endpoints(cfg: RunConfig):
+    return endpoints_for(cfg.network)
+
+
 def _probe_endpoints(cfg: RunConfig):
     """A few operating points spread over the config's grids, fitted in one
     grid call; raises the error of the first probe that has one."""
@@ -91,7 +95,7 @@ def _check_outage_quadrature(cfg: RunConfig, shared) -> Outcome:
 
 
 def _check_min_cdf(cfg: RunConfig, shared) -> Outcome:
-    ep = endpoints_for(cfg.network)
+    ep = shared(_base_endpoints)
     worst = 0.0
     for z in (0.05, 0.5, 1.0, 5.0, 50.0, 5e3):
         fr = ep.relay.cdf(z)
@@ -101,7 +105,7 @@ def _check_min_cdf(cfg: RunConfig, shared) -> Outcome:
 
 
 def _check_monotonicity(cfg: RunConfig, shared) -> Outcome:
-    ep = endpoints_for(cfg.network)
+    ep = shared(_base_endpoints)
     rs = cfg.rs_grid[0]
     step = 0.25
     worst = 0.0
@@ -123,7 +127,7 @@ def _check_monotonicity(cfg: RunConfig, shared) -> Outcome:
 
 def _check_endpoint_invariants(cfg: RunConfig, shared) -> Outcome:
     base = cfg.network
-    ep = endpoints_for(base)
+    ep = shared(_base_endpoints)
     # probe the better-isolated side (delta_db may not rise above 0 dB),
     # where the relay mean rises; a bare 5 dB step rounds away at |delta_db|
     # >= 1e17, a doubling does not.  Where the doubling overflows, probe
@@ -142,16 +146,15 @@ def _check_endpoint_invariants(cfg: RunConfig, shared) -> Outcome:
 
 
 def _mc_pass(cfg: RunConfig):
-    """The one Monte-Carlo pass both MC checks use, and its endpoints."""
-    ep = endpoints_for(cfg.network)
+    """The one Monte-Carlo pass both MC checks use."""
     n = max(cfg.samples, 10_000)
     rate, (outage,) = mc_secrecy_metrics(cfg.network, [cfg.rs_grid[0]], "ln_fit",
                                          n, cfg.seed)
-    return ep, n, rate, outage
+    return n, rate, outage
 
 
 def _check_mc_rate(cfg: RunConfig, shared) -> Outcome:
-    ep, n, est, _ = shared(_mc_pass)
+    ep, (n, est, _) = shared(_base_endpoints), shared(_mc_pass)
     ref = avg_secrecy_rate_reference(ep, 1e-9).value
     if est.std_error == 0.0:
         # a zero-spread sample has no error scale of its own, so it is held
@@ -164,7 +167,7 @@ def _check_mc_rate(cfg: RunConfig, shared) -> Outcome:
 
 
 def _check_mc_outage(cfg: RunConfig, shared) -> Outcome:
-    ep, n, _, est = shared(_mc_pass)
+    ep, (n, _, est) = shared(_base_endpoints), shared(_mc_pass)
     ref = secrecy_outage_reference(ep, cfg.rs_grid[0], 1e-10).value
     # a zero-spread sample (every rate on one side of the target) is judged
     # by the binomial error the reference predicts at n
@@ -191,7 +194,7 @@ def run_validation(cfg: RunConfig) -> list[CheckResult]:
     """Run every check; callers decide how to report them."""
     # an input two checks use is computed once per run; one that raises is
     # not cached, so each check that asks for it fails with the same error
-    # (the probes and the MC pass raise in the endpoint fit, before sampling)
+    # (the MC checks ask for the base endpoints before the MC pass)
     shared = functools.cache(lambda compute: compute(cfg))
     checks = []
     for name, check in _CHECKS:

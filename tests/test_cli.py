@@ -111,6 +111,18 @@ def test_too_many_workers_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [2 ** 127, -2 ** 127 - 1], ids=["above", "below"])
+def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys, seed):
+    out = tmp_path / "x.csv"
+    code = main(["rate-sweep", "--preset", "sanity", "--output", str(out),
+                 "--method", "mc-ln", "--samples", "1000", "--seed", str(seed)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: seed must be an integer in [-2**127, 2**127), "
+        f"got {seed}\n")
+    assert not out.exists()
+
+
 def test_sweep_preset_runs(tmp_path):
     out = tmp_path / "fig2.csv"
     code = main(["rate-sweep", "--preset", "paper-fig2", "--output", str(out)])
@@ -182,6 +194,18 @@ def test_validate_default_config_passes(tmp_path, capsys):
         ("PASS", "mc-ln-outage-agreement"),
     ]
     assert summary == "7/7 checks passed"
+
+
+def test_validate_fits_the_base_network_once(tmp_path, monkeypatch):
+    # four checks use the base network's endpoints; one fit serves them all
+    fits = []
+    fit = validate.endpoints_for
+    monkeypatch.setattr(validate, "endpoints_for",
+                        lambda network: fits.append(network) or fit(network))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_VALIDATE_CONFIG)
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert fits.count(secrelay.load_config(str(cfg)).network) == 1
 
 
 def test_validate_passes_with_self_interference_near_0_db(tmp_path, capsys):

@@ -157,7 +157,21 @@ def test_seed_must_be_an_integer(bad):
 
 def test_integer_seeds_accepted():
     assert RunConfig(seed=np.int64(5)).seed == 5
-    assert RunConfig(seed=-3).seed == -3  # a config file takes any integer
+    assert RunConfig(seed=-3).seed == -3  # a config file takes a negative one
+    assert RunConfig(seed=-2 ** 127).seed == -2 ** 127
+    assert RunConfig(seed=2 ** 127 - 1).seed == 2 ** 127 - 1
+
+
+@pytest.mark.parametrize("bad", [2 ** 127, -2 ** 127 - 1], ids=["above", "below"])
+def test_seed_outside_the_philox_key_range_rejected(bad):
+    # a seed is one 128-bit Philox key: past [-2**127, 2**127) two seeds
+    # would draw the same banks under different seed columns
+    with pytest.raises(ConfigurationError, match="seed must be an integer in"):
+        RunConfig(seed=bad)
+    with pytest.raises(ConfigurationError, match="seed must be an integer in"):
+        RunConfig().with_overrides(seed=bad)
+    with pytest.raises(ConfigParseError, match="seed must be an integer in"):
+        parse_config_text(f"seed = {bad}\n")
 
 
 def test_bad_power_sweep():

@@ -79,6 +79,20 @@ class TestDeterminism:
         est = mc_secrecy_metrics(SystemConfig(), (2.0,), "ln_fit", np.int64(10_000), 5)
         assert est == mc_secrecy_metrics(SystemConfig(), (2.0,), "ln_fit", 10_000, 5)
 
+    @pytest.mark.parametrize("seed", [2 ** 127, -2 ** 127 - 1, 2 ** 128 - 1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        # past [-2**127, 2**127) two seeds would draw the same banks, as
+        # -1 and 2**128 - 1 did; 1.5 would have run as seed 1
+        with pytest.raises(ConfigurationError, match="seed must be an integer in"):
+            mc_secrecy_metrics(SystemConfig(), (2.0,), "ln_fit", 2000, seed)
+
+    @pytest.mark.parametrize("seed, key", [(-1, 2 ** 128 - 1), (-2 ** 127, 2 ** 127),
+                                           (2 ** 127 - 1, 2 ** 127 - 1)])
+    def test_each_seed_keeps_its_philox_key(self, seed, key):
+        got = montecarlo._substream(seed, 3).standard_normal(8)
+        want = np.random.Generator(np.random.Philox(key=key).jumped(3))
+        assert got.tobytes() == want.standard_normal(8).tobytes()
+
     @pytest.mark.parametrize("n", [True, 999, np.int32(999), 10_000.0])
     def test_bad_sample_count_rejected(self, n):
         with pytest.raises(ConfigurationError, match="at least 1000 samples"):
@@ -161,32 +175,37 @@ class TestValidation:
 
 
 def grid_points(eve):
-    """Three points of one network that differ in power, delta and N_E."""
+    """A network and three of its (power, delta, N_E) points that differ in
+    each value; the middle one is the network's own."""
     cfg = config_with_eve(eve)
-    return [replace(cfg, power_dbm=30.0, delta_db=-90.0, n_eve=1),
-            cfg,
-            replace(cfg, power_dbm=55.0, delta_db=-70.0, n_eve=3)]
+    return cfg, [(30.0, -90.0, 1), (cfg.power_dbm, cfg.delta_db, cfg.n_eve),
+                 (55.0, -70.0, 3)]
 
 
 def product_grid(eve, powers=(30.0, 55.0), deltas=(-90.0, -70.0),
                  n_eves=(1, 3)):
-    """Every (power, delta, N_E) of the given values, on one network, so
-    the points of one power share their main-side and Eve-side rows."""
-    cfg = config_with_eve(eve)
-    return [replace(cfg, power_dbm=p, delta_db=d, n_eve=k)
-            for p in powers for d in deltas for k in n_eves]
+    """A network and every (power, delta, N_E) of the given values, so the
+    points of one power share their main-side and Eve-side rows."""
+    return config_with_eve(eve), [(p, d, k) for p in powers for d in deltas
+                                  for k in n_eves]
 
 
-def two_pass_reference(points, targets, mode, n, seed):
+def at(network, point):
+    """The network at one (power, delta, N_E) point."""
+    power, delta, n_eve = point
+    return replace(network, power_dbm=power, delta_db=delta, n_eve=n_eve)
+
+
+def two_pass_reference(network, points, targets, mode, n, seed):
     """Each point's rate and outages, reduced in two separate passes."""
-    scalars = montecarlo._point_scalars(points, mode)
+    scalars = montecarlo._point_scalars(network, points, mode)
     total = [0.0] * len(points)
     total_sq = [0.0] * len(points)
-    for i, rates in montecarlo._iter_rate_slices(points[0], scalars, mode, n, seed):
+    for i, rates in montecarlo._iter_rate_slices(network, scalars, mode, n, seed):
         total[i] += float(rates.sum())
         total_sq[i] += float((rates * rates).sum())
     counts = [[0] * len(targets) for _ in points]
-    for i, rates in montecarlo._iter_rate_slices(points[0], scalars, mode, n, seed):
+    for i, rates in montecarlo._iter_rate_slices(network, scalars, mode, n, seed):
         for t, r in enumerate(targets):
             counts[i][t] += int(np.count_nonzero(rates < r))
     out = []
@@ -207,7 +226,7 @@ def allocating_composite(link, rng, b):
     return g * np.exp(XI * db)
 
 
-def allocating_rates(points, mode, n, seed):
+def allocating_rates(network, points, mode, n, seed):
     """Each point's secrecy rates from allocating formulas on twin substreams."""
     def stream(j):
         return np.random.Generator(np.random.Philox(key=seed).jumped(j))
@@ -224,8 +243,8 @@ def allocating_rates(points, mode, n, seed):
 
     if mode == "ln_fit":
         z = [blocks(stream(j).standard_normal) for j in (1, 2, 3)]
-        for cfg in points:
-            ep = endpoints_for(cfg)
+        for point in points:
+            ep = endpoints_for(at(network, point))
             # exp is increasing, so the min may be taken on the exponents
             main = np.exp(np.minimum(ep.relay.mu + ep.relay.sigma * z[0],
                                      ep.bob.mu + ep.bob.sigma * z[1]))
@@ -233,17 +252,17 @@ def allocating_rates(points, mode, n, seed):
             yield np.maximum(np.log2(1.0 + main) - np.log2(1.0 + eve), 0.0)
         return
     # every link at 0 dBm and 0 dB isolation; Eve's branch i on substream 8 + i
-    unit = link_budget(replace(points[0], power_dbm=0.0, delta_db=0.0))
+    unit = link_budget(replace(network, power_dbm=0.0, delta_db=0.0))
     ar, rr, ab, rb = (blocks(partial(draw, link, stream(j))) for link, j in
                       zip((unit.ar, unit.rr, unit.ab, unit.rb), (4, 5, 6, 7)))
     branches = [blocks(partial(draw, unit.eve, stream(8 + i)))
-                for i in range(2 * max(cfg.n_eve for cfg in points))]
-    for cfg in points:
-        power = math.exp(XI * cfg.power_dbm)
-        relay = ar / rr * math.exp(XI * -cfg.delta_db)
+                for i in range(2 * max(n_eve for _, _, n_eve in points))]
+    for power_dbm, delta_db, n_eve in points:
+        power = math.exp(XI * power_dbm)
+        relay = ar / rr * math.exp(XI * -delta_db)
         bob = (ab + rb) * power
-        eve = sum(branches[:2 * cfg.n_eve])
-        if isinstance(cfg.eve_spec, EveComposite):
+        eve = sum(branches[:2 * n_eve])
+        if isinstance(network.eve_spec, EveComposite):
             eve = eve * power
         main = np.minimum(relay, bob)
         yield np.maximum(np.log2(1.0 + main) - np.log2(1.0 + eve), 0.0)
@@ -268,16 +287,17 @@ class TestSinglePassReducer:
     @pytest.mark.parametrize("eve", ["direct", "composite"])
     @pytest.mark.parametrize("targets", [(), (2.0,), (0.5, 2.0, 4.0)])
     def test_one_pass_equals_two_passes(self, mode, eve, targets):
-        points = grid_points(eve)
+        network, points = grid_points(eve)
         n, seed = 4500, 17
-        got = mc_grid_metrics(points, targets, mode, n, seed)
+        got = mc_grid_metrics(network, points, targets, mode, n, seed)
         assert [len(outages) for _, outages in got] == [len(targets)] * 3
-        assert got == two_pass_reference(points, targets, mode, n, seed)
+        assert got == two_pass_reference(network, points, targets, mode, n, seed)
         # the rate does not depend on the targets, nor one target on another
-        rates = [rate for rate, _ in mc_grid_metrics(points, (), mode, n, seed)]
+        rates = [rate for rate, _ in mc_grid_metrics(network, points, (), mode, n,
+                                                     seed)]
         assert [rate for rate, _ in got] == rates
         for t, r in enumerate(targets):
-            alone = mc_grid_metrics(points, (r,), mode, n, seed)
+            alone = mc_grid_metrics(network, points, (r,), mode, n, seed)
             assert [outages[t] for _, outages in got] == [o[0] for _, o in alone]
 
     @pytest.mark.parametrize("mode", ["ln_fit", "composite"])
@@ -286,15 +306,15 @@ class TestSinglePassReducer:
         n, seed = 4500, 17  # four full blocks and a partial one
         # three points that share no row, and a product grid whose points
         # of one power share their main-side and Eve-side rows
-        for points in (grid_points(eve), product_grid(eve)):
-            scalars = montecarlo._point_scalars(points, mode)
+        for network, points in (grid_points(eve), product_grid(eve)):
+            scalars = montecarlo._point_scalars(network, points, mode)
             got = [[] for _ in points]
             # a yielded slice is a view the next slice overwrites, so copy it
-            for i, rates in montecarlo._iter_rate_slices(points[0], scalars,
+            for i, rates in montecarlo._iter_rate_slices(network, scalars,
                                                          mode, n, seed):
                 got[i].append(rates.copy())
             assert [len(r) for r in got[0]] == [384, 384, 256] * 4 + [384, 20]
-            want = list(allocating_rates(points, mode, n, seed))
+            want = list(allocating_rates(network, points, mode, n, seed))
             assert [np.concatenate(r).tobytes() for r in got] == [
                 r.tobytes() for r in want]
 
@@ -304,7 +324,8 @@ class TestSinglePassReducer:
         # 2 P x 3 delta x 3 N_E: per slice and power, 3 main-side rows and
         # 3 Eve-side rows, not one of each per point; a direct Eve's rows do
         # not depend on the power, so both powers share them
-        points = product_grid(eve, deltas=(-90.0, -80.0, -70.0), n_eves=(1, 2, 3))
+        network, points = product_grid(eve, deltas=(-90.0, -80.0, -70.0),
+                                       n_eves=(1, 2, 3))
         calls = {"main": 0, "eve": 0}
 
         def counted(side, fn):
@@ -313,12 +334,12 @@ class TestSinglePassReducer:
                 return fn(*args)
             return wrapper
 
-        want = mc_grid_metrics(points, (2.0,), mode, 4500, 17)
+        want = mc_grid_metrics(network, points, (2.0,), mode, 4500, 17)
         monkeypatch.setattr(montecarlo, "_main_capacity",
                             counted("main", montecarlo._main_capacity))
         monkeypatch.setattr(montecarlo, "_eve_capacity",
                             counted("eve", montecarlo._eve_capacity))
-        assert mc_grid_metrics(points, (2.0,), mode, 4500, 17) == want
+        assert mc_grid_metrics(network, points, (2.0,), mode, 4500, 17) == want
         slices = 4 * 3 + 2  # four full blocks of three slices, then two
         eve_rows = slices * 3 if eve == "direct" else slices * 2 * 3
         assert calls == {"main": slices * 2 * 3, "eve": eve_rows}
@@ -332,12 +353,12 @@ class TestGridCall:
         monkeypatch.setattr(montecarlo, "_BLOCK", 1024)
         monkeypatch.setattr(montecarlo, "_SLICE", 384)
         # a one-point call shares no row, so shared rows must change no bit
-        for points in (grid_points(eve), product_grid(eve)):
-            got = mc_grid_metrics(points, (2.0, 4.0), mode, 3000, 5)
-            assert got == [mc_secrecy_metrics(cfg, (2.0, 4.0), mode, 3000, 5)
-                           for cfg in points]
+        for network, points in (grid_points(eve), product_grid(eve)):
+            got = mc_grid_metrics(network, points, (2.0, 4.0), mode, 3000, 5)
+            assert got == [mc_secrecy_metrics(at(network, point), (2.0, 4.0), mode,
+                                              3000, 5) for point in points]
             # the order of the points does not matter either
-            assert mc_grid_metrics(points[::-1], (2.0, 4.0), mode, 3000,
+            assert mc_grid_metrics(network, points[::-1], (2.0, 4.0), mode, 3000,
                                    5) == got[::-1]
 
     @pytest.mark.parametrize("mode, power, cause", [
@@ -345,18 +366,15 @@ class TestGridCall:
         ("composite", 3500.0, "Monte-Carlo draws overflow")])
     def test_a_failing_point_leaves_the_others(self, mode, power, cause):
         cfg = SystemConfig()
-        ok, bad = mc_grid_metrics([cfg, replace(cfg, power_dbm=power)], (2.0,),
-                                  mode, 2000, 3)
+        ok, bad = mc_grid_metrics(cfg, [(cfg.power_dbm, cfg.delta_db, cfg.n_eve),
+                                        (power, cfg.delta_db, cfg.n_eve)],
+                                  (2.0,), mode, 2000, 3)
         assert ok == mc_secrecy_metrics(cfg, (2.0,), mode, 2000, 3)
         assert isinstance(bad, OverflowError) and str(bad).startswith(cause)
 
-    def test_points_of_different_networks_rejected(self):
-        with pytest.raises(ValueError, match="share one network"):
-            mc_grid_metrics([SystemConfig(), SystemConfig(nakagami_m=3.0)], (),
-                            "composite", 2000, 1)
-
     def test_no_points_no_results(self):
-        assert mc_grid_metrics([], (2.0,), "composite", 2000, 1) == []
+        assert mc_grid_metrics(SystemConfig(), [], (2.0,), "composite", 2000,
+                               1) == []
 
 
 @pytest.mark.parametrize("mode, rows", [("ln_fit", 4.5), ("composite", 6.5)])
@@ -382,14 +400,14 @@ def test_a_paper_grid_call_stays_within_its_block_rows(mode, rows):
     # (N_E = 2, 4, 8); holding every power's rows at once (84 slices, about
     # 6.9 block rows) would break either bound
     run = preset_run_config("paper-fig2")
-    points = [run.system(p, d, k) for p in run.power_grid_dbm
+    points = [(p, d, k) for p in run.power_grid_dbm
               for d in run.delta_grid_db for k in run.n_eve_grid]
     assert len(points) == 126
     n = 100_000
-    mc_grid_metrics(points, (2.0, 4.0), mode, 1000, 1)  # imports, fit caches
+    mc_grid_metrics(run.network, points, (2.0, 4.0), mode, 1000, 1)  # imports, fit caches
     tracemalloc.start()
     try:
-        mc_grid_metrics(points, (2.0, 4.0), mode, n, 1)
+        mc_grid_metrics(run.network, points, (2.0, 4.0), mode, n, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,7 @@
 """Sweep runner: CSV schema, ordering, determinism across worker counts."""
 import hashlib
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -293,6 +294,40 @@ def test_a_sweep_fits_each_distinct_link_once(monkeypatch, method):
     assert all(r.status == "ok" for r in rows)
     assert {name: len(c) for name, c in calls.items()} == {
         "from_composite": 14 * 4 + 42, "sum_lognormals": 14, "scaled": 42}
+
+
+@pytest.mark.parametrize("method, networks", [("mc-ln", 0), ("mc-composite", 1)])
+def test_a_mc_sweep_builds_no_network_per_point(monkeypatch, method, networks):
+    # the sweep hands mc_grid_metrics the base network and its (P, delta,
+    # N_E) points; composite draws its banks on one network at 0 dBm and
+    # 0 dB.  A network per point, and one more per point to check that they
+    # share one network, would make 252 on paper-fig2
+    base = preset_run_config("paper-fig2").with_overrides(samples=1000)
+    spec = SweepSpec(base=base, metrics=("rate", "outage"), methods=(method,))
+    built = counting(monkeypatch, SystemConfig, "__post_init__")
+    rows = sweep_rows(spec)
+    assert len(rows) == 126 * 3
+    assert all(r.status == "ok" for r in rows)
+    assert len(built) == networks
+
+
+def test_an_analytic_sweep_is_one_task(monkeypatch):
+    # one grid call evaluates every analytic point, so a pool of four runs
+    # them all on one thread; the sleep gives the other threads time to
+    # take a task, were there one
+    threads = set()
+    rate = sweep.avg_secrecy_rate
+
+    def on_its_thread(ep):
+        threads.add(threading.get_ident())
+        time.sleep(0.001)
+        return rate(ep)
+
+    monkeypatch.setattr(sweep, "avg_secrecy_rate", on_its_thread)
+    spec = SweepSpec(base=preset_run_config("paper-fig2"), metrics=("rate",),
+                     methods=("analytic",))
+    assert len(sweep_rows(spec, workers=4)) == 126
+    assert len(threads) == 1
 
 
 def test_endpoint_failure_flags_every_row(monkeypatch):
