@@ -28,7 +28,9 @@ substream, ``Philox(key=seed).jumped(j)``, drawn once per call:
 So a point's estimates depend on its own values, the seed and n, never on
 the other points of the call nor on how many sweep workers run.  Each
 point's standard error is its own, but the points of one call are
-correlated.  ``mc_secrecy_metrics`` is the one-point call.  Banks are drawn
+correlated.  ``mc_secrecy_metrics`` is the one-point call.  A sweep or
+``validate`` hands its own grid fit to ``ln_fit`` (``_grid_estimates``), so
+a run fits its grid once.  Banks are drawn
 in fixed-size blocks into buffers allocated once per call, never shared
 between sweep worker threads, and each point's arithmetic runs over
 cache-sized slices of a block.
@@ -138,24 +140,23 @@ def _gain(db: float) -> float:
         return math.inf
 
 
-def _point_scalars(network: SystemConfig,
-                   points: Sequence[tuple[float, float, int]], mode: str) -> list:
+def _point_scalars(network: SystemConfig, inputs: Sequence, mode: str) -> list:
     """What each point multiplies the banks by, or the error that stops it.
 
-    ``ln_fit``: the fitted endpoints' (mu, sigma) for relay, Bob and Eve,
-    from one grid fit, so each distinct link is fitted once.
-    ``composite``: the relay's isolation gain e^(-xi delta), which may be inf
-    (the relay then never limits), the power gain e^(xi P) of Bob and of Eve
-    (1 for a direct Eve), and the number of branches Eve sums.
+    ``ln_fit`` reads each point's fitted endpoints (or its fit's error):
+    their (mu, sigma) for relay, Bob and Eve.  ``composite`` reads each
+    (power, delta, N_E): the relay's isolation gain e^(-xi delta), which may
+    be inf (the relay then never limits), the power gain e^(xi P) of Bob and
+    of Eve (1 for a direct Eve), and the number of branches Eve sums.
     """
     if mode == "ln_fit":
         return [ep if isinstance(ep, Exception) else
                 (ep.relay.mu, ep.relay.sigma, ep.bob.mu, ep.bob.sigma,
                  ep.eve.mu, ep.eve.sigma)
-                for ep in _grid_endpoints(network, points)]
+                for ep in inputs]
     eve = isinstance(network.eve_spec, EveComposite)
     out: list = []
-    for power_dbm, delta_db, n_eve in points:
+    for power_dbm, delta_db, n_eve in inputs:
         power = _gain(power_dbm)
         if power == math.inf:  # as the analytic route's endpoint fit overflows
             out.append(OverflowError(f"Monte-Carlo draws overflow: {power_dbm!r} "
@@ -317,6 +318,15 @@ def mc_grid_metrics(network: SystemConfig, points: Sequence[tuple[float, float, 
     overflows, or whose rates do not sum to a finite number, gets the error
     in place of its estimates; an invalid n, seed, target or mode raises.
     """
+    inputs = _grid_endpoints(network, points) if mode == "ln_fit" else points
+    return _grid_estimates(network, inputs, rs_targets, mode, n, seed)
+
+
+def _grid_estimates(network: SystemConfig, inputs: Sequence,
+                    rs_targets: Sequence[float], mode: str, n: int, seed: int
+                    ) -> list[PointResult]:
+    """``mc_grid_metrics`` on each point's ``_point_scalars`` input: for
+    ``ln_fit`` the grid's fit, which a caller that holds it hands over."""
     import numpy as np
     n = _check_samples(n)
     seed = _check_seed(seed)
@@ -326,7 +336,7 @@ def mc_grid_metrics(network: SystemConfig, points: Sequence[tuple[float, float, 
             raise ValueError(f"rs_target must be positive, got {r!r}")
     if mode not in _MODES:
         raise ValueError(f"unknown Monte-Carlo mode {mode!r}")
-    scalars = _point_scalars(network, points, mode)
+    scalars = _point_scalars(network, inputs, mode)
     results = [s if isinstance(s, Exception) else None for s in scalars]
     total = [0.0] * len(scalars)
     total_sq = [0.0] * len(scalars)

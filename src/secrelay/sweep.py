@@ -1,17 +1,18 @@
 """Experiment sweeps over (power, self-interference, antennas, target rate).
 
-Any number of worker threads may share the work: each method is one task,
-one grid call on the base network and its (power, delta, N_E) points (the
-analytic fit ``channel._grid_endpoints``, or ``mc_grid_metrics``).  Rows are
-emitted in sorted key order, so the output is byte-identical regardless of
-parallelism.  A Monte-Carlo row's ``seed`` column holds the base seed: its
-value depends only on its own (power, delta, N_E), the seed and the sample
-count, so adding or removing grid values leaves every other row unchanged,
-and a one-point sweep rebuilds any row.  Each row's standard error is valid
-on its own, but the Monte-Carlo rows of one sweep are correlated.  A point's
-rows share one sample set (Monte-Carlo) or its endpoints (analytic).  The
-analytic and ``mc-ln`` grid fits fit each distinct link once; every
-endpoint is bit-identical to the point's own ``endpoints_for``.
+A sweep runs in stages: the grid of (power, delta, N_E) points of the base
+network; one grid fit (``channel._grid_endpoints``), made when ``analytic``
+or ``mc-ln`` asks for it and shared by both; each method as one task over
+all the points, which any number of worker threads may share; the rows, in
+sorted key order, so the output is byte-identical regardless of
+parallelism.  The grid fit fits each distinct link once; every endpoint is
+bit-identical to the point's own ``endpoints_for``.  A Monte-Carlo row's
+``seed`` column holds the base seed: its value depends only on its own
+(power, delta, N_E), the seed and the sample count, so adding or removing
+grid values leaves every other row unchanged, and a one-point sweep
+rebuilds any row.  Each row's standard error is valid on its own, but the
+Monte-Carlo rows of one sweep are correlated.  A point's rows share one
+sample set (Monte-Carlo) or its endpoints (analytic).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .errors import _EVALUATION_ERRORS, ConfigurationError
 from .channel import EveComposite, SystemConfig, _grid_endpoints
 from .channel import endpoints_for  # noqa: F401 -- the benchmark's tracer wraps it here
 from .metrics import avg_secrecy_rate, secrecy_outage
-from .montecarlo import mc_grid_metrics
+from .montecarlo import _grid_estimates
 
 __all__ = ["SweepSpec", "SweepRow", "run_sweep", "preset_run_config",
            "CSV_HEADER", "PRESET_NAMES"]
@@ -124,11 +125,11 @@ def _flagged(spec: SweepSpec, point: tuple[float, float, int], method: str,
             for metric, rs in _row_keys(spec)]
 
 
-def _analytic_rows(spec: SweepSpec,
-                   points: Sequence[tuple[float, float, int]]) -> list[SweepRow]:
-    """Every grid point's analytic rows, from one grid fit."""
+def _analytic_rows(spec: SweepSpec, points: Sequence[tuple[float, float, int]],
+                   fits: Sequence) -> list[SweepRow]:
+    """Every grid point's analytic rows, from the grid's fit."""
     rows = []
-    for point, ep in zip(points, _grid_endpoints(spec.base.network, points)):
+    for point, ep in zip(points, fits):
         if isinstance(ep, Exception):
             rows += _flagged(spec, point, "analytic", ep)
             continue
@@ -145,13 +146,13 @@ def _analytic_rows(spec: SweepSpec,
 
 
 def _mc_rows(spec: SweepSpec, points: Sequence[tuple[float, float, int]],
-             method: str) -> list[SweepRow]:
+             fits: Sequence, method: str) -> list[SweepRow]:
     """Every grid point of one Monte-Carlo method, from one set of banks."""
     base = spec.base
     keys = _row_keys(spec)
     targets = base.rs_grid if "outage" in spec.metrics else ()
-    results = mc_grid_metrics(base.network, points, targets, _MODE_OF[method],
-                              base.samples, base.seed)
+    results = _grid_estimates(base.network, fits if method == "mc-ln" else points,
+                              targets, _MODE_OF[method], base.samples, base.seed)
     rows = []
     for point, result in zip(points, results):
         if isinstance(result, Exception):
@@ -172,9 +173,10 @@ def _err(exc: Exception) -> str:
 def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every grid point; rows come back sorted by their keys.
 
-    Each method is one task over all the points.  ``workers`` threads (1 to
-    MAX_WORKERS) share the tasks; it is checked before any thread starts,
-    and the thread pool is loaded only for more than one.
+    Each method is one task over all the points, after the one grid fit.
+    ``workers`` threads (1 to MAX_WORKERS) share the tasks; it is checked
+    before any thread starts, and the thread pool is loaded only for more
+    than one.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ConfigurationError(
@@ -183,8 +185,11 @@ def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
               for power in sorted(spec.base.power_grid_dbm)
               for delta in sorted(spec.base.delta_grid_db)
               for n_eve in sorted(spec.base.n_eve_grid)]
-    tasks = [partial(_analytic_rows, spec, points) if method == "analytic"
-             else partial(_mc_rows, spec, points, method)
+    # one fit serves the analytic rows and mc-ln's draws
+    fits = (_grid_endpoints(spec.base.network, points)
+            if {"analytic", "mc-ln"} & set(spec.methods) else None)
+    tasks = [partial(_analytic_rows, spec, points, fits) if method == "analytic"
+             else partial(_mc_rows, spec, points, fits, method)
              for method in sorted(spec.methods)]
     if workers == 1:
         chunks = [task() for task in tasks]

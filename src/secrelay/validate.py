@@ -4,9 +4,10 @@ Each check compares an implementation route against an independent one
 (quadrature vs adaptive reference, closed forms vs identities, analytic vs
 Monte-Carlo) and reports its measured deviation against a tolerance.  A
 check that cannot be evaluated at the configured network fails with the
-error that stopped it, and the remaining checks still run.  The rate and
-outage checks share their probe endpoints and one Monte-Carlo pass; an
-error in a shared input fails every check that uses it.
+error that stopped it, and the remaining checks still run.  The checks
+share their probe endpoints, one Monte-Carlo pass and one fit of the base
+network, which that pass draws from; an error in a shared input fails every
+check that uses it.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .errors import _EVALUATION_ERRORS
 from .lognormal import LogNormal, cumulants
 from .metrics import (avg_secrecy_rate, avg_secrecy_rate_reference,
                       min_snr_cdf, secrecy_outage, secrecy_outage_reference)
-from .montecarlo import mc_secrecy_metrics
+from .montecarlo import _grid_estimates
 
 __all__ = ["CheckResult", "run_validation"]
 
@@ -57,11 +58,11 @@ class CheckResult:
         return out
 
 
-def _base_endpoints(cfg: RunConfig):
+def _base_endpoints(cfg: RunConfig, shared):
     return endpoints_for(cfg.network)
 
 
-def _probe_endpoints(cfg: RunConfig):
+def _probe_endpoints(cfg: RunConfig, shared):
     """A few operating points spread over the config's grids, fitted in one
     grid call; raises the error of the first probe that has one."""
     powers = cfg.power_grid_dbm
@@ -145,11 +146,14 @@ def _check_endpoint_invariants(cfg: RunConfig, shared) -> Outcome:
     return ok, measured, 1e-9, "self-interference isolation and antenna scaling"
 
 
-def _mc_pass(cfg: RunConfig):
-    """The one Monte-Carlo pass both MC checks use."""
+def _mc_pass(cfg: RunConfig, shared):
+    """The one Monte-Carlo pass both MC checks use, on the shared base fit."""
     n = max(cfg.samples, 10_000)
-    rate, (outage,) = mc_secrecy_metrics(cfg.network, [cfg.rs_grid[0]], "ln_fit",
-                                         n, cfg.seed)
+    (result,) = _grid_estimates(cfg.network, [shared(_base_endpoints)],
+                                [cfg.rs_grid[0]], "ln_fit", n, cfg.seed)
+    if isinstance(result, Exception):
+        raise result
+    rate, (outage,) = result
     return n, rate, outage
 
 
@@ -192,10 +196,11 @@ _CHECKS = (
 
 def run_validation(cfg: RunConfig) -> list[CheckResult]:
     """Run every check; callers decide how to report them."""
-    # an input two checks use is computed once per run; one that raises is
-    # not cached, so each check that asks for it fails with the same error
-    # (the MC checks ask for the base endpoints before the MC pass)
-    shared = functools.cache(lambda compute: compute(cfg))
+    # an input two checks use is computed once per run, called as a check
+    # is, so one input may use another; one that raises is not cached, so
+    # each check that asks for it fails with the same error (the MC pass
+    # asks for the base endpoints first)
+    shared = functools.cache(lambda compute: compute(cfg, shared))
     checks = []
     for name, check in _CHECKS:
         try:

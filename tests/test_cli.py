@@ -197,15 +197,28 @@ def test_validate_default_config_passes(tmp_path, capsys):
 
 
 def test_validate_fits_the_base_network_once(tmp_path, monkeypatch):
-    # four checks use the base network's endpoints; one fit serves them all
+    # five checks, the MC pass among them, use the base network's
+    # endpoints; one fit serves them all.  A run fits the base network, the
+    # two endpoint-invariant probes and the quadrature probes: 4 links each
+    # with a direct Eve (one probe here), 5 with paper-fig2's composite Eve
+    # and 12 for its four probes, which share their powers' links
     fits = []
     fit = validate.endpoints_for
     monkeypatch.setattr(validate, "endpoints_for",
                         lambda network: fits.append(network) or fit(network))
+    links = []
+    link_fit = secrelay.lognormal.from_composite
+    monkeypatch.setattr(secrelay.lognormal, "from_composite",
+                        lambda link: links.append(link) or link_fit(link))
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(FAST_VALIDATE_CONFIG)
     assert main(["validate", "--config", str(cfg)]) == 0
     assert fits.count(secrelay.load_config(str(cfg)).network) == 1
+    assert len(links) == 4 * 4
+    links.clear()
+    checks = validate.run_validation(secrelay.preset_run_config("paper-fig2"))
+    assert all(check.passed for check in checks)
+    assert len(links) == 5 * 3 + 12
 
 
 def test_validate_passes_with_self_interference_near_0_db(tmp_path, capsys):
@@ -237,8 +250,8 @@ def test_validate_zero_spread_estimates_are_still_judged(tmp_path, capsys,
                                                          monkeypatch):
     # rate 0 +- 0 and outage 1 +- 0 against references of about 0.095 and
     # 0.983: no spread must not mean no deviation
-    monkeypatch.setattr(validate, "mc_secrecy_metrics", lambda *args: (
-        secrelay.McEstimate(0.0, 0.0), [secrelay.McEstimate(1.0, 0.0)]))
+    monkeypatch.setattr(validate, "_grid_estimates", lambda *args: [(
+        secrelay.McEstimate(0.0, 0.0), [secrelay.McEstimate(1.0, 0.0)])])
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(FAST_VALIDATE_CONFIG)
     assert main(["validate", "--config", str(cfg)]) == 1

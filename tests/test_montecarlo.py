@@ -13,6 +13,7 @@ from secrelay import (CompositeLink, ConfigurationError, EveComposite,
                       mc_secrecy_metrics, preset_run_config,
                       sample_composite_snr, secrecy_outage_reference)
 from secrelay import montecarlo
+from secrelay.channel import _grid_endpoints
 from secrelay.montecarlo import mc_grid_metrics
 from secrelay.lognormal import DB_TO_NAT
 
@@ -196,9 +197,15 @@ def at(network, point):
     return replace(network, power_dbm=power, delta_db=delta, n_eve=n_eve)
 
 
+def point_scalars(network, points, mode):
+    """Each point's scalars; ``ln_fit`` takes them from the grid's fit."""
+    inputs = _grid_endpoints(network, points) if mode == "ln_fit" else points
+    return montecarlo._point_scalars(network, inputs, mode)
+
+
 def two_pass_reference(network, points, targets, mode, n, seed):
     """Each point's rate and outages, reduced in two separate passes."""
-    scalars = montecarlo._point_scalars(network, points, mode)
+    scalars = point_scalars(network, points, mode)
     total = [0.0] * len(points)
     total_sq = [0.0] * len(points)
     for i, rates in montecarlo._iter_rate_slices(network, scalars, mode, n, seed):
@@ -307,7 +314,7 @@ class TestSinglePassReducer:
         # three points that share no row, and a product grid whose points
         # of one power share their main-side and Eve-side rows
         for network, points in (grid_points(eve), product_grid(eve)):
-            scalars = montecarlo._point_scalars(network, points, mode)
+            scalars = point_scalars(network, points, mode)
             got = [[] for _ in points]
             # a yielded slice is a view the next slice overwrites, so copy it
             for i, rates in montecarlo._iter_rate_slices(network, scalars,

@@ -278,22 +278,39 @@ def test_a_one_point_sweep_rebuilds_each_mc_row_from_its_csv_line():
         assert list(mc_csv(one, (metric,), (method,)).values()) == [line]
 
 
-@pytest.mark.parametrize("method", ["analytic", "mc-ln"])
-def test_a_sweep_fits_each_distinct_link_once(monkeypatch, method):
+@pytest.mark.parametrize("methods", ["analytic", "mc-ln", "analytic+mc-ln",
+                                     "mc-composite"])
+def test_a_sweep_fits_each_distinct_link_once(monkeypatch, methods):
     # paper-fig2 has 126 points but 14 powers, 42 (P, delta) and 42 (P, N_E)
     # pairs: per power the ar, ab, rb and Eve fits and Bob's sum, per
     # (P, delta) the rr fit, per (P, N_E) Eve's fold; a fit per point would
-    # make 630 link fits, 126 sums and 126 folds
+    # make 630 link fits, 126 sums and 126 folds.  analytic and mc-ln share
+    # the one grid fit, and mc-composite draws its links without one
     calls = {name: counting(monkeypatch, owner, name) for owner, name in (
         (lognormal, "from_composite"), (lognormal, "sum_lognormals"),
         (lognormal.Cumulants, "scaled"))}
     base = preset_run_config("paper-fig2").with_overrides(samples=1000)
+    methods = tuple(methods.split("+"))
     rows = sweep_rows(SweepSpec(base=base, metrics=("rate", "outage"),
-                                methods=(method,)))
-    assert len(rows) == 126 * 3
+                                methods=methods))
+    assert len(rows) == 126 * 3 * len(methods)
     assert all(r.status == "ok" for r in rows)
-    assert {name: len(c) for name, c in calls.items()} == {
-        "from_composite": 14 * 4 + 42, "sum_lognormals": 14, "scaled": 42}
+    fits = (0, 0, 0) if methods == ("mc-composite",) else (14 * 4 + 42, 14, 42)
+    assert tuple(len(c) for c in calls.values()) == fits
+
+
+def test_each_method_writes_its_rows_alone():
+    # the methods of one sweep share the grid's fit, never a value: each
+    # method's rows are the bytes of a sweep that asks for it alone
+    base = preset_run_config("paper-fig2").with_overrides(samples=1000)
+
+    def csv(methods):
+        spec = SweepSpec(base=base, metrics=("rate", "outage"), methods=methods)
+        return [r.to_csv() for r in sweep_rows(spec)]
+
+    together = csv(sweep.METHODS)
+    for method in sweep.METHODS:
+        assert [ln for ln in together if f",{method}," in ln] == csv((method,))
 
 
 @pytest.mark.parametrize("method, networks", [("mc-ln", 0), ("mc-composite", 1)])
