@@ -360,8 +360,11 @@ def _grid_estimates(network: SystemConfig, inputs: Sequence,
             continue
         mean = total[i] / n
         var = max(total_sq[i] / n - mean * mean, 0.0) * n / (n - 1)
+        # an outage count of 0 or n has no binomial spread: it reports the
+        # one-sigma Wilson half-width 0.5 / (n + 1), never a zero error
         results[i] = (McEstimate(mean=mean, std_error=math.sqrt(var / n)),
-                      [McEstimate(mean=p, std_error=math.sqrt(p * (1.0 - p) / n))
+                      [McEstimate(mean=p, std_error=math.sqrt(p * (1.0 - p) / n)
+                                  if 0.0 < p < 1.0 else 0.5 / (n + 1))
                        for p in (c / n for c in counts[i])])
     return results
 

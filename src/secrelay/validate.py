@@ -173,9 +173,10 @@ def _check_mc_rate(cfg: RunConfig, shared) -> Outcome:
 def _check_mc_outage(cfg: RunConfig, shared) -> Outcome:
     ep, (n, _, est) = shared(_base_endpoints), shared(_mc_pass)
     ref = secrecy_outage_reference(ep, cfg.rs_grid[0], 1e-10).value
-    # a zero-spread sample (every rate on one side of the target) is judged
-    # by the binomial error the reference predicts at n
-    se = est.std_error or math.sqrt(max(ref * (1.0 - ref), 0.0) / n)
+    # a zero-spread sample (every rate on one side of the target, so a mean
+    # of 0 or 1) is judged by the binomial error the reference predicts at n
+    se = (math.sqrt(max(ref * (1.0 - ref), 0.0) / n) if est.mean in (0.0, 1.0)
+          else est.std_error)
     if se > 0.0:
         dev = abs(est.mean - ref) / se
     else:  # no spread on either side: only an exact match agrees

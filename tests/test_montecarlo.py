@@ -127,7 +127,8 @@ class TestOutageEstimates:
         cfg = SystemConfig(power_dbm=0.0)
         est = mc_secrecy_metrics(cfg, (60.0,), "ln_fit", 10_000, 1)[1][0]
         assert est.mean == 1.0
-        assert est.std_error == 0.0
+        # no zero error: the one-sigma Wilson half-width at a count of n
+        assert est.std_error == 0.5 / 10_001
 
     def test_common_randomness_makes_targets_nested(self):
         cfg = SystemConfig()

@@ -1,5 +1,6 @@
 """Sweep runner: CSV schema, ordering, determinism across worker counts."""
 import hashlib
+import math
 import threading
 import time
 from dataclasses import replace
@@ -434,9 +435,9 @@ def test_fig2_analytic_csv_digest(tmp_path):
 
 @pytest.mark.parametrize("eve, digest", [
     (EveComposite(-40.0, 5.0),
-     "3cd5725e542bd9d211dd79a04201d89c40f38f92590bb6bd130b425638c988f8"),
+     "608418214877a7f88a1bfa2f201aa5c953a281947447afcf6de1ba6dd643e4bd"),
     (LogNormal(0.21, 0.76),
-     "89147c99132158bfe07995081909c6c2153e3558b4c924db9d86b1ddedbe6ffb"),
+     "1eda07e95ffed670c506f3e556e9a6f16edee5652a1d4893354df91435be6d22"),
 ], ids=["composite-eve", "direct-eve"])
 def test_edge_grid_csv_digest(tmp_path, eve, digest):
     # Analytic and mc-ln rows on a grid that reaches the fits' edges: the
@@ -444,7 +445,8 @@ def test_edge_grid_csv_digest(tmp_path, eve, digest):
     # relay is all but free of self-interference at delta = -1e300 dB, and
     # Eve folds 2e6 branches.  The digests were recorded when every point
     # was fitted on its own, so they pin that the grid fit shares links
-    # without moving a bit or an error message.
+    # without moving a bit or an error message; since then only the mc-ln
+    # outage rows at a count of 0 or n moved, to their Wilson error.
     base = RunConfig(power_grid_dbm=EDGE_POWERS, delta_grid_db=EDGE_DELTAS,
                      n_eve_grid=EDGE_N_EVES, rs_grid=(0.5, 2.0),
                      network=SystemConfig(eve_spec=eve), samples=1000, seed=11)
@@ -454,6 +456,21 @@ def test_edge_grid_csv_digest(tmp_path, eve, digest):
     rows = run_sweep(spec, str(path))
     assert sum(r.status != "ok" for r in rows) == 108
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_no_mc_outage_row_reports_a_zero_error():
+    # no sample reaches the target at 10 dBm, nor at some 70 dBm points, so
+    # their count is n: such a row keeps its mean of 1 and reports the
+    # one-sigma Wilson half-width, not a zero error
+    base = replace(preset_run_config("paper-fig2"), power_grid_dbm=(10.0, 70.0),
+                   delta_grid_db=(-80.0,), n_eve_grid=(2, 8), samples=1000, seed=11)
+    rows = sweep_rows(SweepSpec(base=base, metrics=("outage",),
+                                methods=("mc-composite", "mc-ln")))
+    edge = [r for r in rows if r.value in (0.0, 1.0)]
+    assert len(edge) == 12
+    assert all(r.std_error == 0.5 / 1001 for r in edge)
+    assert all(r.std_error == math.sqrt(r.value * (1.0 - r.value) / 1000)
+               for r in rows if r not in edge)
 
 
 def test_composite_eve_mc_csv_digest(tmp_path):
@@ -467,4 +484,4 @@ def test_composite_eve_mc_csv_digest(tmp_path):
     spec = SweepSpec(base=base, metrics=("rate", "outage"),
                      methods=("mc-composite", "mc-ln"))
     assert sweep_digest(spec, tmp_path, workers=2) == (
-        "b70cc058158334eb0e341e073347b174d79887e6168784a6a4c2391bb68c24f4")
+        "5646930a30204be6469c887ed44baa27c902998a23bb70fa44f781d2780ed9d3")
