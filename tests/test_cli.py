@@ -197,11 +197,12 @@ def test_validate_default_config_passes(tmp_path, capsys):
 
 
 def test_validate_fits_the_base_network_once(tmp_path, monkeypatch):
-    # five checks, the MC pass among them, use the base network's
-    # endpoints; one fit serves them all.  A run fits the base network, the
-    # two endpoint-invariant probes and the quadrature probes: 4 links each
-    # with a direct Eve (one probe here), 5 with paper-fig2's composite Eve
-    # and 12 for its four probes, which share their powers' links
+    # five checks use the base network's endpoints, and the MC pass two of
+    # them share draws from them; one fit serves all.  A run fits the base
+    # network, the two endpoint-invariant probes and the quadrature probes:
+    # 4 links each with a direct Eve (one probe here), 5 with paper-fig2's
+    # composite Eve and 12 for its four probes, which share their powers'
+    # links
     fits = []
     fit = validate.endpoints_for
     monkeypatch.setattr(validate, "endpoints_for",
