@@ -15,6 +15,14 @@ Gauss-Laguerre (rate) and Gauss-Hermite (outage) forms converge slowly where
 the integrand's mass sits below their nodes and miss the acceptance gates at
 K = 24; tests/paper_forms.py keeps them to pin that envelope.
 
+Each estimator is one grid call: ``_rate_grid`` and ``_outage_grid`` take
+a sequence of endpoints (and target rates) and return each value, or the
+error that stops it, in one loop over the points.  What does not depend on
+the point -- the order's cells and window depth, each target's threshold
+constants -- is found once per call, and a point's window terms once for
+all its targets.  ``avg_secrecy_rate`` and ``secrecy_outage`` are their
+one-point calls and raise that error.
+
 The references integrate in the same y and v domains, adaptively, with
 breakpoints at the endpoint means (mapped to v for the outage), at 0, at
 the outage threshold's floor kink and, for the outage, where the normal
@@ -47,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .channel import Endpoints
-from .errors import AccuracyError, ConfigurationError
+from .errors import _EVALUATION_ERRORS, AccuracyError, ConfigurationError
 
 __all__ = [
     "MetricResult",
@@ -279,11 +287,14 @@ def adaptive_integrate(f: Callable[[list[float]], Sequence[float]], a: float,
     return MetricResult(value, error_estimate=rel_err)
 
 
-def _require_random(ep: Endpoints, who: str) -> None:
+def _degenerate(ep: Endpoints, who: str) -> Optional[ValueError]:
+    """The error naming the first of relay, bob and eve whose sigma is not
+    positive, or None when all three are."""
     for name in ("relay", "bob", "eve"):
         if getattr(ep, name).sigma <= 0.0:
-            raise ValueError(f"{who} requires non-degenerate endpoints; "
-                             f"{name} has sigma = 0")
+            return ValueError(f"{who} requires non-degenerate endpoints; "
+                              f"{name} has sigma = 0")
+    return None
 
 
 def min_snr_cdf(ep: Endpoints, z: float) -> float:
@@ -326,75 +337,103 @@ def _hinge_root(tau: float, p1: float, s1: float, p2: float, s2: float) -> float
     return min(p1 + s1 * r, p2 + s2 * r)
 
 
-def _rate_window(ep: Endpoints, depth: float) -> tuple[float, float]:
-    """Window in y = ln z holding the rate integrand's bulk, in closed form.
+def _rate_grid(endpoints: Sequence[Endpoints], order: int = 24) -> list:
+    """Each point's average secrecy rate in bits/s/Hz from `order` nodes, or
+    the error that stops it (a degenerate endpoint, the order, the window).
 
-    The integrand is erfc_eve * erfc_bob * erfc_relay / 8 * e^y / (1 + e^y).
-    Its log is modelled as -(Lam(y) + Rho(y)), with the falling penalty
-    Lam = eve's one-sided quadratic + (-y)_+ (the logistic factor) and the
-    rising penalty Rho = bob's + relay's one-sided quadratics.  The model's
-    peak y* solves Lam' = -Rho' between piecewise-linear monotone sides: a
-    min over Rho's lines of a max over Lam's lines of their crossings, with
-    the logistic's unit step handled by clipping at 0.  Each edge is where
-    its own side's penalty reaches depth + Lam(y*) + Rho(y*), which contains
-    the model's level set.
+    Substituting y = ln z turns the rate into the integral of
+    erfc_eve * erfc_bob * erfc_relay / 8 * e^y / (1 + e^y) over the real
+    line, an analytic integrand with Gaussian tails.  The trapezoid rule
+    takes `order` equally spaced nodes at the cell midpoints of a window in
+    y that holds the integrand's bulk, found in closed form.  Its log is
+    modelled as -(Lam(y) + Rho(y)), with the falling penalty Lam = eve's
+    one-sided quadratic + (-y)_+ (the logistic factor) and the rising
+    penalty Rho = bob's + relay's one-sided quadratics.  The model's peak y*
+    solves Lam' = -Rho' between piecewise-linear monotone sides: a min over
+    Rho's lines of a max over Lam's lines of their crossings, with the
+    logistic's unit step handled by clipping at 0.  Each edge is where its
+    own side's penalty reaches depth + Lam(y*) + Rho(y*), which contains the
+    model's level set.
+
+    The cells, the depth and the order's error are found once per call.
     """
-    e, b, r = ep.eve, ep.bob, ep.relay
-    pe = e.mu + _TAIL_SHIFT * e.sigma
-    pb = b.mu - _TAIL_SHIFT * b.sigma
-    pr = r.mu - _TAIL_SHIFT * r.sigma
-    we, wb, wr = e.sigma ** -2, b.sigma ** -2, r.sigma ** -2
-    right = wb * pb + wr * pr
-
-    def crossing(k: float) -> float:
-        # root of (pe - y)_+ we + k = (y - pb)_+ wb + (y - pr)_+ wr
-        left = we * pe + k
-        return min(max(pb + k / wb, (left + wb * pb) / (we + wb)),
-                   max(pr + k / wr, (left + wr * pr) / (we + wr)),
-                   max((k + right) / (wb + wr), (left + right) / (we + wb + wr)),
-                   pe if k == 0.0 else math.inf)
-
-    peak = min(crossing(1.0), max(crossing(0.0), 0.0))
-    tau = (depth + 0.5 * (max(pe - peak, 0.0) / e.sigma) ** 2
-           + max(-peak, 0.0) + 0.5 * (max(peak - pb, 0.0) / b.sigma) ** 2
-           + 0.5 * (max(peak - pr, 0.0) / r.sigma) ** 2)
-    # left edge: eve's quadratic + (-y)_+ = tau
-    lo = pe - e.sigma * math.sqrt(2.0 * tau)
-    if lo < 0.0:
-        if pe <= -tau:
-            lo = -tau
-        else:
-            ve = e.sigma * e.sigma
-            lo = pe - ve * (math.sqrt(1.0 + 2.0 * (tau + pe) / ve) - 1.0)
-    return lo, _hinge_root(tau, pb, b.sigma, pr, r.sigma)
+    erfc, exp, sqrt = math.erfc, math.exp, math.sqrt
+    order_error = None
+    try:
+        cells, depth_scale = _trapezoid_cells(order)  # validates the order range
+    except ConfigurationError as exc:
+        order_error = exc
+    else:
+        depth = _RATE_WINDOW_NATS * depth_scale
+    scale = 8.0 * _LN2
+    values = []
+    for ep in endpoints:
+        e, b, r = ep.eve, ep.bob, ep.relay
+        se, sb, sr = e.sigma, b.sigma, r.sigma
+        if sr <= 0.0 or sb <= 0.0 or se <= 0.0:
+            values.append(_degenerate(ep, "avg_secrecy_rate"))
+            continue
+        if order_error:
+            values.append(order_error)
+            continue
+        me, mb, mr = e.mu, b.mu, r.mu
+        pe = me + _TAIL_SHIFT * se
+        pb = mb - _TAIL_SHIFT * sb
+        pr = mr - _TAIL_SHIFT * sr
+        try:
+            we, wb, wr = se ** -2, sb ** -2, sr ** -2
+            right = wb * pb + wr * pr
+            # the crossings: roots of (pe - y)_+ we + k = (y - pb)_+ wb +
+            # (y - pr)_+ wr at k = 1 (the logistic's slope) and k = 0
+            left = we * pe + 1.0
+            above = min(max(pb + 1.0 / wb, (left + wb * pb) / (we + wb)),
+                        max(pr + 1.0 / wr, (left + wr * pr) / (we + wr)),
+                        max((1.0 + right) / (wb + wr), (left + right) / (we + wb + wr)))
+            left = we * pe
+            below = min(max(pb, (left + wb * pb) / (we + wb)),
+                        max(pr, (left + wr * pr) / (we + wr)),
+                        max(right / (wb + wr), (left + right) / (we + wb + wr)), pe)
+            peak = min(above, max(below, 0.0))
+            tau = (depth + 0.5 * (max(pe - peak, 0.0) / se) ** 2
+                   + max(-peak, 0.0) + 0.5 * (max(peak - pb, 0.0) / sb) ** 2
+                   + 0.5 * (max(peak - pr, 0.0) / sr) ** 2)
+            # left edge: eve's quadratic + (-y)_+ = tau
+            lo = pe - se * sqrt(2.0 * tau)
+            if lo < 0.0:
+                if pe <= -tau:
+                    lo = -tau
+                else:
+                    ve = se * se
+                    lo = pe - ve * (sqrt(1.0 + 2.0 * (tau + pe) / ve) - 1.0)
+            hi = _hinge_root(tau, pb, sb, pr, sr)
+        except _EVALUATION_ERRORS as exc:
+            values.append(exc)
+            continue
+        # each factor scaled by its own sigma
+        ce, cb, cr = 1.0 / (_SQRT2 * se), 1.0 / (_SQRT2 * sb), 1.0 / (_SQRT2 * sr)
+        width = hi - lo
+        total = 0.0
+        for c in cells:
+            y = lo + width * c
+            if y >= 0.0:  # the logistic factor e^y / (1 + e^y), without overflow
+                logistic = 1.0 / (1.0 + exp(-y))
+            else:
+                ey = exp(y)
+                logistic = ey / (1.0 + ey)
+            total += (erfc((me - y) * ce) * erfc((y - mb) * cb)
+                      * erfc((y - mr) * cr) * logistic)
+        values.append(width / order * total / scale)
+    return values
 
 
 def avg_secrecy_rate(ep: Endpoints, order: int = 24) -> MetricResult:
     """Average secrecy rate in bits/s/Hz from `order` quadrature nodes.
 
-    Substituting y = ln z turns the rate into the integral of
-    erfc_eve * erfc_bob * erfc_relay / 8 * e^y / (1 + e^y) over the real
-    line, an analytic integrand with Gaussian tails.  The trapezoid rule
-    takes `order` equally spaced nodes at the cell midpoints of the window
-    from _rate_window.
+    The log-domain trapezoid rule of _rate_grid, at one point.
     """
-    _require_random(ep, "avg_secrecy_rate")
-    cells, depth_scale = _trapezoid_cells(order)  # validates the order range
-    lo, hi = _rate_window(ep, _RATE_WINDOW_NATS * depth_scale)
-    me, mb, mr = ep.eve.mu, ep.bob.mu, ep.relay.mu
-    # each factor scaled by its own sigma
-    ce, cb, cr = (1.0 / (_SQRT2 * x.sigma) for x in (ep.eve, ep.bob, ep.relay))
-    total = 0.0
-    for c in cells:
-        y = lo + (hi - lo) * c
-        if y >= 0.0:  # the logistic factor e^y / (1 + e^y), without overflow
-            logistic = 1.0 / (1.0 + math.exp(-y))
-        else:
-            ey = math.exp(y)
-            logistic = ey / (1.0 + ey)
-        total += (math.erfc((me - y) * ce) * math.erfc((y - mb) * cb)
-                  * math.erfc((y - mr) * cr) * logistic)
-    value = (hi - lo) / order * total / (8.0 * _LN2)
+    (value,) = _rate_grid((ep,), order)
+    if isinstance(value, Exception):
+        raise value
     return MetricResult(value=value)
 
 
@@ -416,7 +455,9 @@ def avg_secrecy_rate_reference(ep: Endpoints,
     e^m.  Breakpoints sit at the three means and at 0.  Below y = -709,
     where exp(-y) would overflow, the logistic factor is taken as e^y.
     """
-    _require_random(ep, "avg_secrecy_rate_reference")
+    error = _degenerate(ep, "avg_secrecy_rate_reference")
+    if error:
+        raise error
     e, b, r = ep.eve, ep.bob, ep.relay
     means = me, mb, mr = e.mu, b.mu, r.mu
     # each factor scaled by its own sigma
@@ -467,83 +508,131 @@ def _debug(*args) -> None:
     logging.getLogger(__name__).debug(*args)
 
 
-def _log_threshold(rs_target: float, eve_mu: float) -> tuple[float, float]:
-    """floor and offset of the outage's log rate threshold.
+def _log_threshold(rs_target: float) -> tuple[float, float]:
+    """The floor ln(2^rs - 1) of the outage's log rate threshold, and rs ln 2.
 
-    ln((2^rs - 1) + 2^rs e^(mu_e + sigma_e v)) = logaddexp(floor, offset +
-    sigma_e v), found without forming 2^rs, which overflows for rs above 1024.
+    ln((2^rs - 1) + 2^rs e^(mu_e + sigma_e v)) = logaddexp(floor, rs ln 2 +
+    mu_e + sigma_e v), found without forming 2^rs, which overflows for rs
+    above 1024.
     """
     if not (rs_target > 0.0 and math.isfinite(rs_target)):
         raise ValueError(f"rs_target must be positive, got {rs_target!r}")
     rs_nats = rs_target * _LN2
-    return rs_nats + math.log(-math.expm1(-rs_nats)), rs_nats + eve_mu
+    return rs_nats + math.log(-math.expm1(-rs_nats)), rs_nats
 
 
-def _outage_window(ep: Endpoints, floor: float, offset: float,
-                   depth: float) -> tuple[float, float]:
-    """Window in the standard-normal eavesdropper variable v, in closed form.
-
-    The integrand is phi(v) * erfc_bob(t) * erfc_relay(t) / 4 at the log
-    threshold t(v) = ln(2^rs (1 + e^(mu_e + sigma_e v)) - 1), which is
-    logaddexp(floor, offset + sigma_e v) with floor = ln(2^rs - 1) and
-    offset = rs ln 2 + mu_e, modelled as max(floor, offset + sigma_e v).
-    The log-integrand is then -(v^2/2 + Rt(v)) with Rt the survival
-    factors' one-sided quadratics in t, flat below v0 = (floor - offset) /
-    sigma_e.  The peak v* solves v = -Rt'(v) as in _rate_window; the left
-    edge is where v^2/2 reaches the depth plus the peak's penalty less Rt's
-    flat part, the right edge the nearer of where v^2/2 or Rt alone reaches
-    depth plus penalty.
-    """
-    e, b, r = ep.eve, ep.bob, ep.relay
-    pb = b.mu - _TAIL_SHIFT * b.sigma
-    pr = r.mu - _TAIL_SHIFT * r.sigma
-
-    def penalty(t: float) -> float:
-        return (0.5 * (max(t - pb, 0.0) / b.sigma) ** 2
-                + 0.5 * (max(t - pr, 0.0) / r.sigma) ** 2)
-
-    # Rt'(v) = sb (v - qb)_+ + sr (v - qr)_+ above v0
-    sb, sr = (e.sigma / b.sigma) ** 2, (e.sigma / r.sigma) ** 2
-    qb, qr = (pb - offset) / e.sigma, (pr - offset) / e.sigma
-    root = min(0.0, sb * qb / (1.0 + sb), sr * qr / (1.0 + sr),
-               (sb * qb + sr * qr) / (1.0 + sb + sr))
-    peak = min(0.0, max(root, (floor - offset) / e.sigma))
-    tau = (depth + 0.5 * peak * peak
-           + penalty(max(floor, offset + e.sigma * peak)))
-    lo = -math.sqrt(2.0 * (tau - penalty(floor)))
-    hi = min(math.sqrt(2.0 * tau),
-             (_hinge_root(tau, pb, b.sigma, pr, r.sigma) - offset) / e.sigma)
-    return lo, hi
-
-
-def secrecy_outage(ep: Endpoints, rs_target: float, order: int = 24) -> MetricResult:
-    """Secrecy outage probability for a target rate from `order` nodes.
+def _outage_grid(endpoints: Sequence[Endpoints], rs_targets: Sequence[float],
+                 order: int = 24) -> list[list]:
+    """Each point's secrecy outage probability at each target rate from
+    `order` nodes, or the error that stops it: per point, one entry per
+    target.  A point's errors come in the order degenerate endpoint, target,
+    order, window.
 
     The outage is 1 - E[survival of the end-to-end SNR at the rate
     threshold 2^rs (1 + z) - 1], the expectation taken over the
     eavesdropper SNR z = exp(mu_e + sigma_e v) with v standard normal.  The
     trapezoid rule in v takes `order` equally spaced nodes at the cell
-    midpoints of the window from _outage_window.
+    midpoints of a window found in closed form.  The integrand is phi(v) *
+    erfc_bob(t) * erfc_relay(t) / 4 at the log threshold t(v) = ln(2^rs (1
+    + e^(mu_e + sigma_e v)) - 1), which is logaddexp(floor, offset + sigma_e
+    v) with floor = ln(2^rs - 1) and offset = rs ln 2 + mu_e, modelled as
+    max(floor, offset + sigma_e v).  The log-integrand is then -(v^2/2 +
+    Rt(v)) with Rt the survival factors' one-sided quadratics in t, flat
+    below v0 = (floor - offset) / sigma_e.  The peak v* solves v = -Rt'(v)
+    as the rate's window peak does; the left edge is where v^2/2 reaches
+    the depth plus the peak's penalty less Rt's flat part, the right edge
+    the nearer of where v^2/2 or Rt alone reaches depth plus penalty.
+
+    Each target's threshold, and the cells, depth and order's error, are
+    found once per call; a point's factors and window terms once for all
+    its targets.
     """
-    _require_random(ep, "secrecy_outage")
-    floor, offset = _log_threshold(rs_target, ep.eve.mu)
-    cells, depth_scale = _trapezoid_cells(order)  # validates the order range
-    lo, hi = _outage_window(ep, floor, offset, _OUTAGE_WINDOW_NATS * depth_scale)
-    se = ep.eve.sigma
-    mb, cb = ep.bob.mu, 1.0 / (_SQRT2 * ep.bob.sigma)
-    mr, cr = ep.relay.mu, 1.0 / (_SQRT2 * ep.relay.sigma)
-    total = 0.0
-    for c in cells:
-        v = lo + (hi - lo) * c
-        x = offset + se * v
-        # logaddexp(floor, x)
-        lt = (x + math.log1p(math.exp(floor - x)) if x > floor
-              else floor + math.log1p(math.exp(x - floor)))
-        total += (math.erfc((lt - mb) * cb) * math.erfc((lt - mr) * cr)
-                  * math.exp(-0.5 * v * v))
-    integral = (hi - lo) / order * total
-    value = 1.0 - integral / (4.0 * _SQRT_2PI)
-    return MetricResult(value=_clamp_unit(value, "secrecy_outage"))
+    erfc, exp, log1p, sqrt = math.erfc, math.exp, math.log1p, math.sqrt
+    thresholds = []
+    for rs in rs_targets:
+        try:
+            thresholds.append(_log_threshold(rs))
+        except ValueError as exc:
+            thresholds.append(exc)
+    order_error = None
+    try:
+        cells, depth_scale = _trapezoid_cells(order)  # validates the order range
+    except ConfigurationError as exc:
+        order_error = exc
+    else:
+        depth = _OUTAGE_WINDOW_NATS * depth_scale
+    scale = 4.0 * _SQRT_2PI
+    grid = []
+    for ep in endpoints:
+        e, b, r = ep.eve, ep.bob, ep.relay
+        se, sb, sr = e.sigma, b.sigma, r.sigma
+        if sr <= 0.0 or sb <= 0.0 or se <= 0.0:
+            grid.append([_degenerate(ep, "secrecy_outage")] * len(thresholds))
+            continue
+        mb, mr = b.mu, r.mu
+        pb = mb - _TAIL_SHIFT * sb
+        pr = mr - _TAIL_SHIFT * sr
+        point_error = None
+        try:
+            # Rt'(v) = kb (v - qb)_+ + kr (v - qr)_+ above v0
+            kb, kr = (se / sb) ** 2, (se / sr) ** 2
+        except _EVALUATION_ERRORS as exc:
+            point_error = exc
+        else:
+            kb1, kr1, kbr1 = 1.0 + kb, 1.0 + kr, 1.0 + kb + kr
+        cb, cr = 1.0 / (_SQRT2 * sb), 1.0 / (_SQRT2 * sr)
+        row = []
+        for threshold in thresholds:
+            error = (threshold if isinstance(threshold, Exception)
+                     else order_error or point_error)
+            if error:
+                row.append(error)
+                continue
+            floor, rs_nats = threshold
+            offset = rs_nats + e.mu
+            try:
+                qb, qr = (pb - offset) / se, (pr - offset) / se
+                root = min(0.0, kb * qb / kb1, kr * qr / kr1,
+                           (kb * qb + kr * qr) / kbr1)
+                peak = min(0.0, max(root, (floor - offset) / se))
+                # Rt at the peak's threshold, then at the floor
+                t = max(floor, offset + se * peak)
+                tau = (depth + 0.5 * peak * peak
+                       + (0.5 * (max(t - pb, 0.0) / sb) ** 2
+                          + 0.5 * (max(t - pr, 0.0) / sr) ** 2))
+                lo = -sqrt(2.0 * (tau - (0.5 * (max(floor - pb, 0.0) / sb) ** 2
+                                         + 0.5 * (max(floor - pr, 0.0) / sr) ** 2)))
+                hi = min(sqrt(2.0 * tau),
+                         (_hinge_root(tau, pb, sb, pr, sr) - offset) / se)
+            except _EVALUATION_ERRORS as exc:
+                row.append(exc)
+                continue
+            width = hi - lo
+            total = 0.0
+            for c in cells:
+                v = lo + width * c
+                x = offset + se * v
+                # logaddexp(floor, x)
+                lt = (x + log1p(exp(floor - x)) if x > floor
+                      else floor + log1p(exp(x - floor)))
+                total += (erfc((lt - mb) * cb) * erfc((lt - mr) * cr)
+                          * exp(-0.5 * v * v))
+            integral = width / order * total
+            row.append(_clamp_unit(1.0 - integral / scale, "secrecy_outage"))
+        grid.append(row)
+    return grid
+
+
+def secrecy_outage(ep: Endpoints, rs_target: float, order: int = 24) -> MetricResult:
+    """Secrecy outage probability for a target rate from `order` nodes.
+
+    The trapezoid rule in the eavesdropper's standard-normal variable of
+    _outage_grid, at one point and target.
+    """
+    ((value,),) = _outage_grid((ep,), (rs_target,), order)
+    if isinstance(value, Exception):
+        raise value
+    return MetricResult(value=value)
 
 
 def secrecy_outage_reference(ep: Endpoints, rs_target: float,
@@ -563,8 +652,11 @@ def secrecy_outage_reference(ep: Endpoints, rs_target: float,
     max(floor, offset) <= t(v) for v >= 0; otherwise it ends at 40, beyond
     which phi(v) underflows.
     """
-    _require_random(ep, "secrecy_outage_reference")
-    floor, offset = _log_threshold(rs_target, ep.eve.mu)
+    error = _degenerate(ep, "secrecy_outage_reference")
+    if error:
+        raise error
+    floor, rs_nats = _log_threshold(rs_target)
+    offset = rs_nats + ep.eve.mu
     se = ep.eve.sigma
     mb, cb = ep.bob.mu, 1.0 / (_SQRT2 * ep.bob.sigma)
     mr, cr = ep.relay.mu, 1.0 / (_SQRT2 * ep.relay.sigma)

@@ -3,14 +3,17 @@
 A sweep runs in stages: the grid of (power, delta, N_E) points of the base
 network; one grid fit (``channel._grid_endpoints``), made when ``analytic``
 or ``mc-ln`` asks for it and shared by both; each method as one task over
-all the points, which any number of worker threads may share; the rows, in
-sorted key order, so the output is byte-identical regardless of
-parallelism.  The grid fit fits each distinct link once; every endpoint is
-bit-identical to the point's own ``endpoints_for``.  A Monte-Carlo row's
-``seed`` column holds the base seed: its value depends only on its own
-(power, delta, N_E), the seed and the sample count, so adding or removing
-grid values leaves every other row unchanged, and a one-point sweep
-rebuilds any row.  Each row's standard error is valid on its own, but the
+all the points, which any number of worker threads may share (the analytic
+task is one ``metrics._rate_grid`` and one ``metrics._outage_grid`` call
+over the points whose fit stands); the rows, in sorted key order, so the
+output is byte-identical regardless of parallelism.  The grid fit fits each
+distinct link once; every endpoint is bit-identical to the point's own
+``endpoints_for``, and every analytic value to the point's own
+``avg_secrecy_rate`` or ``secrecy_outage``.  A Monte-Carlo row's ``seed``
+column holds the base seed: its value depends only on its own (power,
+delta, N_E), the seed and the sample count, so adding or removing grid
+values leaves every other row unchanged, and a one-point sweep rebuilds
+any row.  Each row's standard error is valid on its own, but the
 Monte-Carlo rows of one sweep are correlated.  A point's rows share one
 sample set (Monte-Carlo) or its endpoints (analytic).
 """
@@ -22,10 +25,12 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .config import _MAX_ROWS, RunConfig
-from .errors import _EVALUATION_ERRORS, ConfigurationError
+from .errors import ConfigurationError
 from .channel import EveComposite, SystemConfig, _grid_endpoints
 from .channel import endpoints_for  # noqa: F401 -- the benchmark's tracer wraps it here
-from .metrics import avg_secrecy_rate, secrecy_outage
+from .metrics import _outage_grid, _rate_grid
+# the benchmark's tracer wraps these two here
+from .metrics import avg_secrecy_rate, secrecy_outage  # noqa: F401
 from .montecarlo import _grid_estimates
 
 __all__ = ["SweepSpec", "SweepRow", "run_sweep", "preset_run_config",
@@ -89,25 +94,27 @@ class SweepRow:
                 self.metric, self.method)
 
     def to_csv(self) -> str:
-        def num(v):
-            return "" if v is None else repr(float(v))
-
-        def integer(v):
-            return "" if v is None else str(int(v))
-
         return ",".join([
             repr(float(self.power_dbm)),
             repr(float(self.delta_db)),
             str(self.n_eve),
-            num(self.rs_target),
+            _num(self.rs_target),
             self.metric,
             self.method,
-            num(self.value),
-            num(self.std_error),
-            integer(self.n_samples),
-            integer(self.seed),
+            _num(self.value),
+            _num(self.std_error),
+            _integer(self.n_samples),
+            _integer(self.seed),
             self.status,
         ])
+
+
+def _num(v) -> str:
+    return "" if v is None else repr(float(v))
+
+
+def _integer(v) -> str:
+    return "" if v is None else str(int(v))
 
 
 def _row_keys(spec: SweepSpec) -> list[tuple[str, Optional[float]]]:
@@ -127,21 +134,27 @@ def _flagged(spec: SweepSpec, point: tuple[float, float, int], method: str,
 
 def _analytic_rows(spec: SweepSpec, points: Sequence[tuple[float, float, int]],
                    fits: Sequence) -> list[SweepRow]:
-    """Every grid point's analytic rows, from the grid's fit."""
+    """Every grid point's analytic rows: one rate grid and one outage grid
+    over the points whose fit stands."""
+    live = [ep for ep in fits if not isinstance(ep, Exception)]
+    rates = iter(_rate_grid(live)) if "rate" in spec.metrics else None
+    outages = (iter(_outage_grid(live, spec.base.rs_grid))
+               if "outage" in spec.metrics else None)
+    keys = _row_keys(spec)
     rows = []
     for point, ep in zip(points, fits):
         if isinstance(ep, Exception):
             rows += _flagged(spec, point, "analytic", ep)
             continue
-        for metric, rs in _row_keys(spec):
-            value, status = None, "ok"
-            try:
-                value = (avg_secrecy_rate(ep) if rs is None
-                         else secrecy_outage(ep, rs)).value
-            except _EVALUATION_ERRORS as exc:
-                status = _err(exc)
-            rows.append(SweepRow(*point, rs, metric, "analytic", value,
-                                 None, None, None, status))
+        values = (([next(rates)] if rates else [])
+                  + (next(outages) if outages else []))
+        for (metric, rs), value in zip(keys, values):
+            if isinstance(value, Exception):
+                rows.append(SweepRow(*point, rs, metric, "analytic", None,
+                                     None, None, None, _err(value)))
+            else:
+                rows.append(SweepRow(*point, rs, metric, "analytic", value,
+                                     None, None, None, "ok"))
     return rows
 
 

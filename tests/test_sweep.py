@@ -330,21 +330,28 @@ def test_a_mc_sweep_builds_no_network_per_point(monkeypatch, method, networks):
 
 
 def test_an_analytic_sweep_is_one_task(monkeypatch):
-    # one grid call evaluates every analytic point, so a pool of four runs
-    # them all on one thread; the sleep gives the other threads time to
-    # take a task, were there one
+    # one grid call per metric evaluates every analytic point, so a pool of
+    # four runs them all on one thread; the sleep gives the other threads
+    # time to take a task, were there one
     threads = set()
-    rate = sweep.avg_secrecy_rate
+    calls = []
 
-    def on_its_thread(ep):
-        threads.add(threading.get_ident())
-        time.sleep(0.001)
-        return rate(ep)
+    def on_its_thread(name):
+        grid = getattr(sweep, name)
 
-    monkeypatch.setattr(sweep, "avg_secrecy_rate", on_its_thread)
-    spec = SweepSpec(base=preset_run_config("paper-fig2"), metrics=("rate",),
-                     methods=("analytic",))
-    assert len(sweep_rows(spec, workers=4)) == 126
+        def wrapped(endpoints, *args):
+            threads.add(threading.get_ident())
+            calls.append((name, len(endpoints)))
+            time.sleep(0.001)
+            return grid(endpoints, *args)
+        monkeypatch.setattr(sweep, name, wrapped)
+
+    on_its_thread("_rate_grid")
+    on_its_thread("_outage_grid")
+    spec = SweepSpec(base=preset_run_config("paper-fig2"),
+                     metrics=("rate", "outage"), methods=("analytic",))
+    assert len(sweep_rows(spec, workers=4)) == 126 * 3
+    assert calls == [("_rate_grid", 126), ("_outage_grid", 126)]
     assert len(threads) == 1
 
 
