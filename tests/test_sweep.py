@@ -368,6 +368,29 @@ def test_endpoint_failure_flags_every_row(monkeypatch):
     assert all(r.value is None for r in rows)
 
 
+def test_a_degenerate_point_flags_its_analytic_rows(monkeypatch):
+    # a zero sigma stops the point's rate and outages; each row names the
+    # estimator and the endpoint, and the other points are untouched
+    fit = sweep._grid_endpoints
+
+    def relay_fixed_at_first_point(network, points):
+        fits = fit(network, points)
+        return [replace(fits[0], relay=LogNormal(1.0, 0.0))] + fits[1:]
+
+    monkeypatch.setattr(sweep, "_grid_endpoints", relay_fixed_at_first_point)
+    spec = SweepSpec(base=small_run_config(rs_grid=(1.0, 2.0)),
+                     metrics=("rate", "outage"), methods=("analytic",))
+    rows = sweep_rows(spec)
+    first = (30.0, -90.0, 2)
+    flagged = [(r.metric, r.value, r.status) for r in rows
+               if (r.power_dbm, r.delta_db, r.n_eve) == first]
+    degenerate = "requires non-degenerate endpoints; relay has sigma = 0"
+    assert flagged == [("rate", None, f"error: avg_secrecy_rate {degenerate}"),
+                       ("outage", None, f"error: secrecy_outage {degenerate}"),
+                       ("outage", None, f"error: secrecy_outage {degenerate}")]
+    assert sum(r.status == "ok" for r in rows) == 5 * 3
+
+
 @pytest.mark.parametrize("method", ["analytic", "mc-ln"])
 def test_underflowing_eve_fold_flags_its_rows(method):
     # a direct Eve at -370 nats: her fold's variance is subnormal, which
