@@ -19,8 +19,8 @@ from paper_forms import cdf_form_rate, paper_outage, paper_rate
 from test_acceptance import RS_GRID, grid_endpoints
 from secrelay import (ConfigurationError, Endpoints, LogNormal, MetricResult,
                       SystemConfig, avg_secrecy_rate, avg_secrecy_rate_reference,
-                      endpoints_for, metrics, min_snr_cdf, preset_run_config,
-                      secrecy_outage, secrecy_outage_reference)
+                      endpoints_for, metrics, min_snr_cdf, parse_config_text,
+                      preset_run_config, secrecy_outage, secrecy_outage_reference)
 
 SANITY_EP = endpoints_for(SystemConfig())
 # adaptive reference at 1e-10, cross-checked against a 1e8-sample MC run
@@ -28,6 +28,19 @@ SANITY_RATE_REF = 0.0953595148240607
 SANITY_OUTAGE_RS2_REF = 0.9831468752899254
 # sha256 of the repr of the 126 paper-fig2 reference rates and 252 outages
 FIG2_REFERENCE_SHA256 = "dfc7ac36afd02ca0a8b8a060d17dfe452273d242ffa11afc66a4eb894b698e97"
+
+
+# a network whose endpoints are far narrower than the K = 24 rate window's
+# node spacing: no shadowing, a direct Eve of sigma 0.1, one grid point
+NARROW_NETWORK = """shadow_sd_db = 0
+power_dbm = 40
+delta_db = -80
+n_eve = 2
+eve_mode = direct
+eve_mu = -20
+eve_sigma = 0.1
+rs_target = 0.5
+"""
 
 
 def make_ep(mr, sr, mb, sb, me, se):
@@ -290,6 +303,18 @@ class TestSecrecyOutage:
 
 class TestRules:
     """The log-domain trapezoid rule against the paper's forms."""
+
+    @pytest.mark.xfail(strict=True, reason="K = 24 nodes spaced wider than the "
+                       "endpoints' sigmas give a quietly wrong rate (ROADMAP item 6)")
+    @pytest.mark.parametrize("m", [200.0, 1000.0])
+    def test_rate_on_endpoints_narrower_than_the_node_spacing(self, m):
+        # measured: 0.26618 against 0.27476 at m = 200 (mc-ln reads 0.27478
+        # +- 2.6e-5), 0.31600 against 0.27484 at m = 1000; the window is 14.6
+        # and 24.2 sigma_min per node
+        cfg = parse_config_text(f"nakagami_m = {m}\n{NARROW_NETWORK}")
+        ep = endpoints_for(cfg.network)
+        ref = avg_secrecy_rate_reference(ep, 1e-9).value
+        assert avg_secrecy_rate(ep).value == pytest.approx(ref, rel=1e-6)
 
     def test_trapezoid_converges_with_order(self):
         errors = [abs(avg_secrecy_rate(SANITY_EP, k).value - SANITY_RATE_REF)
