@@ -337,7 +337,8 @@ def _hinge_root(tau: float, p1: float, s1: float, p2: float, s2: float) -> float
     return min(p1 + s1 * r, p2 + s2 * r)
 
 
-def _rate_grid(endpoints: Sequence[Endpoints], order: int = 24) -> list:
+def _rate_grid(endpoints: Sequence[Endpoints],
+               order: int = 24) -> list[float | Exception]:
     """Each point's average secrecy rate in bits/s/Hz from `order` nodes, or
     the error that stops it (a degenerate endpoint, the order, the window).
 
@@ -365,7 +366,6 @@ def _rate_grid(endpoints: Sequence[Endpoints], order: int = 24) -> list:
         order_error = exc
     else:
         depth = _RATE_WINDOW_NATS * depth_scale
-    scale = 8.0 * _LN2
     values = []
     for ep in endpoints:
         e, b, r = ep.eve, ep.bob, ep.relay
@@ -422,7 +422,7 @@ def _rate_grid(endpoints: Sequence[Endpoints], order: int = 24) -> list:
                 logistic = ey / (1.0 + ey)
             total += (erfc((me - y) * ce) * erfc((y - mb) * cb)
                       * erfc((y - mr) * cr) * logistic)
-        values.append(width / order * total / scale)
+        values.append(width / order * total / (8.0 * _LN2))
     return values
 
 
@@ -522,7 +522,7 @@ def _log_threshold(rs_target: float) -> tuple[float, float]:
 
 
 def _outage_grid(endpoints: Sequence[Endpoints], rs_targets: Sequence[float],
-                 order: int = 24) -> list[list]:
+                 order: int = 24) -> list[list[float | Exception]]:
     """Each point's secrecy outage probability at each target rate from
     `order` nodes, or the error that stops it: per point, one entry per
     target.  A point's errors come in the order degenerate endpoint, target,
@@ -561,7 +561,6 @@ def _outage_grid(endpoints: Sequence[Endpoints], rs_targets: Sequence[float],
         order_error = exc
     else:
         depth = _OUTAGE_WINDOW_NATS * depth_scale
-    scale = 4.0 * _SQRT_2PI
     grid = []
     for ep in endpoints:
         e, b, r = ep.eve, ep.bob, ep.relay
@@ -618,7 +617,8 @@ def _outage_grid(endpoints: Sequence[Endpoints], rs_targets: Sequence[float],
                 total += (erfc((lt - mb) * cb) * erfc((lt - mr) * cr)
                           * exp(-0.5 * v * v))
             integral = width / order * total
-            row.append(_clamp_unit(1.0 - integral / scale, "secrecy_outage"))
+            value = 1.0 - integral / (4.0 * _SQRT_2PI)
+            row.append(_clamp_unit(value, "secrecy_outage"))
         grid.append(row)
     return grid
 

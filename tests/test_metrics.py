@@ -199,29 +199,28 @@ class TestAvgSecrecyRate:
         b = avg_secrecy_rate_reference(ep, 1e-11).value
         assert b == pytest.approx(a, rel=1e-10)
 
-    @pytest.mark.parametrize("zero, named", [(("relay", "bob", "eve"), "relay"),
-                                             (("bob", "eve"), "bob"),
-                                             (("eve",), "eve")])
-    def test_degenerate_endpoint_rejected(self, zero, named):
+    def test_degenerate_endpoint_rejected(self):
         # every route names the first zero sigma of relay, bob and eve, and
-        # checks it before the order and the target
-        ep = replace(SANITY_EP, **{f: LogNormal(1.0, 0.0) for f in zero})
-        calls = {"avg_secrecy_rate": [lambda: avg_secrecy_rate(ep, 24),
-                                      lambda: avg_secrecy_rate(ep, 0)],
-                 "avg_secrecy_rate_reference": [
-                     lambda: avg_secrecy_rate_reference(ep, 1e-9)],
-                 "secrecy_outage": [lambda: secrecy_outage(ep, 2.0, 24),
-                                    lambda: secrecy_outage(ep, 0.0, 24),
-                                    lambda: secrecy_outage(ep, -1.0, 129)],
-                 "secrecy_outage_reference": [
-                     lambda: secrecy_outage_reference(ep, 2.0),
-                     lambda: secrecy_outage_reference(ep, math.nan)]}
-        for who, tries in calls.items():
-            for call in tries:
-                with pytest.raises(ValueError) as exc:
-                    call()
-                assert str(exc.value) == (f"{who} requires non-degenerate "
-                                          f"endpoints; {named} has sigma = 0")
+        # checks it before the target and the order
+        for zero, named in ((("relay", "bob", "eve"), "relay"),
+                            (("bob", "eve"), "bob"), (("eve",), "eve")):
+            ep = replace(SANITY_EP, **{f: LogNormal(1.0, 0.0) for f in zero})
+            calls = {"avg_secrecy_rate": [lambda: avg_secrecy_rate(ep, 24),
+                                          lambda: avg_secrecy_rate(ep, 0)],
+                     "avg_secrecy_rate_reference": [
+                         lambda: avg_secrecy_rate_reference(ep, 1e-9)],
+                     "secrecy_outage": [lambda: secrecy_outage(ep, 2.0, 24),
+                                        lambda: secrecy_outage(ep, 0.0, 24),
+                                        lambda: secrecy_outage(ep, -1.0, 129)],
+                     "secrecy_outage_reference": [
+                         lambda: secrecy_outage_reference(ep, 2.0),
+                         lambda: secrecy_outage_reference(ep, math.nan)]}
+            for who, tries in calls.items():
+                for call in tries:
+                    with pytest.raises(ValueError) as exc:
+                        call()
+                    assert str(exc.value) == (f"{who} requires non-degenerate "
+                                              f"endpoints; {named} has sigma = 0")
 
     def test_iid_endpoints_have_positive_rate(self):
         ep = make_ep(0.5, 1.0, 0.5, 1.0, 0.5, 1.0)
@@ -274,15 +273,15 @@ class TestSecrecyOutage:
             v = secrecy_outage(SANITY_EP, rs, 24).value
             assert 0.0 <= v <= 1.0
 
-    @pytest.mark.parametrize("rs", [0.0, -1.0, -0.0, math.nan, math.inf])
-    def test_rs_domain(self, rs):
+    def test_rs_domain(self):
         # the target is checked before the order
-        for call in (lambda: secrecy_outage(SANITY_EP, rs, 24),
-                     lambda: secrecy_outage(SANITY_EP, rs, 0),
-                     lambda: secrecy_outage_reference(SANITY_EP, rs)):
-            with pytest.raises(ValueError) as exc:
-                call()
-            assert str(exc.value) == f"rs_target must be positive, got {rs!r}"
+        for rs in (0.0, -1.0, -0.0, math.nan, math.inf):
+            for call in (lambda: secrecy_outage(SANITY_EP, rs, 24),
+                         lambda: secrecy_outage(SANITY_EP, rs, 0),
+                         lambda: secrecy_outage_reference(SANITY_EP, rs)):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == f"rs_target must be positive, got {rs!r}"
 
     def test_small_target_no_eavesdropper(self):
         ep = make_ep(2.0, 1.0, 1.0, 1.0, -30.0, 0.1)
@@ -345,10 +344,11 @@ class TestRules:
         assert 0.0 <= out <= 1.0
 
     @pytest.mark.parametrize("order, message", [
-        (0, "quadrature order must be in [1, 128], got 0"),
-        (129, "quadrature order must be in [1, 128], got 129"),
-        (2.0, "quadrature order must be an integer, got 2.0"),
-        (True, "quadrature order must be an integer, got True")])
+        pytest.param(0, "quadrature order must be in [1, 128], got 0", id="0"),
+        pytest.param(129, "quadrature order must be in [1, 128], got 129", id="129"),
+        pytest.param(2.0, "quadrature order must be an integer, got 2.0", id="2.0"),
+        pytest.param(True, "quadrature order must be an integer, got True",
+                     id="True")])
     def test_order_range_enforced(self, order, message):
         for call in (lambda: avg_secrecy_rate(SANITY_EP, order),
                      lambda: secrecy_outage(SANITY_EP, 2.0, order)):
