@@ -5,6 +5,11 @@ form and an adaptive-integration reference used as ground truth.  The
 end-to-end SNR is min(relay SINR, Bob SNR); its CDF has a closed
 erfc-product form because both inputs are log-normal.
 
+Each metric is one integral whose integrand is written once, in
+``_rate_integrand`` and ``_survival``, with ``math.erfc``, ``exp`` and
+``log1p``: both routes evaluate it, each over its own window, and neither
+needs numpy or scipy.
+
 The estimator is a trapezoid rule: it places K = order equally spaced
 nodes in the log domain -- y = ln z for the rate, the standard-normal
 eavesdropper variable for the outage -- over a window where the
@@ -26,11 +31,11 @@ one-point calls and raise that error.
 The references integrate in the same y and v domains, adaptively, with
 breakpoints at the endpoint means (mapped to v for the outage), at 0, at
 the outage threshold's floor kink and, for the outage, where the normal
-weight of v has fallen by e^-4.5, e^-24.5 and e^-98.  The rate reference
-integrates the closed erfc product, which holds no cancelling difference,
-so it meets its relative tolerance on vanishing rates too.  Both references
-accept a relative tolerance in [1e-12, 1e-4], and one that cannot meet it
-raises AccuracyError.
+weight of v has fallen by e^-4.5, e^-24.5 and e^-98.  The rate's erfc
+product holds no cancelling difference, so its reference meets its
+relative tolerance on vanishing rates too.  Both references accept a
+relative tolerance in [1e-12, 1e-4], and one that cannot meet it raises
+AccuracyError.
 
 Their integrator, ``adaptive_integrate``, ports QUADPACK (Piessens et al.,
 1983): the qk21 21-point Gauss-Kronrod rule and its error estimate, qagpe's
@@ -40,9 +45,6 @@ extrapolation is left out, because the integrands are smooth.  Its
 integrand takes all 21 nodes of a panel in one call and returns their
 values, so the loop over the nodes runs inside the integrand, and qk21's
 sums are unrolled in QUADPACK's order, so they round as its loop does.
-
-The estimators and the references loop with ``math.erfc``, ``exp`` and
-``log1p``, so neither route needs numpy or scipy.
 """
 from __future__ import annotations
 
@@ -337,28 +339,46 @@ def _hinge_root(tau: float, p1: float, s1: float, p2: float, s2: float) -> float
     return min(p1 + s1 * r, p2 + s2 * r)
 
 
+def _rate_integrand(ep: Endpoints, ys: Sequence[float]) -> list[float]:
+    """8 ln 2 times the rate's integrand at each node y = ln z: erfc_eve *
+    erfc_bob * erfc_relay * e^y / (1 + e^y), the logistic without overflow."""
+    erfc, exp = math.erfc, math.exp
+    me, ce = ep.eve.mu, 1.0 / (_SQRT2 * ep.eve.sigma)
+    mb, cb = ep.bob.mu, 1.0 / (_SQRT2 * ep.bob.sigma)
+    mr, cr = ep.relay.mu, 1.0 / (_SQRT2 * ep.relay.sigma)
+    values = []
+    for y in ys:
+        if y >= 0.0:
+            logistic = 1.0 / (1.0 + exp(-y))
+        else:
+            ey = exp(y)
+            logistic = ey / (1.0 + ey)
+        values.append(erfc((me - y) * ce) * erfc((y - mb) * cb)
+                      * erfc((y - mr) * cr) * logistic)
+    return values
+
+
 def _rate_grid(endpoints: Sequence[Endpoints],
                order: int = 24) -> list[float | Exception]:
     """Each point's average secrecy rate in bits/s/Hz from `order` nodes, or
     the error that stops it (a degenerate endpoint, the order, the window).
 
     Substituting y = ln z turns the rate into the integral of
-    erfc_eve * erfc_bob * erfc_relay / 8 * e^y / (1 + e^y) over the real
-    line, an analytic integrand with Gaussian tails.  The trapezoid rule
-    takes `order` equally spaced nodes at the cell midpoints of a window in
-    y that holds the integrand's bulk, found in closed form.  Its log is
-    modelled as -(Lam(y) + Rho(y)), with the falling penalty Lam = eve's
-    one-sided quadratic + (-y)_+ (the logistic factor) and the rising
-    penalty Rho = bob's + relay's one-sided quadratics.  The model's peak y*
-    solves Lam' = -Rho' between piecewise-linear monotone sides: a min over
-    Rho's lines of a max over Lam's lines of their crossings, with the
-    logistic's unit step handled by clipping at 0.  Each edge is where its
-    own side's penalty reaches depth + Lam(y*) + Rho(y*), which contains the
-    model's level set.
+    ``_rate_integrand`` / (8 ln 2) over the real line, an analytic integrand
+    with Gaussian tails.  The trapezoid rule sums it at `order` equally
+    spaced nodes, the cell midpoints of a window in y that holds the
+    integrand's bulk, found in closed form.  Its log is modelled as -(Lam(y)
+    + Rho(y)), with the falling penalty Lam = eve's one-sided quadratic +
+    (-y)_+ (the logistic factor) and the rising penalty Rho = bob's +
+    relay's one-sided quadratics.  The model's peak y* solves Lam' = -Rho'
+    between piecewise-linear monotone sides: a min over Rho's lines of a
+    max over Lam's lines of their crossings, with the logistic's unit step
+    handled by clipping at 0.  Each edge is where its own side's penalty
+    reaches depth + Lam(y*) + Rho(y*), which contains the model's level set.
 
     The cells, the depth and the order's error are found once per call.
     """
-    erfc, exp, sqrt = math.erfc, math.exp, math.sqrt
+    sqrt = math.sqrt
     order_error = None
     try:
         cells, depth_scale = _trapezoid_cells(order)  # validates the order range
@@ -409,19 +429,11 @@ def _rate_grid(endpoints: Sequence[Endpoints],
         except _EVALUATION_ERRORS as exc:
             values.append(exc)
             continue
-        # each factor scaled by its own sigma
-        ce, cb, cr = 1.0 / (_SQRT2 * se), 1.0 / (_SQRT2 * sb), 1.0 / (_SQRT2 * sr)
         width = hi - lo
         total = 0.0
-        for c in cells:
-            y = lo + width * c
-            if y >= 0.0:  # the logistic factor e^y / (1 + e^y), without overflow
-                logistic = 1.0 / (1.0 + exp(-y))
-            else:
-                ey = exp(y)
-                logistic = ey / (1.0 + ey)
-            total += (erfc((me - y) * ce) * erfc((y - mb) * cb)
-                      * erfc((y - mr) * cr) * logistic)
+        # in order: sum() compensates from Python 3.12
+        for value in _rate_integrand(ep, [lo + width * c for c in cells]):
+            total += value
         values.append(width / order * total / (8.0 * _LN2))
     return values
 
@@ -441,41 +453,23 @@ def avg_secrecy_rate_reference(ep: Endpoints,
                                rel_tol: float = 1e-9) -> MetricResult:
     """Average secrecy rate by adaptive integration (ground truth).
 
-    The integrand F_eve(z) [1 - F_min(z)] / (1 + z) is taken in its closed
-    erfc-product form, erfc_eve * erfc_bob * erfc_relay / 8 * e^y / (1 + e^y),
-    over y = ln z, where it has Gaussian tails.  Each erfc factor is below
-    erfc(12) ~ 1e-64 from 12 sqrt(2) sigma past its mean, so the window runs
-    from there below eve's mean to the nearer of there above bob's and the
-    relay's, which a far-off mean cannot widen.  A window narrower than the
-    larger reach at its edges (eve far above bob or the relay) leaves mass
-    past them; it then reaches 12 sqrt(2) of the widest sigma beyond the
-    lowest mean and eve's.  The window starts no lower than m - 745, m the
-    lowest of bob's mean, the relay's and 0: the integrand is below e^y, so
+    It integrates ``_rate_integrand`` over y = ln z, where it has Gaussian
+    tails, and divides by 8 ln 2.  Each erfc factor is below erfc(12) ~
+    1e-64 from 12 sqrt(2) sigma past its mean, so the window runs from there
+    below eve's mean to the nearer of there above bob's and the relay's,
+    which a far-off mean cannot widen.  A window narrower than the larger
+    reach at its edges (eve far above bob or the relay) leaves mass past
+    them; it then reaches 12 sqrt(2) of the widest sigma beyond the lowest
+    mean and eve's.  The window starts no lower than m - 745, m the lowest
+    of bob's mean, the relay's and 0: the rate's integrand is below e^y, so
     the mass it leaves out is at most e^(m - 745), against a rate of order
-    e^m.  Breakpoints sit at the three means and at 0.  Below y = -709,
-    where exp(-y) would overflow, the logistic factor is taken as e^y.
+    e^m.  Breakpoints sit at the three means and at 0.
     """
     error = _degenerate(ep, "avg_secrecy_rate_reference")
     if error:
         raise error
     e, b, r = ep.eve, ep.bob, ep.relay
     means = me, mb, mr = e.mu, b.mu, r.mu
-    # each factor scaled by its own sigma
-    ce, cb, cr = (1.0 / (_SQRT2 * x.sigma) for x in (e, b, r))
-
-    def f(ys: list[float], erfc=math.erfc, exp=math.exp) -> list[float]:
-        if ys[0] < -709.0:  # the nodes ascend; exp(-y) overflows below -709.78
-            return [far_left(y) for y in ys]
-        return [erfc((me - y) * ce) * erfc((y - mb) * cb) * erfc((y - mr) * cr)
-                / (8.0 * (1.0 + exp(-y))) for y in ys]
-
-    def far_left(y: float) -> float:
-        if y >= -709.0:
-            return f([y])[0]
-        # the logistic factor e^y / (1 + e^y) rounds to e^y here
-        return (math.erfc((me - y) * ce) * math.erfc((y - mb) * cb)
-                * math.erfc((y - mr) * cr) * math.exp(y) / 8.0)
-
     reach = 12.0 * _SQRT2
     lo = me - reach * e.sigma
     hi, upper_sigma = min((mb + reach * b.sigma, b.sigma),
@@ -487,8 +481,9 @@ def avg_secrecy_rate_reference(ep: Endpoints,
     # of bob's mean, the relay's and 0; a window reaching further would
     # space its first panel's nodes past the mass near m
     lo = max(lo, min(mb, mr, 0.0) - 745.0)
-    est = adaptive_integrate(f, lo, hi, rel_tol, means + (0.0,))
-    return MetricResult(est.value / _LN2, est.error_estimate)
+    est = adaptive_integrate(functools.partial(_rate_integrand, ep), lo, hi,
+                             rel_tol, means + (0.0,))
+    return MetricResult(est.value / (8.0 * _LN2), est.error_estimate)
 
 
 def _clamp_unit(value: float, what: str) -> float:
@@ -521,6 +516,23 @@ def _log_threshold(rs_target: float) -> tuple[float, float]:
     return rs_nats + math.log(-math.expm1(-rs_nats)), rs_nats
 
 
+def _survival(ep: Endpoints, floor: float, offset: float,
+              vs: Sequence[float]) -> list[float]:
+    """erfc_bob(t) * erfc_relay(t) = 4 [1 - F_min(e^t)] at each node v, at the
+    log rate threshold t = logaddexp(floor, offset + sigma_e v)."""
+    erfc, exp, log1p = math.erfc, math.exp, math.log1p
+    se = ep.eve.sigma
+    mb, cb = ep.bob.mu, 1.0 / (_SQRT2 * ep.bob.sigma)
+    mr, cr = ep.relay.mu, 1.0 / (_SQRT2 * ep.relay.sigma)
+    values = []
+    for v in vs:
+        x = offset + se * v
+        lt = (x + log1p(exp(floor - x)) if x > floor
+              else floor + log1p(exp(x - floor)))
+        values.append(erfc((lt - mb) * cb) * erfc((lt - mr) * cr))
+    return values
+
+
 def _outage_grid(endpoints: Sequence[Endpoints], rs_targets: Sequence[float],
                  order: int = 24) -> list[list[float | Exception]]:
     """Each point's secrecy outage probability at each target rate from
@@ -533,9 +545,9 @@ def _outage_grid(endpoints: Sequence[Endpoints], rs_targets: Sequence[float],
     eavesdropper SNR z = exp(mu_e + sigma_e v) with v standard normal.  The
     trapezoid rule in v takes `order` equally spaced nodes at the cell
     midpoints of a window found in closed form.  The integrand is phi(v) *
-    erfc_bob(t) * erfc_relay(t) / 4 at the log threshold t(v) = ln(2^rs (1
-    + e^(mu_e + sigma_e v)) - 1), which is logaddexp(floor, offset + sigma_e
-    v) with floor = ln(2^rs - 1) and offset = rs ln 2 + mu_e, modelled as
+    ``_survival`` / 4 at the log threshold t(v) = ln(2^rs (1 + e^(mu_e +
+    sigma_e v)) - 1), which is logaddexp(floor, offset + sigma_e v) with
+    floor = ln(2^rs - 1) and offset = rs ln 2 + mu_e, modelled as
     max(floor, offset + sigma_e v).  The log-integrand is then -(v^2/2 +
     Rt(v)) with Rt the survival factors' one-sided quadratics in t, flat
     below v0 = (floor - offset) / sigma_e.  The peak v* solves v = -Rt'(v)
@@ -544,10 +556,9 @@ def _outage_grid(endpoints: Sequence[Endpoints], rs_targets: Sequence[float],
     the nearer of where v^2/2 or Rt alone reaches depth plus penalty.
 
     Each target's threshold, and the cells, depth and order's error, are
-    found once per call; a point's factors and window terms once for all
-    its targets.
+    found once per call; a point's window terms once for all its targets.
     """
-    erfc, exp, log1p, sqrt = math.erfc, math.exp, math.log1p, math.sqrt
+    exp, sqrt = math.exp, math.sqrt
     thresholds = []
     for rs in rs_targets:
         try:
@@ -579,7 +590,6 @@ def _outage_grid(endpoints: Sequence[Endpoints], rs_targets: Sequence[float],
             point_error = exc
         else:
             kb1, kr1, kbr1 = 1.0 + kb, 1.0 + kr, 1.0 + kb + kr
-        cb, cr = 1.0 / (_SQRT2 * sb), 1.0 / (_SQRT2 * sr)
         row = []
         for threshold in thresholds:
             error = (threshold if isinstance(threshold, Exception)
@@ -607,15 +617,11 @@ def _outage_grid(endpoints: Sequence[Endpoints], rs_targets: Sequence[float],
                 row.append(exc)
                 continue
             width = hi - lo
+            vs = [lo + width * c for c in cells]
             total = 0.0
-            for c in cells:
-                v = lo + width * c
-                x = offset + se * v
-                # logaddexp(floor, x)
-                lt = (x + log1p(exp(floor - x)) if x > floor
-                      else floor + log1p(exp(x - floor)))
-                total += (erfc((lt - mb) * cb) * erfc((lt - mr) * cr)
-                          * exp(-0.5 * v * v))
+            # in order: sum() compensates from Python 3.12
+            for v, survival in zip(vs, _survival(ep, floor, offset, vs)):
+                total += survival * exp(-0.5 * v * v)
             integral = width / order * total
             value = 1.0 - integral / (4.0 * _SQRT_2PI)
             row.append(_clamp_unit(value, "secrecy_outage"))
@@ -639,10 +645,11 @@ def secrecy_outage_reference(ep: Endpoints, rs_target: float,
                              rel_tol: float = 1e-10) -> MetricResult:
     """Secrecy outage by adaptive integration of F_min(2^rs (1+z) - 1) f_eve(z).
 
-    The integral runs over the eavesdropper's standard-normal v, z = exp(mu_e
-    + sigma_e v), with breakpoints at the threshold's floor kink, where the
-    log threshold crosses mu_bob and mu_relay, and at 0, +-3, +-7 and +-14,
-    where phi(v) has fallen by 1, e^-4.5, e^-24.5 and e^-98.
+    The integrand is (1 - ``_survival`` / 4) phi(v) over the eavesdropper's
+    standard-normal v, z = exp(mu_e + sigma_e v), with breakpoints at the
+    threshold's floor kink, where the log threshold crosses mu_bob and
+    mu_relay, and at 0, +-3, +-7 and +-14, where phi(v) has fallen by 1,
+    e^-4.5, e^-24.5 and e^-98.
 
     It starts at v = -14: F_min(t(v)) never falls as v rises, so the mass
     below -14 is at most Phi(-14) / (1 - Phi(-14)) ~ 8e-45 of the total.  It
@@ -661,16 +668,9 @@ def secrecy_outage_reference(ep: Endpoints, rs_target: float,
     mb, cb = ep.bob.mu, 1.0 / (_SQRT2 * ep.bob.sigma)
     mr, cr = ep.relay.mu, 1.0 / (_SQRT2 * ep.relay.sigma)
 
-    def f(vs: list[float], erfc=math.erfc, exp=math.exp,
-          log1p=math.log1p) -> list[float]:
-        values = []
-        for v in vs:
-            x = offset + se * v
-            lt = (x + log1p(exp(floor - x)) if x > floor
-                  else floor + log1p(exp(x - floor)))
-            survival = erfc((lt - mb) * cb) * erfc((lt - mr) * cr)
-            values.append((1.0 - 0.25 * survival) * exp(-0.5 * v * v) / _SQRT_2PI)
-        return values
+    def f(vs: list[float], exp=math.exp) -> list[float]:
+        return [(1.0 - 0.25 * survival) * exp(-0.5 * v * v) / _SQRT_2PI
+                for v, survival in zip(vs, _survival(ep, floor, offset, vs))]
 
     kinks = tuple((t - offset) / se for t in (floor, mb, mr))
     t0 = max(floor, offset)  # t(v) >= t0 for v >= 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .config import _MAX_ROWS, RunConfig
 from .errors import ConfigurationError
@@ -74,8 +74,7 @@ class SweepSpec:
                 * len(_row_keys(self)))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     power_dbm: float
     delta_db: float
     n_eve: int
