@@ -14,7 +14,8 @@ Two modes:
 
 ``mc_grid_metrics`` estimates (power, delta, N_E) points of one network from
 common random numbers.  Each link owns a bank of draws from its own Philox
-substream, ``Philox(key=seed).jumped(j)``, drawn once per call:
+substream j, the seed's key with its counter started at j * 2^128 (what
+``Philox(key=seed).jumped(j)`` gives), drawn once per call:
 
 * ``ln_fit`` draws standard normals z for the relay (j = 1), Bob (2) and
   Eve (3); a point takes exp(mu + sigma * z) with its fitted endpoints;
@@ -30,10 +31,13 @@ the other points of the call nor on how many sweep workers run.  Each
 point's standard error is its own, but the points of one call are
 correlated.  ``mc_secrecy_metrics`` is the one-point call.  A sweep or
 ``validate`` hands its own grid fit to ``ln_fit`` (``_grid_estimates``), so
-a run fits its grid once.  Banks are drawn
-in fixed-size blocks into buffers allocated once per call, never shared
-between sweep worker threads, and each point's arithmetic runs over
-cache-sized slices of a block.
+a run fits its grid once.  Each point's arithmetic and sums run over
+cache-sized slices.  ``ln_fit`` draws its normal banks one slice at a time,
+so a call holds three slices of draws at any n.  ``composite`` draws each
+bank one fixed-size block of slices at a time: a composite link takes its
+Gammas and then its shadowing normals from one stream, so the block length
+decides which normals those are.  The buffers are allocated once per call
+and never shared between sweep worker threads.
 
 The secrecy rate is max(log2(1 + min(relay, Bob)) - log2(1 + Eve), 0), and
 at one power the main side varies with delta alone and Eve's side with N_E
@@ -69,8 +73,8 @@ __all__ = [
     "mc_secrecy_metrics",
 ]
 
-_BLOCK = 1 << 17  # fixed reduction block keeps accumulation order canonical
-_SLICE = 1 << 13  # samples of a block that one point's arithmetic spans at a time
+_BLOCK = 1 << 17  # composite's draw block; slices never cross one
+_SLICE = 1 << 13  # samples that one point's arithmetic and sums span at a time
 _MODES = ("ln_fit", "composite")
 _LN_STREAMS = (1, 2, 3)  # relay, Bob, Eve
 _LINK_STREAMS = (4, 5, 6, 7)  # ar, rr, ab, rb
@@ -129,7 +133,8 @@ def _substream(seed: int, j: int) -> np.random.Generator:
     """Substream j of the seed's Philox key: one bank's own stream."""
     import numpy as np
     key = int(seed) & (2 ** 128 - 1)  # one key per seed in [-2**127, 2**127)
-    return np.random.Generator(np.random.Philox(key=key).jumped(j))
+    # the state of Philox(key=key).jumped(j), set directly
+    return np.random.Generator(np.random.Philox(key=key, counter=(0, 0, j, 0)))
 
 
 def _gain(db: float) -> float:
@@ -173,15 +178,17 @@ def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | Exception
     side (one power) at a time; a point whose scalars are an error is
     skipped.
 
-    Every block draws each bank once, from its own substream, for all the
-    points.  ``network`` sets what ``composite`` draws: its links at 0 dBm
-    and 0 dB isolation.  Within a slice, the points that share Bob's side
-    share capacity rows: each distinct main side log2(1 + min(relay, Bob))
-    and each distinct Eve side log2(1 + Eve) is formed once (a direct Eve's,
-    which no power changes, once for all the powers), and a point is their
-    clipped difference.  A yielded slice is a view that the next one
-    overwrites: reduce it (or copy it) before advancing.  The buffers are
-    local to the call, so concurrent calls from sweep workers share nothing.
+    Each bank is drawn once, from its own substream, for all the points:
+    ``ln_fit``'s normals one slice at a time, ``composite``'s links one
+    block of slices at a time.  ``network`` sets what ``composite`` draws:
+    its links at 0 dBm and 0 dB isolation.  Within a slice, the points that
+    share Bob's side share capacity rows: each distinct main side
+    log2(1 + min(relay, Bob)) and each distinct Eve side log2(1 + Eve) is
+    formed once (a direct Eve's, which no power changes, once for all the
+    powers), and a point is their clipped difference.  A yielded slice is a
+    view that the next one overwrites: reduce it (or copy it) before
+    advancing.  The buffers are local to the call, so concurrent calls from
+    sweep workers share nothing.
     """
     import numpy as np
     live = [i for i, s in enumerate(scalars) if not isinstance(s, Exception)]
@@ -213,19 +220,18 @@ def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | Exception
     # has the same Eve sides, their rows are formed once per slice
     eve_sides = [eves for _, eves, _ in groups.values()]
     shared_eves = all(eves == eve_sides[0] for eves in eve_sides)
-    bufs = np.empty((3 if mode == "ln_fit" else 4 + len(sums), min(_BLOCK, n)))
-    x, y = np.empty((2, min(_SLICE, n)))
-    rows = np.empty((max(len(m) + len(e) for m, e, _ in groups.values()),
-                     min(_SLICE, n)))
+    width = min(_SLICE, n)
+    # ln_fit draws its normal banks slice by slice; composite draws each
+    # link's block at once, since its Gammas and shadowing share a stream
+    bufs = np.empty((3, width) if mode == "ln_fit"
+                    else (4 + len(sums), min(_BLOCK, n)))
+    x, y = np.empty((2, width))
+    rows = np.empty((max(len(m) + len(e) for m, e, _ in groups.values()), width))
     for done in range(0, n, _BLOCK):
         b = min(_BLOCK, n - done)
-        banks = bufs[:, :b]  # contiguous rows
-        if mode == "ln_fit":
-            for rng, row in zip(normals, banks):
-                rng.standard_normal(out=row)
-        else:
+        if mode == "composite":
             # relay = ar / rr and bob = ab + rb, with a draw row and a work row
-            relay, bob, tmp, scratch, *eve = banks
+            relay, bob, tmp, scratch, *eve = bufs[:, :b]  # contiguous rows
             (ar, s_ar), (rr, s_rr), (ab, s_ab), (rb, s_rb) = links
             _draw(ar, s_ar, relay, scratch)
             relay /= _draw(rr, s_rr, tmp, scratch)
@@ -244,7 +250,12 @@ def _iter_rate_slices(network: SystemConfig, scalars: Sequence[tuple | Exception
                 drawn = count
         for lo in range(0, b, _SLICE):
             w = min(_SLICE, b - lo)
-            part = banks[:, lo:lo + w]
+            if mode == "ln_fit":
+                part = bufs[:, :w]
+                for rng, row in zip(normals, part):
+                    rng.standard_normal(out=row)
+            else:
+                part = bufs[:, lo:lo + w]
             rates, work = x[:w], y[:w]
             for g, (mains, eves, members) in enumerate(groups.values()):
                 eve_rows = rows[:len(eves), :w]
@@ -311,7 +322,7 @@ def mc_grid_metrics(network: SystemConfig, points: Sequence[tuple[float, float, 
 
     The points are (power, delta, N_E) of ``network``, in the ranges that
     SystemConfig checks, as for ``channel._grid_endpoints``.  Each point's n
-    realisations are reduced block by block into the rate's sum and sum of
+    realisations are reduced slice by slice into the rate's sum and sum of
     squares and each target's ``rates < r`` count; sharing them across
     targets makes a point's outage estimates exactly nested: a higher target
     never reports lower outage.  A point whose endpoint fit or power gain

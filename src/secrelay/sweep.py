@@ -42,7 +42,7 @@ CSV_HEADER = ("power_dbm,delta_db,n_eve,rs_target,metric,method,"
 METRICS = ("rate", "outage")
 METHODS = ("analytic", "mc-ln", "mc-composite")
 _MODE_OF = {"mc-ln": "ln_fit", "mc-composite": "composite"}
-MAX_WORKERS = 64  # the pool starts up to this many OS threads
+MAX_WORKERS = 64  # the pool starts at most one thread per method, so 3
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,17 @@ class TestDeterminism:
         want = np.random.Generator(np.random.Philox(key=key).jumped(3))
         assert got.tobytes() == want.standard_normal(8).tobytes()
 
+    @pytest.mark.parametrize("key", [2 ** 128 - 1, 2 ** 127, 2 ** 127 - 1])
+    def test_substream_states_equal_jumped_ones(self, key):
+        # every substream a paper-fig2 call draws: ln_fit's 1-3, composite's
+        # 4-7 and Eve's 8 + i for i < 2 max N_E
+        last = 8 + 2 * max(preset_run_config("paper-fig2").n_eve_grid)
+        for j in range(1, last + 1):
+            got = montecarlo._substream(key, j).bit_generator.state
+            want = np.random.Philox(key=key).jumped(j).state
+            # key, counter, buffer and buffer position; arrays compare by repr
+            assert repr(got) == repr(want)
+
     @pytest.mark.parametrize("n", [True, 999, np.int32(999), 10_000.0])
     def test_bad_sample_count_rejected(self, n):
         with pytest.raises(ConfigurationError, match="at least 1000 samples"):
@@ -353,6 +364,20 @@ class TestSinglePassReducer:
         assert calls == {"main": slices * 2 * 3, "eve": eve_rows}
 
 
+    @pytest.mark.parametrize("eve", ["direct", "composite"])
+    def test_ln_fit_does_not_depend_on_the_block(self, eve, monkeypatch):
+        # ln_fit draws slice by slice, so a block that holds more slices
+        # moves no draw and no sum
+        network, points = grid_points(eve)
+        monkeypatch.setattr(montecarlo, "_SLICE", 256)
+        got = {}
+        for block in (1024, 4096):
+            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+            got[block] = mc_grid_metrics(network, points, (0.5, 2.0), "ln_fit",
+                                         4500, 17)
+        assert got[1024] == got[4096]
+
+
 class TestGridCall:
     @pytest.mark.parametrize("mode", ["ln_fit", "composite"])
     @pytest.mark.parametrize("eve", ["direct", "composite"])
@@ -420,3 +445,21 @@ def test_a_paper_grid_call_stays_within_its_block_rows(mode, rows):
     finally:
         tracemalloc.stop()
     assert peak <= rows * n * 8
+
+
+def test_an_ln_fit_call_holds_the_same_memory_at_any_n():
+    # ln_fit draws its banks one slice at a time: three slices of draws, two
+    # of work, one main and one Eve row and the reducer's square (and bool
+    # mask), whatever n is
+    cfg = preset_run_config("paper-fig2").network
+    mc_secrecy_metrics(cfg, (2.0, 4.0), "ln_fit", 1000, 1)  # imports, fit caches
+    peaks = []
+    for n in (25_000, 100_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            mc_secrecy_metrics(cfg, (2.0, 4.0), "ln_fit", n, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) <= 16 * 1024
+    assert max(peaks) < 9 * 8 * montecarlo._SLICE
