@@ -10,10 +10,9 @@ import argparse
 import os
 import sys
 
-from .config import RunConfig, load_config
+from .config import PRESET_NAMES, RunConfig, load_config, preset_run_config
 from .errors import ConfigurationError
-from .sweep import METHODS, PRESET_NAMES, SweepSpec, preset_run_config, run_sweep
-from .validate import run_validation
+from .sweep import METHODS, SweepSpec, run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -41,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, help="Monte-Carlo sample count")
         p.add_argument("--seed", type=int, help="Monte-Carlo base seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker threads over the methods, one task each (1 to 64)")
+                       help="worker threads over the methods, one task each (1 to 64); "
+                            "a one-method sweep runs on the calling thread")
 
     val = sub.add_parser("validate", help="run the self-validation checks")
     val.add_argument("--config", required=True)
@@ -69,6 +69,8 @@ def _cmd_sweep(args, metric: str) -> tuple[int, str]:
 
 
 def _cmd_validate(args) -> tuple[int, str]:
+    # imported here, so a sweep never compiles the checks and the sampler
+    from .validate import run_validation
     cfg = load_config(args.config).with_overrides(samples=args.samples,
                                                   seed=args.seed)
     checks = run_validation(cfg)

@@ -2,7 +2,9 @@
 
 One ``key = value`` pair per line, ``#`` starts a comment, blank lines are
 ignored.  Grid-valued keys take comma lists; ``power_dbm`` additionally
-accepts an inclusive ``start:stop:step`` sweep.
+accepts an inclusive ``start:stop:step`` sweep.  The built-in presets
+(``preset_run_config``) live here too, beside ``RunConfig``, so building
+one loads only this module, ``channel``, ``lognormal`` and ``errors``.
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ from .channel import EveComposite, SystemConfig
 from .errors import ConfigParseError, ConfigurationError
 from .lognormal import LogNormal
 
-__all__ = ["RunConfig", "load_config", "parse_config_text"]
+__all__ = ["RunConfig", "load_config", "parse_config_text", "preset_run_config",
+           "PRESET_NAMES"]
 
 # a sweep's row cap; a longer power sweep is rejected while it is parsed
 _MAX_ROWS = 100_000
@@ -226,3 +229,31 @@ def load_config(path: str) -> RunConfig:
             raise ConfigParseError(f"not UTF-8 text ({exc.reason} at byte "
                                    f"{exc.start})", path=path) from None
     return parse_config_text(text, path=path)
+
+
+PRESET_NAMES = ("paper-fig2", "paper-fig3", "sanity")
+
+
+def preset_run_config(name: str) -> RunConfig:
+    """Built-in experiment presets.
+
+    The two figure presets are one sweep of transmit power against
+    self-interference attenuation and eavesdropper antenna count over the
+    reference geometry (30 m line, relay centred, exponent 4, m = 2, 10 dB
+    shadowing).  Their eavesdropper is placed 10 m from both sources (-40 dB
+    path gain, 5 dB shadowing) so her links scale with transmit power like
+    every other link.  The sanity preset is the fixed single point used for
+    cross-validation, with the eavesdropper given directly in nats.
+    """
+    if name in ("paper-fig2", "paper-fig3"):
+        return RunConfig(
+            power_grid_dbm=tuple(10.0 + 5.0 * i for i in range(14)),
+            delta_grid_db=(-90.0, -80.0, -70.0),
+            n_eve_grid=(2, 4, 8),
+            rs_grid=(2.0, 4.0),
+            network=SystemConfig(eve_spec=EveComposite(-40.0, 5.0)),
+        )
+    if name == "sanity":
+        return RunConfig()
+    raise ConfigurationError(f"unknown preset {name!r}; "
+                             f"choose one of {', '.join(PRESET_NAMES)}")

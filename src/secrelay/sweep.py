@@ -3,19 +3,21 @@
 A sweep runs in stages: the grid of (power, delta, N_E) points of the base
 network; one grid fit (``channel._grid_endpoints``), made when ``analytic``
 or ``mc-ln`` asks for it and shared by both; each method as one task over
-all the points, which any number of worker threads may share (the analytic
-task is one ``metrics._rate_grid`` and one ``metrics._outage_grid`` call
-over the points whose fit stands); the rows, in sorted key order, so the
-output is byte-identical regardless of parallelism.  The grid fit fits each
-distinct link once; every endpoint is bit-identical to the point's own
-``endpoints_for``, and every analytic value to the point's own
-``avg_secrecy_rate`` or ``secrecy_outage``.  A Monte-Carlo row's ``seed``
-column holds the base seed: its value depends only on its own (power,
-delta, N_E), the seed and the sample count, so adding or removing grid
-values leaves every other row unchanged, and a one-point sweep rebuilds
-any row.  Each row's standard error is valid on its own, but the
-Monte-Carlo rows of one sweep are correlated.  A point's rows share one
-sample set (Monte-Carlo) or its endpoints (analytic).
+all the points (the analytic task is one ``metrics._rate_grid`` and one
+``metrics._outage_grid`` call over the points whose fit stands; a
+Monte-Carlo task imports ``montecarlo`` when it first runs), one method on
+the calling thread and two or three on up to one worker thread each; the
+rows, in sorted key order, so the output is byte-identical regardless of
+parallelism.  The grid fit fits each distinct link once; every endpoint is
+bit-identical to the point's own ``endpoints_for``, and every analytic
+value to the point's own ``avg_secrecy_rate`` or ``secrecy_outage``.  A
+Monte-Carlo row's ``seed`` column holds the base seed: its value depends
+only on its own (power, delta, N_E), the seed and the sample count, so
+adding or removing grid values leaves every other row unchanged, and a
+one-point sweep rebuilds any row.  Each row's standard error is valid on
+its own, but the Monte-Carlo rows of one sweep are correlated.  A point's
+rows share one sample set (Monte-Carlo) or its endpoints (analytic).  The
+built-in presets are ``config.preset_run_config``, beside ``RunConfig``.
 """
 from __future__ import annotations
 
@@ -26,15 +28,13 @@ from typing import NamedTuple, Optional, Sequence
 
 from .config import _MAX_ROWS, RunConfig
 from .errors import ConfigurationError
-from .channel import EveComposite, SystemConfig, _grid_endpoints
+from .channel import _grid_endpoints
 from .channel import endpoints_for  # noqa: F401 -- the benchmark's tracer wraps it here
 from .metrics import _outage_grid, _rate_grid
 # the benchmark's tracer wraps these two here
 from .metrics import avg_secrecy_rate, secrecy_outage  # noqa: F401
-from .montecarlo import _grid_estimates
 
-__all__ = ["SweepSpec", "SweepRow", "run_sweep", "preset_run_config",
-           "CSV_HEADER", "PRESET_NAMES"]
+__all__ = ["SweepSpec", "SweepRow", "run_sweep", "CSV_HEADER"]
 
 CSV_HEADER = ("power_dbm,delta_db,n_eve,rs_target,metric,method,"
               "value,std_error,n_samples,seed,status")
@@ -42,7 +42,9 @@ CSV_HEADER = ("power_dbm,delta_db,n_eve,rs_target,metric,method,"
 METRICS = ("rate", "outage")
 METHODS = ("analytic", "mc-ln", "mc-composite")
 _MODE_OF = {"mc-ln": "ln_fit", "mc-composite": "composite"}
-MAX_WORKERS = 64  # the pool starts at most one thread per method, so 3
+# a one-method sweep runs on the calling thread; for two or three methods
+# the pool starts at most one thread per method
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,8 @@ def _analytic_rows(spec: SweepSpec, points: Sequence[tuple[float, float, int]],
 def _mc_rows(spec: SweepSpec, points: Sequence[tuple[float, float, int]],
              fits: Sequence, method: str) -> list[SweepRow]:
     """Every grid point of one Monte-Carlo method, from one set of banks."""
+    # imported here, so an analytic sweep never compiles the sampler
+    from .montecarlo import _grid_estimates
     base = spec.base
     keys = _row_keys(spec)
     targets = base.rs_grid if "outage" in spec.metrics else ()
@@ -187,8 +191,8 @@ def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
 
     Each method is one task over all the points, after the one grid fit.
     ``workers`` threads (1 to MAX_WORKERS) share the tasks; it is checked
-    before any thread starts, and the thread pool is loaded only for more
-    than one.
+    before any thread starts.  One task, or one worker, runs on the calling
+    thread, and the thread pool is loaded only for more of both.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ConfigurationError(
@@ -203,7 +207,7 @@ def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     tasks = [partial(_analytic_rows, spec, points, fits) if method == "analytic"
              else partial(_mc_rows, spec, points, fits, method)
              for method in sorted(spec.methods)]
-    if workers == 1:
+    if workers == 1 or len(tasks) == 1:
         chunks = [task() for task in tasks]
     else:
         from concurrent.futures import ThreadPoolExecutor
@@ -227,30 +231,3 @@ def run_sweep(spec: SweepSpec, out_path: str, workers: int = 1) -> list[SweepRow
     write_csv(rows, out_path)
     return rows
 
-
-PRESET_NAMES = ("paper-fig2", "paper-fig3", "sanity")
-
-
-def preset_run_config(name: str) -> RunConfig:
-    """Built-in experiment presets.
-
-    The two figure presets are one sweep of transmit power against
-    self-interference attenuation and eavesdropper antenna count over the
-    reference geometry (30 m line, relay centred, exponent 4, m = 2, 10 dB
-    shadowing).  Their eavesdropper is placed 10 m from both sources (-40 dB
-    path gain, 5 dB shadowing) so her links scale with transmit power like
-    every other link.  The sanity preset is the fixed single point used for
-    cross-validation, with the eavesdropper given directly in nats.
-    """
-    if name in ("paper-fig2", "paper-fig3"):
-        return RunConfig(
-            power_grid_dbm=tuple(10.0 + 5.0 * i for i in range(14)),
-            delta_grid_db=(-90.0, -80.0, -70.0),
-            n_eve_grid=(2, 4, 8),
-            rs_grid=(2.0, 4.0),
-            network=SystemConfig(eve_spec=EveComposite(-40.0, 5.0)),
-        )
-    if name == "sanity":
-        return RunConfig()
-    raise ConfigurationError(f"unknown preset {name!r}; "
-                             f"choose one of {', '.join(PRESET_NAMES)}")

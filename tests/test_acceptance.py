@@ -22,7 +22,8 @@ from secrelay import (Endpoints, LogNormal, RunConfig, SweepSpec,
                       run_sweep, sample_composite_snr, secrecy_outage,
                       secrecy_outage_reference)
 from secrelay.lognormal import CompositeLink
-from secrelay.sweep import preset_run_config, sweep_rows
+from secrelay import preset_run_config
+from secrelay.sweep import sweep_rows
 
 MU_GRID = (-4.0, -1.0, 1.0, 4.0)
 SIGMA_GRID = (0.5, 1.0, 1.5, 2.0)

@@ -256,8 +256,8 @@ class TestAdaptiveIntegrate:
 # the package, parsing, the CLI, an analytic sweep and the adaptive
 # references load neither numpy nor scipy, validate and Monte-Carlo sweeps
 # load numpy alone, and nothing loads scipy; the thread pool's
-# concurrent.futures loads only for a sweep with more than one worker, and
-# logging only for an estimator's debug message
+# concurrent.futures loads only for a sweep of more than one method at more
+# than one worker, and logging only for an estimator's debug message
 IMPORT_GRAPH_CHILD = textwrap.dedent("""
     import sys
     import secrelay as sr
@@ -308,6 +308,48 @@ IMPORT_GRAPH_CHILD = textwrap.dedent("""
 def test_no_route_loads_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(secrelay.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_CHILD,
+                           str(tmp_path / "fig2.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# run in a fresh interpreter: the package loads each submodule on first use,
+# so a preset or a parse compiles four modules and an analytic CLI sweep
+# never compiles the sampler or the checks
+COLD_IMPORT_CHILD = textwrap.dedent("""
+    import sys
+    import secrelay as sr
+
+    def loaded():
+        return sorted(m.partition(".")[2] for m in sys.modules
+                      if m.split(".")[0] == "secrelay")
+
+    assert loaded() == [""], loaded()
+    assert getattr(sr, "gauss_laguerre_rule", None) is None
+    assert callable(sr.lognormal.from_composite)
+    assert loaded() == ["", "lognormal"], loaded()
+
+    sr.preset_run_config("paper-fig2")
+    sr.parse_config_text("power_dbm = 30, 60\\nn_eve = 2, 4\\n")
+    assert loaded() == ["", "channel", "config", "errors", "lognormal"], loaded()
+
+    from secrelay import cli
+    assert cli.main(["rate-sweep", "--preset", "paper-fig2",
+                     "--output", sys.argv[1]]) == 0
+    unused = {"montecarlo", "validate"} & set(loaded())
+    assert not unused, f"an analytic CLI run loaded {unused}"
+
+    assert set(sr.__all__) <= set(dir(sr))
+    star = {}
+    exec("from secrelay import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(sr.__all__) and len(star) == 38, sorted(star)
+""")
+
+
+def test_cold_import_loads_only_what_a_run_uses(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(secrelay.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", COLD_IMPORT_CHILD,
                            str(tmp_path / "fig2.csv")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

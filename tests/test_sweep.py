@@ -11,7 +11,8 @@ import pytest
 from secrelay import (ConfigurationError, EveComposite, LogNormal, RunConfig,
                       SweepSpec, SystemConfig, lognormal, montecarlo, run_sweep,
                       sweep)
-from secrelay.sweep import CSV_HEADER, preset_run_config, sweep_rows
+from secrelay import preset_run_config
+from secrelay.sweep import CSV_HEADER, sweep_rows
 from test_channel import EDGE_DELTAS, EDGE_N_EVES, EDGE_POWERS
 
 
@@ -353,6 +354,22 @@ def test_an_analytic_sweep_is_one_task(monkeypatch):
     assert len(sweep_rows(spec, workers=4)) == 126 * 3
     assert calls == [("_rate_grid", 126), ("_outage_grid", 126)]
     assert len(threads) == 1
+
+
+def test_a_one_method_sweep_starts_no_thread(monkeypatch):
+    # one task has no thread to share it with, so any workers run it on
+    # the calling thread, with the same rows as one worker
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    spec = SweepSpec(base=small_run_config(), metrics=("rate", "outage"),
+                     methods=("mc-composite",))
+    serial = sweep_rows(spec, workers=1)
+    assert serial and all(r.status == "ok" for r in serial)
+    for workers in (2, 8):
+        assert sweep_rows(spec, workers=workers) == serial
+    assert started == []
 
 
 def test_endpoint_failure_flags_every_row(monkeypatch):
